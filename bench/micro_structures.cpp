@@ -1,10 +1,16 @@
 // google-benchmark microbenchmarks for the core data structures: the
-// log-structured store, virtual-address codec, range partitioner,
-// distributed metadata service, and adaptive striping planner.
+// log-structured store, virtual-address codec, range partitioner, metadata
+// record index and distributed metadata service, and adaptive striping
+// planner.
 #include <benchmark/benchmark.h>
+
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "src/common/rng.hpp"
 #include "src/kv/range_partitioner.hpp"
+#include "src/meta/record_index.hpp"
 #include "src/meta/service.hpp"
 #include "src/placement/striping.hpp"
 #include "src/placement/virtual_address.hpp"
@@ -45,6 +51,66 @@ void BM_LogAppendFreeChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LogAppendFreeChurn);
+
+// Opening one (file, rank) log at the burst-buffer share of a 1024-rank
+// run (96 GiB virtual, 32 MiB chunks) and writing its first chunk.
+void BM_LogOpenFirstAppend(benchmark::State& state) {
+  const Bytes capacity = static_cast<Bytes>(state.range(0)) * 1_GiB;
+  for (auto _ : state) {
+    storage::LogFile log(capacity, 32_MiB);
+    benchmark::DoNotOptimize(log.AppendUpTo(32_MiB));
+  }
+}
+BENCHMARK(BM_LogOpenFirstAppend)->ArgName("virtual_gib")->Arg(96);
+
+// One file laid out the way VPIC-IO writes it: 40 datasets in a row, each
+// holding one 1 MiB block per producer at dataset base + producer x 1 MiB.
+// The blocks arrive in offset order, or VPIC-like: dataset by dataset, with
+// each dataset's 32 blocks in a shuffled producer order, as concurrent
+// ranks finish their writes.
+std::vector<meta::MetadataRecord> ProducerRecords(bool shuffled) {
+  constexpr Bytes kProducers = 32;
+  constexpr Bytes kDatasets = 40;
+  Rng rng(11);
+  std::vector<meta::MetadataRecord> records;
+  for (Bytes dataset = 0; dataset < kDatasets; ++dataset) {
+    std::vector<Bytes> order(kProducers);
+    std::iota(order.begin(), order.end(), Bytes{0});
+    if (shuffled) {
+      for (Bytes i = kProducers - 1; i > 0; --i) std::swap(order[i], order[rng.NextBelow(i + 1)]);
+    }
+    for (Bytes producer : order) {
+      const Bytes offset = (dataset * kProducers + producer) * 1_MiB;
+      records.push_back({1, offset, 1_MiB, static_cast<std::int64_t>(producer), offset});
+    }
+  }
+  return records;
+}
+
+void BM_RecordIndexInsert(benchmark::State& state) {
+  const std::vector<meta::MetadataRecord> records = ProducerRecords(state.range(0) != 0);
+  for (auto _ : state) {
+    meta::RecordIndex index;
+    for (const auto& rec : records) index.Insert(rec);
+    benchmark::DoNotOptimize(index.size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * records.size()));
+}
+BENCHMARK(BM_RecordIndexInsert)->ArgName("shuffled")->Arg(0)->Arg(1);
+
+void BM_RecordIndexQuery(benchmark::State& state) {
+  meta::RecordIndex index;
+  const std::vector<meta::MetadataRecord> records = ProducerRecords(true);
+  for (const auto& rec : records) index.Insert(rec);
+  const Bytes span = records.size() * 1_MiB;
+  Rng rng(7);
+  for (auto _ : state) {
+    const Bytes offset = rng.NextBelow(span);
+    benchmark::DoNotOptimize(index.Query(1, offset, static_cast<Bytes>(state.range(0)) * 1_MiB));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RecordIndexQuery)->ArgName("window_mib")->Arg(1)->Arg(32);
 
 void BM_VirtualAddressEncode(benchmark::State& state) {
   placement::VirtualAddressCodec codec({1_GiB, 0, 16_GiB, 0});

@@ -4,20 +4,48 @@
 
 namespace uvs::meta {
 
+namespace {
+
+bool OffsetBefore(const MetadataRecord& rec, Bytes offset) { return rec.offset < offset; }
+
+// First file in the fid-sorted `files` whose fid is not below `fid`.
+template <typename Files>
+auto LowerFile(Files& files, storage::FileId fid) {
+  return std::lower_bound(files.begin(), files.end(), fid,
+                          [](const auto& file, storage::FileId id) { return file.fid < id; });
+}
+
+}  // namespace
+
 void RecordIndex::Insert(const MetadataRecord& record) {
-  store_.Put(Key{record.fid, record.offset}, record);
+  auto file = LowerFile(files_, record.fid);
+  if (file == files_.end() || file->fid != record.fid)
+    file = files_.insert(file, File{record.fid, {}});
+  std::vector<MetadataRecord>& recs = file->records;
+  auto it = recs.empty() || recs.back().offset < record.offset
+                ? recs.end()
+                : std::lower_bound(recs.begin(), recs.end(), record.offset, OffsetBefore);
+  if (it != recs.end() && it->offset == record.offset) {
+    *it = record;
+    return;
+  }
+  recs.insert(it, record);
+  ++size_;
 }
 
 std::vector<MetadataRecord> RecordIndex::Query(storage::FileId fid, Bytes offset,
                                                Bytes len) const {
   std::vector<MetadataRecord> out;
-  if (len == 0) return out;
+  const auto file = LowerFile(files_, fid);
+  if (len == 0 || file == files_.end() || file->fid != fid) return out;
+  const std::vector<MetadataRecord>& recs = file->records;
   const Bytes end = offset + len;
 
-  // A record starting before `offset` can still overlap it.
-  if (auto floor = store_.FloorEntry(Key{fid, offset})) {
-    const MetadataRecord& rec = floor->second;
-    if (rec.fid == fid && rec.end() > offset && rec.offset < offset) {
+  auto it = std::lower_bound(recs.begin(), recs.end(), offset, OffsetBefore);
+  // The record starting closest before `offset` can still overlap it.
+  if (it != recs.begin() && (it == recs.end() || it->offset != offset)) {
+    const MetadataRecord& rec = *std::prev(it);
+    if (rec.end() > offset) {
       MetadataRecord clipped = rec;
       const Bytes skip = offset - rec.offset;
       clipped.offset = offset;
@@ -26,8 +54,8 @@ std::vector<MetadataRecord> RecordIndex::Query(storage::FileId fid, Bytes offset
       out.push_back(clipped);
     }
   }
-  for (auto& [key, rec] : store_.Scan(Key{fid, offset}, Key{fid, end})) {
-    MetadataRecord clipped = rec;
+  for (; it != recs.end() && it->offset < end; ++it) {
+    MetadataRecord clipped = *it;
     if (clipped.end() > end) clipped.len = end - clipped.offset;
     out.push_back(clipped);
   }
@@ -42,11 +70,14 @@ Bytes RecordIndex::CoveredBytes(storage::FileId fid, Bytes offset, Bytes len) co
 
 std::vector<MetadataRecord> RecordIndex::All() const {
   std::vector<MetadataRecord> out;
-  out.reserve(store_.size());
-  for (auto& [key, rec] : store_.Entries()) out.push_back(rec);
+  out.reserve(size_);
+  for (const File& file : files_) out.insert(out.end(), file.records.begin(), file.records.end());
   return out;
 }
 
-void RecordIndex::Clear() { store_.Clear(); }
+void RecordIndex::Clear() {
+  files_.clear();
+  size_ = 0;
+}
 
 }  // namespace uvs::meta

@@ -6,14 +6,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/kv/local_store.hpp"
 #include "src/meta/record.hpp"
 
 namespace uvs::meta {
 
 class RecordIndex {
  public:
-  std::size_t size() const { return store_.size(); }
+  std::size_t size() const { return size_; }
 
   /// Records must not partially overlap existing ones; re-inserting the
   /// exact same (fid, offset) replaces it (overwrite-in-place).
@@ -32,12 +31,14 @@ class RecordIndex {
   void Clear();
 
  private:
-  struct Key {
+  // One file's records, sorted by offset with unique offsets. A producer
+  // writes offset-monotone segments, so most inserts append.
+  struct File {
     storage::FileId fid;
-    Bytes offset;
-    auto operator<=>(const Key&) const = default;
+    std::vector<MetadataRecord> records;
   };
-  kv::LocalStore<Key, MetadataRecord> store_;
+  std::vector<File> files_;  // sorted by fid
+  std::size_t size_ = 0;
 };
 
 }  // namespace uvs::meta

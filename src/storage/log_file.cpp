@@ -5,27 +5,23 @@
 
 namespace uvs::storage {
 
-FreeChunkStack::FreeChunkStack(std::uint32_t chunk_count) {
-  stack_.reserve(chunk_count);
-  // Push high ids first so the lowest id pops first initially.
-  for (std::uint32_t id = chunk_count; id > 0; --id) stack_.push_back(id - 1);
-}
-
 Result<std::uint32_t> FreeChunkStack::Pop() {
-  if (stack_.empty()) return ResourceExhaustedError("no free chunks");
-  const std::uint32_t id = stack_.back();
-  stack_.pop_back();
-  return id;
+  if (!recycled_.empty()) {
+    const std::uint32_t id = recycled_.back();
+    recycled_.pop_back();
+    return id;
+  }
+  if (minted_ == chunk_count_) return ResourceExhaustedError("no free chunks");
+  return minted_++;
 }
 
-void FreeChunkStack::Push(std::uint32_t chunk_id) { stack_.push_back(chunk_id); }
+void FreeChunkStack::Push(std::uint32_t chunk_id) { recycled_.push_back(chunk_id); }
 
 LogFile::LogFile(Bytes capacity, Bytes chunk_size, ChunkBudget* budget)
     : chunk_size_(chunk_size),
       chunk_count_(static_cast<std::uint32_t>(std::max<Bytes>(1, capacity / chunk_size))),
       budget_(budget),
-      free_chunks_(chunk_count_),
-      live_bytes_(chunk_count_, 0) {
+      free_chunks_(chunk_count_) {
   assert(chunk_size > 0);
 }
 
@@ -44,6 +40,7 @@ std::vector<Extent> LogFile::AppendUpTo(Bytes len) {
       auto next = free_chunks_.Pop();
       open_chunk_ = static_cast<std::int64_t>(*next);
       open_fill_ = 0;
+      if (*next == live_bytes_.size()) live_bytes_.push_back(0);  // first touch
     }
     const Bytes room = chunk_size_ - open_fill_;
     const Bytes take = std::min(room, len);
@@ -71,6 +68,7 @@ Status LogFile::Free(const Extent& extent) {
     const auto chunk = static_cast<std::size_t>(addr / chunk_size_);
     const Bytes within = addr % chunk_size_;
     const Bytes span = std::min(chunk_size_ - within, remaining);
+    if (chunk >= live_bytes_.size()) return FailedPreconditionError("free of unwritten chunk");
     if (live_bytes_[chunk] < span) return FailedPreconditionError("double free in chunk");
     live_bytes_[chunk] -= span;
     used_ -= span;

@@ -6,6 +6,10 @@
 // extent decrements its chunks' live-byte counts and recycles fully-freed
 // chunks by pushing their ids back onto the stack.
 //
+// The capacity is virtual: bookkeeping grows with the chunks a log has
+// touched, never with its capacity, so a log may be sized far beyond what
+// it will ever hold.
+//
 // Addresses returned by Append are *physical addresses within this log*
 // (chunk_id * chunk_size + offset); placement::VirtualAddress turns them
 // into layer-qualified virtual addresses.
@@ -28,20 +32,24 @@ struct Extent {
   friend bool operator==(const Extent&, const Extent&) = default;
 };
 
-/// LIFO recycler of chunk ids (§II-B1's "free chunk stack").
+/// LIFO recycler of chunk ids (§II-B1's "free chunk stack"). Ids never
+/// handed out are minted in ascending order from a high-water mark, so the
+/// stack itself holds only recycled ids.
 class FreeChunkStack {
  public:
-  explicit FreeChunkStack(std::uint32_t chunk_count);
+  explicit FreeChunkStack(std::uint32_t chunk_count) : chunk_count_(chunk_count) {}
 
-  bool empty() const { return stack_.empty(); }
-  std::size_t size() const { return stack_.size(); }
+  bool empty() const { return size() == 0; }
+  std::size_t size() const { return recycled_.size() + (chunk_count_ - minted_); }
 
-  /// Pops the most recently freed (or initially the lowest-id) chunk.
+  /// Pops the most recently freed chunk, else the lowest never-used id.
   Result<std::uint32_t> Pop();
   void Push(std::uint32_t chunk_id);
 
  private:
-  std::vector<std::uint32_t> stack_;
+  std::uint32_t chunk_count_;
+  std::uint32_t minted_ = 0;  // ids [0, minted_) have been handed out
+  std::vector<std::uint32_t> recycled_;
 };
 
 /// Grants/returns whole chunks of backing space. A LogFile consults it
@@ -94,7 +102,7 @@ class LogFile {
   // Current append chunk: id and fill level; -1 when none is open.
   std::int64_t open_chunk_ = -1;
   Bytes open_fill_ = 0;
-  std::vector<Bytes> live_bytes_;  // per chunk
+  std::vector<Bytes> live_bytes_;  // per touched chunk, indexed by id
   Bytes used_ = 0;
 };
 

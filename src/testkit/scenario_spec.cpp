@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -194,6 +195,8 @@ std::string ScenarioSpec::ReproCommand() const {
 
 namespace {
 
+constexpr Bytes kMaxMib = std::numeric_limits<Bytes>::max() / 1_MiB;
+
 Result<long long> ParseInt(const std::string& value) {
   char* end = nullptr;
   const long long parsed = std::strtoll(value.c_str(), &end, 10);
@@ -285,6 +288,14 @@ Result<ScenarioSpec> ParseScenarioSpec(const std::string& text) {
     auto parsed = ParseInt(value);
     if (!parsed.ok()) return parsed.status();
     const long long n = *parsed;
+    // Sizes in MiB are checked before scaling to bytes so they cannot wrap.
+    // Chunk and metadata-range sizes are divisors, so they must be positive.
+    const bool divisor = key == "chunk_mb" || key == "md_mb";
+    if (divisor || key == "mb" || key == "dram_mb" || key == "bb_mb" || key == "ssd_mb") {
+      const long long min = divisor ? 1 : 0;
+      if (n < min) return InvalidArgumentError(key + " must be >= " + std::to_string(min));
+      if (static_cast<Bytes>(n) > kMaxMib) return InvalidArgumentError(key + " is too large");
+    }
     if (key == "procs") spec.procs = static_cast<int>(n);
     else if (key == "ppn") spec.procs_per_node = static_cast<int>(n);
     else if (key == "ssd") spec.has_ssd = n != 0;

@@ -1,52 +1,10 @@
-// Tests for the KV substrate: local store and offset-range partitioning.
+// Tests for the KV substrate: offset-range partitioning.
 #include <gtest/gtest.h>
 
-#include <string>
-
-#include "src/kv/local_store.hpp"
 #include "src/kv/range_partitioner.hpp"
 
 namespace uvs::kv {
 namespace {
-
-TEST(LocalStore, PutGetDelete) {
-  LocalStore<int, std::string> store;
-  store.Put(1, "one");
-  store.Put(2, "two");
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(*store.Get(1), "one");
-  EXPECT_FALSE(store.Get(3).has_value());
-  EXPECT_TRUE(store.Delete(1).ok());
-  EXPECT_FALSE(store.Delete(1).ok());
-  EXPECT_FALSE(store.Contains(1));
-}
-
-TEST(LocalStore, PutOverwrites) {
-  LocalStore<int, std::string> store;
-  store.Put(1, "a");
-  store.Put(1, "b");
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(*store.Get(1), "b");
-}
-
-TEST(LocalStore, ScanIsHalfOpenAndOrdered) {
-  LocalStore<int, int> store;
-  for (int k : {5, 1, 3, 9, 7}) store.Put(k, k * 10);
-  auto hits = store.Scan(3, 9);
-  ASSERT_EQ(hits.size(), 3u);
-  EXPECT_EQ(hits[0].first, 3);
-  EXPECT_EQ(hits[1].first, 5);
-  EXPECT_EQ(hits[2].first, 7);
-}
-
-TEST(LocalStore, FloorEntryFindsPredecessor) {
-  LocalStore<int, int> store;
-  store.Put(10, 1);
-  store.Put(20, 2);
-  EXPECT_EQ(store.FloorEntry(15)->first, 10);
-  EXPECT_EQ(store.FloorEntry(20)->first, 20);  // inclusive
-  EXPECT_FALSE(store.FloorEntry(5).has_value());
-}
 
 TEST(RangePartitioner, RoundRobinAssignment) {
   // Fig. 3: offsets 1-16 in 4 ranges over 2 servers, alternating.

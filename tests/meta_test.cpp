@@ -1,6 +1,10 @@
 // Tests for the distributed metadata service (§II-B3).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
+#include "src/common/rng.hpp"
 #include "src/meta/record_index.hpp"
 #include "src/meta/service.hpp"
 
@@ -137,6 +141,150 @@ TEST_P(ServiceSweep, QueryAlwaysCoversInsertedBytes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ServerCounts, ServiceSweep, ::testing::Values(1, 2, 3, 5, 16));
+
+// Reference index: one ordered map over (fid, offset). A query takes the
+// record at or before its offset (clipped at the head) and every record
+// starting inside the window (clipped at the tail).
+class MapIndex {
+ public:
+  void Insert(const MetadataRecord& rec) { map_[{rec.fid, rec.offset}] = rec; }
+  std::size_t size() const { return map_.size(); }
+
+  std::vector<MetadataRecord> Query(storage::FileId fid, Bytes offset, Bytes len) const {
+    std::vector<MetadataRecord> out;
+    if (len == 0) return out;
+    const Bytes end = offset + len;
+    auto it = map_.upper_bound({fid, offset});
+    if (it != map_.begin()) {
+      const MetadataRecord& rec = std::prev(it)->second;
+      if (rec.fid == fid && rec.offset < offset && rec.end() > offset) {
+        MetadataRecord clipped = rec;
+        clipped.offset = offset;
+        clipped.va += offset - rec.offset;
+        clipped.len = std::min(rec.end() - offset, len);
+        out.push_back(clipped);
+      }
+    }
+    for (it = map_.lower_bound({fid, offset}); it != map_.end() && it->first < Key{fid, end};
+         ++it) {
+      MetadataRecord clipped = it->second;
+      clipped.len = std::min(clipped.end(), end) - clipped.offset;
+      out.push_back(clipped);
+    }
+    return out;
+  }
+
+  std::vector<MetadataRecord> All() const {
+    std::vector<MetadataRecord> out;
+    for (const auto& [key, rec] : map_) out.push_back(rec);
+    return out;
+  }
+
+  /// A window starting inside a random stored record (or anywhere if empty).
+  std::pair<storage::FileId, Bytes> InsideSomeRecord(Rng& rng) const {
+    if (map_.empty()) return {1, 0};
+    auto it = map_.begin();
+    std::advance(it, static_cast<long>(rng.NextBelow(map_.size())));
+    return {it->second.fid, it->second.offset + rng.NextBelow(it->second.len)};
+  }
+
+ private:
+  using Key = std::pair<storage::FileId, Bytes>;
+  std::map<Key, MetadataRecord> map_;
+};
+
+Bytes Covered(const std::vector<MetadataRecord>& recs) {
+  Bytes total = 0;
+  for (const auto& rec : recs) total += rec.len;
+  return total;
+}
+
+class IndexDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(IndexDifferential, MatchesOrderedMapReference) {
+  Rng rng(GetParam());
+  const storage::FileId fids[] = {3, 1, 7, 2};
+  RecordIndex index;
+  MapIndex ref;
+  std::map<storage::FileId, Bytes> tail;  // highest offset inserted per fid
+  auto check_queries = [&](int round) {
+    ASSERT_EQ(index.All(), ref.All()) << "round " << round;
+    for (int q = 0; q < 20; ++q) {
+      auto [fid, offset] = q % 2 == 0 ? ref.InsideSomeRecord(rng)
+                                      : std::pair{fids[rng.NextBelow(4)], rng.NextBelow(17000)};
+      const Bytes len = rng.NextBelow(1000);
+      ASSERT_EQ(index.Query(fid, offset, len), ref.Query(fid, offset, len))
+          << "round " << round << " fid " << fid << " [" << offset << ", +" << len << ")";
+      ASSERT_EQ(index.CoveredBytes(fid, offset, len), Covered(ref.Query(fid, offset, len)));
+    }
+    ASSERT_TRUE(index.Query(99, 0, 1_GiB).empty());
+  };
+  for (int i = 0; i < 600; ++i) {
+    const storage::FileId fid = fids[rng.NextBelow(4)];
+    // Half the inserts extend the file (the append path); the rest land
+    // anywhere, often on an existing offset, which replaces that record.
+    const Bytes offset = rng.NextDouble() < 0.5 ? (tail[fid] += 64 * (1 + rng.NextBelow(3)))
+                                                : 64 * rng.NextBelow(256);
+    tail[fid] = std::max(tail[fid], offset);
+    const MetadataRecord rec{fid, offset, 1 + rng.NextBelow(160),
+                             static_cast<std::int64_t>(rng.NextBelow(32)), rng.NextBelow(1_GiB)};
+    index.Insert(rec);
+    ref.Insert(rec);
+    ASSERT_EQ(index.size(), ref.size()) << "insert " << i;
+    if (i % 50 == 49) check_queries(i / 50);
+  }
+  index.Clear();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_TRUE(index.All().empty());
+  EXPECT_TRUE(index.Query(1, 0, 1_GiB).empty());
+  index.Insert({5, 10, 20, 1, 100});
+  EXPECT_EQ(index.All(), (std::vector<MetadataRecord>{{5, 10, 20, 1, 100}}));
+}
+
+TEST_P(IndexDifferential, ServiceQueriesSurviveRetirement) {
+  Rng rng(GetParam());
+  const int servers = 2 + static_cast<int>(rng.NextBelow(6));
+  const Bytes range = Bytes{64} << rng.NextBelow(3);
+  DistributedMetadataService service(servers, range);
+  MapIndex ref;  // holds the pieces the service splits records into
+  auto insert = [&](const MetadataRecord& rec) {
+    (void)service.Insert(rec);
+    for (Bytes off = rec.offset; off < rec.end();) {
+      const Bytes piece = std::min(rec.end(), (off / range + 1) * range) - off;
+      ref.Insert({rec.fid, off, piece, rec.producer, rec.va + (off - rec.offset)});
+      off += piece;
+    }
+  };
+  auto check_queries = [&] {
+    ASSERT_EQ(service.TotalRecords(), ref.size());
+    for (int q = 0; q < 40; ++q) {
+      auto [fid, offset] = q % 2 == 0 ? ref.InsideSomeRecord(rng)
+                                      : std::pair{1 + rng.NextBelow(3), rng.NextBelow(20000)};
+      const Bytes len = rng.NextBelow(2000);
+      ASSERT_EQ(service.Query(fid, offset, len), ref.Query(fid, offset, len))
+          << servers << " servers, range " << range << ", fid " << fid << " [" << offset
+          << ", +" << len << ")";
+    }
+  };
+  // Records fill disjoint 300-byte slots in shuffled order, so no two
+  // overlap; a slot drawn twice replaces its record.
+  for (int i = 0; i < 300; ++i) {
+    const Bytes slot = rng.NextBelow(64);
+    insert({1 + rng.NextBelow(3), slot * 300 + slot % 7 * 7, 1 + rng.NextBelow(250),
+            static_cast<std::int64_t>(rng.NextBelow(32)), rng.NextBelow(1_GiB)});
+  }
+  check_queries();
+  for (int retire = 0; retire < 2; ++retire) {
+    const int victim = static_cast<int>(rng.NextBelow(static_cast<std::uint64_t>(servers)));
+    const std::size_t held = service.RecordCount(victim);
+    const bool was_alive = service.ServerAlive(victim);
+    EXPECT_EQ(service.RetireServer(victim), was_alive ? held : 0u);
+    EXPECT_EQ(service.RecordCount(victim), was_alive ? 0u : held);
+    check_queries();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IndexDifferential, ::testing::Values(1, 2, 3, 11, 77, 4096));
 
 }  // namespace
 }  // namespace uvs::meta

@@ -2,6 +2,8 @@
 // chunk recycling (§II-B1).
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <numeric>
 
 #include "src/common/rng.hpp"
@@ -104,6 +106,35 @@ TEST(LogFile, FreeBeyondCapacityRejected) {
   EXPECT_EQ(log.Free(Extent{400, 200}).code(), StatusCode::kOutOfRange);
 }
 
+TEST(LogFile, FreeOfNeverTouchedChunkRejected) {
+  LogFile log(1024, 256);
+  (void)log.AppendUpTo(100);
+  EXPECT_EQ(log.Free(Extent{512, 10}).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(log.used(), 100u);
+}
+
+TEST(LogFile, HugeVirtualCapacityCostsOnlyTouchedChunks) {
+  constexpr std::uint32_t kChunks = 1u << 30;
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
+  LogFile log(Bytes{kChunks} * 4096, 4096);
+  EXPECT_EQ(log.chunk_count(), kChunks);
+  EXPECT_EQ(log.appendable(), log.capacity());
+  auto extents = log.AppendUpTo(1_MiB);
+  ASSERT_EQ(extents.size(), 1u);
+  EXPECT_EQ(extents[0], (Extent{0, 1_MiB}));
+  EXPECT_EQ(log.consumed_chunks(), 256u);
+  ASSERT_TRUE(log.Free(Extent{0, 8192}).ok());
+  EXPECT_EQ(log.consumed_chunks(), 254u);
+  // Recycled chunks pop LIFO before the lowest never-used one.
+  EXPECT_EQ(log.AppendUpTo(3 * 4096),
+            (std::vector<Extent>{{4096, 4096}, {0, 4096}, {1_MiB, 4096}}));
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  // An eager stack and live-byte table would need 12 GiB here.
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024) << "peak RSS grew, in KiB";
+}
+
 TEST(LogFile, CapacityRoundsDownToChunks) {
   LogFile log(700, 256);
   EXPECT_EQ(log.capacity(), 512u);
@@ -140,6 +171,78 @@ TEST_P(LogFuzz, AccountingInvariantsHold) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LogFuzz, ::testing::Values(1, 2, 3, 4, 5, 99, 1234));
+
+// Reference log over an eager free-chunk stack: every id pushed up front,
+// highest first, and freed ids pushed on top.
+struct EagerLog {
+  Bytes chunk;
+  std::vector<std::uint32_t> stack;
+  std::vector<Bytes> live;
+  std::int64_t open = -1;
+  Bytes fill = 0;
+
+  EagerLog(std::uint32_t chunks, Bytes chunk_size) : chunk(chunk_size), live(chunks, 0) {
+    for (std::uint32_t id = chunks; id > 0; --id) stack.push_back(id - 1);
+  }
+  std::vector<Extent> Append(Bytes len) {
+    std::vector<Extent> out;
+    while (len > 0) {
+      if (open < 0 || fill == chunk) {
+        if (stack.empty()) break;
+        open = stack.back();
+        stack.pop_back();
+        fill = 0;
+      }
+      const Bytes take = std::min(chunk - fill, len);
+      const Bytes addr = static_cast<Bytes>(open) * chunk + fill;
+      if (!out.empty() && out.back().end() == addr) out.back().len += take;
+      else out.push_back(Extent{addr, take});
+      fill += take;
+      live[static_cast<std::size_t>(open)] += take;
+      len -= take;
+    }
+    return out;
+  }
+  void Free(const Extent& e) {
+    for (Bytes addr = e.addr; addr < e.end();) {
+      const Bytes id = addr / chunk;
+      const Bytes span = std::min(chunk - addr % chunk, e.end() - addr);
+      if ((live[id] -= span) == 0) {
+        if (static_cast<std::int64_t>(id) == open) open = -1;
+        stack.push_back(static_cast<std::uint32_t>(id));
+      }
+      addr += span;
+    }
+  }
+};
+
+class LogDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LogDifferential, ChunkIdsPopInEagerStackOrder) {
+  Rng rng(GetParam());
+  const Bytes chunk = 1 + rng.NextBelow(2048);
+  const auto chunks = static_cast<std::uint32_t>(1 + rng.NextBelow(48));
+  LogFile log(chunk * chunks, chunk);
+  EagerLog ref(chunks, chunk);
+  std::vector<Extent> live;
+  for (int step = 0; step < 3000; ++step) {
+    if (live.empty() || rng.NextDouble() < 0.55) {
+      const Bytes want = 1 + rng.NextBelow(3 * chunk);
+      const std::vector<Extent> got = log.AppendUpTo(want);
+      ASSERT_EQ(got, ref.Append(want)) << "step " << step;
+      live.insert(live.end(), got.begin(), got.end());
+    } else {
+      const auto idx = static_cast<std::size_t>(rng.NextBelow(live.size()));
+      ASSERT_TRUE(log.Free(live[idx]).ok());
+      ref.Free(live[idx]);
+      live[idx] = live.back();
+      live.pop_back();
+    }
+    ASSERT_EQ(log.consumed_chunks(), chunks - ref.stack.size()) << "step " << step;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LogDifferential, ::testing::Values(1, 2, 3, 7, 42, 2024));
 
 TEST(LayerStore, OpenLogGrantsVirtualCapacity) {
   LayerStore store(hw::Layer::kDram, 10 * 1024, 1024);

@@ -68,6 +68,16 @@ TEST(ScenarioSpecTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(ParseScenarioSpec("system=zfs").ok());
   EXPECT_FALSE(ParseScenarioSpec("layer=1").ok());  // SSD is never the first layer
   EXPECT_FALSE(ParseScenarioSpec("procs=4 ppn=4 fail=after_writes fail_node=7").ok());
+  // Chunk and metadata-range sizes divide offsets; sizes must not wrap.
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 chunk_mb=0").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 md_mb=0").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 chunk_mb=-1").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 md_mb=-1").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 mb=-1").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 dram_mb=-1").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 bb_mb=-1").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 ssd_mb=-1").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 chunk_mb=17592186044416").ok());  // 2^44 MiB
 }
 
 TEST(ScenarioSpecTest, SamplerCoversErasureCoding) {
