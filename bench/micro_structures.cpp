@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the core data structures: the
 // log-structured store, virtual-address codec, range partitioner, metadata
-// record index and distributed metadata service, and adaptive striping
-// planner.
+// record index and distributed metadata service, adaptive striping
+// planner, and the obs span log and attribution pass.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
@@ -12,6 +12,8 @@
 #include "src/kv/range_partitioner.hpp"
 #include "src/meta/record_index.hpp"
 #include "src/meta/service.hpp"
+#include "src/obs/attribution.hpp"
+#include "src/obs/recorder.hpp"
 #include "src/placement/striping.hpp"
 #include "src/placement/virtual_address.hpp"
 #include "src/storage/log_file.hpp"
@@ -176,6 +178,62 @@ void BM_AdaptiveStripingPlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdaptiveStripingPlan)->Arg(16)->Arg(512)->Arg(4096);
+
+// Span traffic shaped like a metadata-heavy VPIC run: each rank op is an
+// umbrella span with a pre-allocated identity whose tagged children sit on
+// the rank lane, a metadata server lane and its queue lane, and an OST;
+// every 16th op also closes a file whose flush it links to.
+void RecordSyntheticRun(obs::Recorder& rec, int ranks, int ops) {
+  using obs::Category;
+  for (int op = 0; op < ops; ++op) {
+    for (int r = 0; r < ranks; ++r) {
+      const Time t = op + 1e-3 * r;
+      const obs::Track rank = obs::Track::Rank(r / 32, 0, r);
+      const int server = r % 4;
+      const obs::SpanRef umbrella = rec.NewSpanRef();
+      rec.AddSpanTagged("meta", "md.queue", rank, t, t + 0.1, obs::kNoBytes,
+                        {.cat = Category::kQueue, .parent = umbrella});
+      rec.AddSpanTagged("meta", "md.queue", obs::Track::MetaServerQueue(server / 2, server), t,
+                        t + 0.1, obs::kNoBytes, {.cat = Category::kQueue, .parent = umbrella});
+      rec.AddSpanTagged("meta", "rpc.service", obs::Track::MetaServer(server / 2, server),
+                        t + 0.1, t + 0.2, obs::kNoBytes,
+                        {.cat = Category::kMeta, .parent = umbrella});
+      rec.AddSpanTagged("meta", "md.roundtrip", rank, t + 0.1, t + 0.25, obs::kNoBytes,
+                        {.cat = Category::kNet, .parent = umbrella});
+      rec.AddSpanTagged("hw", "ost.access", obs::Track::Ost(r % 8), t + 0.3, t + 0.6, 1_MiB,
+                        {.cat = Category::kPfs, .parent = umbrella, .ideal = 0.2});
+      rec.AddSpanTagged("vmpi", "write", rank, t, t + 0.7, 1_MiB, {.self = umbrella});
+      if (op % 16 == 15 && r == 0) {
+        const obs::SpanRef flush = rec.NewSpanRef();
+        rec.AddSpanTagged("univistor", "flush", obs::Track::Flush(op), t + 0.7, t + 0.9,
+                          obs::kNoBytes, {.self = flush});
+        rec.AddLink(umbrella, flush);
+      }
+    }
+  }
+}
+
+void BM_RecorderAddSpan(benchmark::State& state) {
+  constexpr int kRanks = 64, kOps = 256;  // 98 k spans: three blocks and a bit
+  std::size_t spans = 0;
+  for (auto _ : state) {
+    obs::Recorder rec;
+    RecordSyntheticRun(rec, kRanks, kOps);
+    spans = rec.span_count();
+    benchmark::DoNotOptimize(spans);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * spans));
+}
+BENCHMARK(BM_RecorderAddSpan);
+
+void BM_Analyze(benchmark::State& state) {
+  obs::Recorder rec;
+  RecordSyntheticRun(rec, 64, static_cast<int>(state.range(0)));
+  const std::vector<obs::JobSpec> jobs{{0, "app", false, 64}};
+  for (auto _ : state) benchmark::DoNotOptimize(obs::Analyze(rec, jobs, state.range(0) + 1.0));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * rec.span_count()));
+}
+BENCHMARK(BM_Analyze)->ArgName("ops")->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace uvs

@@ -4,8 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <numeric>
+#include <span>
 #include <sstream>
-#include <unordered_map>
 
 #include "src/common/strings.hpp"
 #include "src/common/table.hpp"
@@ -72,44 +73,162 @@ bool Covers(const std::vector<Interval>& sorted_union, Time a, Time b) {
   return false;
 }
 
-using SpanIndex = std::size_t;
+using SpanIndex = std::uint32_t;
+constexpr SpanIndex kNoSpan = static_cast<SpanIndex>(-1);
 
-/// Spans grouped per track plus the causal indexes shared by the
-/// attribution sweep and the critical-path walk.
+/// Spans grouped per track plus the causal index shared by the
+/// attribution sweep and the critical-path walk, all in flat arrays:
+/// tracks sorted by (pid, tid) with a CSR list of span indices each, and a
+/// CSR list of children per parent id.
 struct SpanDb {
-  const std::vector<Recorder::SpanEvent>* spans = nullptr;
-  std::map<std::pair<std::int32_t, std::int32_t>, std::vector<SpanIndex>> by_track;
-  std::unordered_map<std::uint32_t, SpanIndex> by_self_id;
-  std::unordered_map<std::uint32_t, std::vector<SpanIndex>> children;
-  std::vector<Interval> degraded;  // union over every device's windows
+  const Recorder* recorder = nullptr;
+  std::vector<Track> tracks;                 // distinct, sorted by (pid, tid)
+  std::vector<std::uint32_t> track_begin;    // tracks.size() + 1 offsets
+  std::vector<SpanIndex> track_spans;        // per track, in emission order
+  std::vector<std::uint32_t> child_begin;    // id -> its range in `children`
+  std::vector<std::uint32_t> child_end;
+  std::vector<SpanIndex> children;           // per parent id, ascending
+  std::vector<Interval> degraded;            // union over every device's windows
 
-  const Recorder::SpanEvent& at(SpanIndex i) const { return (*spans)[i]; }
+  const Recorder::SpanEvent& at(SpanIndex i) const { return recorder->spans()[i]; }
+  std::span<const SpanIndex> TrackSpans(std::size_t t) const {
+    return {track_spans.data() + track_begin[t], track_spans.data() + track_begin[t + 1]};
+  }
+  std::span<const SpanIndex> Children(std::uint32_t id) const {
+    return {children.data() + child_begin[id], children.data() + child_end[id]};
+  }
+};
+
+/// Open-addressing table from a track's packed (pid, tid) to a dense slot
+/// numbered in first-seen order, counting the spans seen per slot. A run
+/// holds thousands of tracks, not millions.
+class TrackSlots {
+ public:
+  void Add(const Track& track) {
+    if (2 * (keys_.size() + 1) > table_.size()) Grow();
+    const std::uint64_t key = Pack(track);
+    std::size_t i = Home(key);
+    for (; table_[i] != 0; i = (i + 1) & (table_.size() - 1))
+      if (keys_[table_[i] - 1] == key) {
+        ++counts_[table_[i] - 1];
+        return;
+      }
+    keys_.push_back(key);
+    counts_.push_back(1);
+    table_[i] = static_cast<std::uint32_t>(keys_.size());
+  }
+  /// Slot of a track already added.
+  std::uint32_t Find(const Track& track) const {
+    const std::uint64_t key = Pack(track);
+    std::size_t i = Home(key);
+    while (keys_[table_[i] - 1] != key) i = (i + 1) & (table_.size() - 1);
+    return table_[i] - 1;
+  }
+  std::size_t size() const { return keys_.size(); }
+  Track track(std::uint32_t slot) const {
+    return {static_cast<std::int32_t>(keys_[slot] >> 32),
+            static_cast<std::int32_t>(keys_[slot] & 0xffffffffu)};
+  }
+  std::uint32_t count(std::uint32_t slot) const { return counts_[slot]; }
+
+ private:
+  static std::uint64_t Pack(const Track& t) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(t.pid)) << 32) |
+           static_cast<std::uint32_t>(t.tid);
+  }
+  std::size_t Home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >> 32) & (table_.size() - 1);
+  }
+  void Grow() {
+    table_.assign(std::max<std::size_t>(1024, 2 * table_.size()), 0);
+    keys_.reserve(table_.size() / 2);
+    counts_.reserve(table_.size() / 2);
+    for (std::uint32_t slot = 0; slot < keys_.size(); ++slot) {
+      std::size_t i = Home(keys_[slot]);
+      while (table_[i] != 0) i = (i + 1) & (table_.size() - 1);
+      table_[i] = slot + 1;
+    }
+  }
+
+  std::vector<std::uint64_t> keys_;    // slot -> packed track
+  std::vector<std::uint32_t> counts_;  // slot -> spans on the track
+  std::vector<std::uint32_t> table_;   // slot + 1; 0 = empty
 };
 
 SpanDb BuildDb(const Recorder& recorder) {
   SpanDb db;
-  db.spans = &recorder.spans();
-  std::vector<Interval> degraded;
-  for (SpanIndex i = 0; i < db.spans->size(); ++i) {
-    const auto& s = (*db.spans)[i];
-    db.by_track[{s.track.pid, s.track.tid}].push_back(i);
-    if (s.tag.self.id != 0) db.by_self_id.emplace(s.tag.self.id, i);
-    if (s.tag.parent.id != 0) db.children[s.tag.parent.id].push_back(i);
-    if (s.tag.cat == Category::kDegraded) degraded.push_back({s.start, s.end});
+  db.recorder = &recorder;
+  const Recorder::SpanLog& spans = recorder.spans();
+  const SpanIndex n = static_cast<SpanIndex>(spans.size());
+
+  // Pass 1: distinct tracks and their span counts, the id range, and the
+  // number of children per parent id (links included).
+  TrackSlots slots;
+  std::uint32_t max_id = 0;
+  for (SpanIndex i = 0; i < n; ++i) {
+    slots.Add(spans[i].track);
+    max_id = std::max({max_id, spans[i].self.id, spans[i].parent.id});
   }
-  // Cross-track causal edges (e.g. close -> flush). Links may name span
-  // ids that were never emitted (a zero-byte flush returns early); those
-  // resolve to nothing later, which is fine.
   for (const CausalLink& link : recorder.links())
-    db.children[link.parent].push_back(db.by_self_id.count(link.child) != 0
-                                           ? db.by_self_id[link.child]
-                                           : static_cast<SpanIndex>(-1));
-  for (auto& [id, kids] : db.children) {
-    kids.erase(std::remove(kids.begin(), kids.end(), static_cast<SpanIndex>(-1)), kids.end());
-    std::sort(kids.begin(), kids.end());
-    kids.erase(std::unique(kids.begin(), kids.end()), kids.end());
+    max_id = std::max({max_id, link.parent, link.child});
+  db.child_end.assign(std::size_t{max_id} + 1, 0);
+  for (SpanIndex i = 0; i < n; ++i)
+    if (spans[i].parent) ++db.child_end[spans[i].parent.id];
+  for (const CausalLink& link : recorder.links()) ++db.child_end[link.parent];
+  db.child_begin.resize(db.child_end.size());
+  std::exclusive_scan(db.child_end.begin(), db.child_end.end(), db.child_begin.begin(), 0u);
+  db.children.resize(db.child_begin.back() + db.child_end.back());
+  db.child_end = db.child_begin;  // from here on, each parent's fill cursor
+
+  // Tracks in (pid, tid) order; `cursor` is each slot's next CSR position.
+  std::vector<std::uint32_t> order(slots.size());
+  for (std::uint32_t slot = 0; slot < order.size(); ++slot) order[slot] = slot;
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const Track ta = slots.track(a), tb = slots.track(b);
+    return ta.pid != tb.pid ? ta.pid < tb.pid : ta.tid < tb.tid;
+  });
+  std::vector<std::uint32_t> cursor(slots.size());
+  db.tracks.reserve(order.size());
+  db.track_begin.assign(order.size() + 1, 0);
+  for (std::size_t t = 0; t < order.size(); ++t) {
+    db.tracks.push_back(slots.track(order[t]));
+    cursor[order[t]] = db.track_begin[t];
+    db.track_begin[t + 1] = db.track_begin[t] + slots.count(order[t]);
   }
-  db.degraded = UnionOf(std::move(degraded));
+
+  // Pass 2: fill the lists in span order, so each is ascending, and the
+  // dense self-id table, where the first span carrying an id owns it.
+  db.track_spans.resize(n);
+  std::vector<SpanIndex> by_self_id(std::size_t{max_id} + 1, kNoSpan);
+  for (SpanIndex i = 0; i < n; ++i) {
+    const auto& s = spans[i];
+    db.track_spans[cursor[slots.Find(s.track)]++] = i;
+    if (s.self && by_self_id[s.self.id] == kNoSpan) by_self_id[s.self.id] = i;
+    if (s.parent) db.children[db.child_end[s.parent.id]++] = i;
+    if (s.cat == Category::kDegraded) db.degraded.push_back({s.start, s.end});
+  }
+
+  // Cross-track causal edges (e.g. close -> flush) append their children.
+  // Links may name span ids that were never emitted (a zero-byte flush
+  // returns early); those resolve to nothing. Only parents that gained
+  // links are re-sorted and deduplicated.
+  std::vector<std::uint32_t> linked;
+  linked.reserve(recorder.links().size());
+  for (const CausalLink& link : recorder.links()) {
+    db.children[db.child_end[link.parent]++] = by_self_id[link.child];
+    linked.push_back(link.parent);
+  }
+  std::sort(linked.begin(), linked.end());
+  linked.erase(std::unique(linked.begin(), linked.end()), linked.end());
+  for (std::uint32_t id : linked) {
+    const auto first = db.children.begin() + db.child_begin[id];
+    auto last = db.children.begin() + db.child_end[id];
+    std::sort(first, last);
+    last = std::unique(first, last);
+    if (last != first && last[-1] == kNoSpan) --last;
+    db.child_end[id] = static_cast<std::uint32_t>(last - db.children.begin());
+  }
+  db.degraded = UnionOf(std::move(db.degraded));
   return db;
 }
 
@@ -117,8 +236,7 @@ SpanDb BuildDb(const Recorder& recorder) {
 /// interval sweep over its tagged spans; the highest-priority active span
 /// wins each elementary interval and splits it ideal/(ideal+queue)-style;
 /// uncovered time is compute. See docs/OBSERVABILITY.md.
-RankBreakdown AnalyzeRank(const SpanDb& db, const std::vector<SpanIndex>& track_spans,
-                          int rank) {
+RankBreakdown AnalyzeRank(const SpanDb& db, std::span<const SpanIndex> track_spans, int rank) {
   RankBreakdown out;
   out.rank = rank;
   if (track_spans.empty()) return out;
@@ -129,7 +247,7 @@ RankBreakdown AnalyzeRank(const SpanDb& db, const std::vector<SpanIndex>& track_
     const auto& s = db.at(i);
     lo = std::min(lo, s.start);
     hi = std::max(hi, s.end);
-    if (s.tag.cat != Category::kNone && s.tag.cat != Category::kDegraded) tagged.push_back(i);
+    if (s.cat != Category::kNone && s.cat != Category::kDegraded) tagged.push_back(i);
   }
   out.window_start = lo;
   out.window_end = hi;
@@ -177,7 +295,7 @@ RankBreakdown AnalyzeRank(const SpanDb& db, const std::vector<SpanIndex>& track_
     SpanIndex win = active.front();
     for (SpanIndex i : active) {
       const auto &a = db.at(i), &b = db.at(win);
-      const int pa = Priority(a.tag.cat), pb = Priority(b.tag.cat);
+      const int pa = Priority(a.cat), pb = Priority(b.cat);
       if (pa != pb ? pa > pb : (a.start != b.start ? a.start < b.start : i < win)) win = i;
     }
     const auto& w = db.at(win);
@@ -185,9 +303,9 @@ RankBreakdown AnalyzeRank(const SpanDb& db, const std::vector<SpanIndex>& track_
     // The winner's `ideal` is its contention-free service time: that
     // fraction is genuine transfer, the excess is fair-share queuing.
     double r = 1.0;
-    if (w.tag.ideal > 0 && span_dur > kEps && w.tag.ideal < span_dur)
-      r = w.tag.ideal / span_dur;
-    Category cat = w.tag.cat;
+    if (w.ideal > 0 && span_dur > kEps && w.ideal < span_dur)
+      r = w.ideal / span_dur;
+    Category cat = w.cat;
     if ((cat == Category::kPfs || cat == Category::kBb) && Covers(db.degraded, x, y))
       cat = Category::kDegraded;
     out.seconds[static_cast<std::size_t>(cat)] += r * dur;
@@ -205,10 +323,9 @@ std::string WhereLabel(const Recorder::SpanEvent& s) {
 
 /// Backward walk from the end of the slowest rank's window: at each
 /// cursor, the covering span on the rank track wins by category priority,
-/// then descends through causal children (tag.parent and AddLink edges)
+/// then descends through causal children (parent ids and AddLink edges)
 /// to the innermost span still covering the cursor — that is the blame.
-std::vector<PathSegment> CriticalPath(const SpanDb& db,
-                                      const std::vector<SpanIndex>& track_spans,
+std::vector<PathSegment> CriticalPath(const SpanDb& db, std::span<const SpanIndex> track_spans,
                                       Time window_start, Time window_end) {
   std::vector<PathSegment> path;
   constexpr std::size_t kMaxSegments = 256;
@@ -216,9 +333,9 @@ std::vector<PathSegment> CriticalPath(const SpanDb& db,
 
   auto better = [&](SpanIndex a, SpanIndex b) {  // true when a beats b
     const auto &sa = db.at(a), &sb = db.at(b);
-    const bool ta = sa.tag.cat != Category::kNone, tb = sb.tag.cat != Category::kNone;
+    const bool ta = sa.cat != Category::kNone, tb = sb.cat != Category::kNone;
     if (ta != tb) return ta;  // tagged leaves beat untagged umbrellas
-    const int pa = Priority(sa.tag.cat), pb = Priority(sb.tag.cat);
+    const int pa = Priority(sa.cat), pb = Priority(sb.cat);
     if (pa != pb) return pa > pb;
     if (sa.end != sb.end) return sa.end > sb.end;
     if (sa.start != sb.start) return sa.start < sb.start;
@@ -247,12 +364,10 @@ std::vector<PathSegment> CriticalPath(const SpanDb& db,
     }
     // Causal descent: prefer the innermost cause still covering cursor⁻.
     for (int depth = 0; depth < kMaxDepth; ++depth) {
-      const std::uint32_t self = db.at(chosen).tag.self.id;
+      const std::uint32_t self = db.at(chosen).self.id;
       if (self == 0) break;
-      auto it = db.children.find(self);
-      if (it == db.children.end()) break;
       SpanIndex deeper = static_cast<SpanIndex>(-1);
-      for (SpanIndex i : it->second) {
+      for (SpanIndex i : db.Children(self)) {
         const auto& s = db.at(i);
         if (s.start < cursor - kEps && s.end >= cursor - kEps)
           if (deeper == static_cast<SpanIndex>(-1) || better(i, deeper)) deeper = i;
@@ -269,8 +384,8 @@ std::vector<PathSegment> CriticalPath(const SpanDb& db,
       break;
     }
     const Category cat =
-        s.tag.cat == Category::kNone ? Category::kCompute : s.tag.cat;
-    path.push_back({seg_start, seg_end, s.name, cat, WhereLabel(s)});
+        s.cat == Category::kNone ? Category::kCompute : s.cat;
+    path.push_back({seg_start, seg_end, db.recorder->name(s), cat, WhereLabel(s)});
     cursor = seg_start;
   }
   std::reverse(path.begin(), path.end());
@@ -291,8 +406,9 @@ void CollectDeviceUse(const SpanDb& db, Time elapsed, std::vector<DeviceUse>* ou
   };
   std::map<std::pair<int, int>, Accum> devices;  // (class, index); 0=md 1=bb 2=ost
 
-  for (const auto& [key, indices] : db.by_track) {
-    const Track track{key.first, key.second};
+  for (std::size_t t = 0; t < db.tracks.size(); ++t) {
+    const Track track = db.tracks[t];
+    const std::span<const SpanIndex> indices = db.TrackSpans(t);
     if (track.tid == Track::kDeviceTid &&
         (track.pid >= Track::kBbPidBase)) {
       const bool is_ost = track.pid >= Track::kOstPidBase;
@@ -300,7 +416,7 @@ void CollectDeviceUse(const SpanDb& db, Time elapsed, std::vector<DeviceUse>* ou
       Accum& acc = devices[{is_ost ? 2 : 1, idx}];
       for (SpanIndex i : indices) {
         const auto& s = db.at(i);
-        if (s.tag.cat == Category::kDegraded) {
+        if (s.cat == Category::kDegraded) {
           acc.degraded.push_back({s.start, s.end});
           ++acc.errors;
         } else {
@@ -371,10 +487,10 @@ Report Analyze(const Recorder& recorder, const std::vector<JobSpec>& jobs, Time 
     JobBreakdown job;
     job.spec = spec;
     bool first = true;
-    for (const auto& [key, indices] : db.by_track) {
-      const Track track{key.first, key.second};
+    for (std::size_t t = 0; t < db.tracks.size(); ++t) {
+      const Track track = db.tracks[t];
       if (!track.is_rank() || track.rank_program() != spec.program) continue;
-      RankBreakdown rank = AnalyzeRank(db, indices, track.rank_index());
+      RankBreakdown rank = AnalyzeRank(db, db.TrackSpans(t), track.rank_index());
       if (first) {
         job.window_start = rank.window_start;
         job.window_end = rank.window_end;
@@ -406,12 +522,12 @@ Report Analyze(const Recorder& recorder, const std::vector<JobSpec>& jobs, Time 
     report.critical_job = slow_job->spec.name;
     report.critical_rank = slow_rank->rank;
     report.critical_elapsed = slow_rank->elapsed();
-    for (const auto& [key, indices] : db.by_track) {
-      const Track track{key.first, key.second};
+    for (std::size_t t = 0; t < db.tracks.size(); ++t) {
+      const Track track = db.tracks[t];
       if (track.is_rank() && track.rank_program() == slow_job->spec.program &&
           track.rank_index() == slow_rank->rank) {
-        report.critical_path =
-            CriticalPath(db, indices, slow_rank->window_start, slow_rank->window_end);
+        report.critical_path = CriticalPath(db, db.TrackSpans(t), slow_rank->window_start,
+                                            slow_rank->window_end);
         break;
       }
     }

@@ -5,14 +5,17 @@
 // Metric objects live as long as the registry; handles returned by the
 // Get* accessors stay valid, so hot paths can cache them. Iteration order
 // is the name's lexicographic order, which keeps every export
-// deterministic.
+// deterministic. Lookups take a std::string_view and find an existing name
+// without building a std::string; only a name's first use allocates.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "src/common/stats.hpp"
 
@@ -59,19 +62,22 @@ class Distribution {
 
 class MetricsRegistry {
  public:
-  Counter& GetCounter(const std::string& name) { return counters_[name]; }
-  Gauge& GetGauge(const std::string& name) { return gauges_[name]; }
-  Distribution& GetDistribution(const std::string& name) { return distributions_[name]; }
+  template <class Metric>
+  using Map = std::map<std::string, Metric, std::less<>>;
 
-  const std::map<std::string, Counter>& counters() const { return counters_; }
-  const std::map<std::string, Gauge>& gauges() const { return gauges_; }
-  const std::map<std::string, Distribution>& distributions() const { return distributions_; }
+  Counter& GetCounter(std::string_view name);
+  Gauge& GetGauge(std::string_view name);
+  Distribution& GetDistribution(std::string_view name);
+
+  const Map<Counter>& counters() const { return counters_; }
+  const Map<Gauge>& gauges() const { return gauges_; }
+  const Map<Distribution>& distributions() const { return distributions_; }
 
  private:
   // std::map for stable node addresses (cached handles) and sorted export.
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
-  std::map<std::string, Distribution> distributions_;
+  Map<Counter> counters_;
+  Map<Gauge> gauges_;
+  Map<Distribution> distributions_;
 };
 
 }  // namespace uvs::obs

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cinttypes>
 #include <cstdio>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -114,10 +115,29 @@ bool Recorder::MakeRoom() {
   return freed > 0;
 }
 
+Recorder::Kind Recorder::InternKind(const char* category, const char* name) {
+  for (const Kind& kind : kinds_)
+    if (kind.category == category && kind.name == name) return kind;
+  // Names are static literals, so kinds are bounded by the span call sites.
+  assert(kinds_.size() <= UINT16_MAX && "more distinct span kinds than a SpanEvent can index");
+  return kinds_.emplace_back(Kind{category, name, static_cast<std::uint16_t>(kinds_.size())});
+}
+
+std::size_t Recorder::SpanLog::EraseIf(const std::function<bool(const SpanEvent&)>& drop) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < size_; ++i) {
+    if (drop((*this)[i])) continue;
+    if (kept != i) at(kept) = (*this)[i];
+    ++kept;
+  }
+  const std::size_t removed = size_ - kept;
+  size_ = kept;
+  blocks_.resize((kept + kBlockSpans - 1) >> kBlockShift);
+  return removed;
+}
+
 std::size_t Recorder::EraseSpansIf(const std::function<bool(const SpanEvent&)>& drop) {
-  const std::size_t before = spans_.size();
-  std::erase_if(spans_, drop);
-  const std::size_t removed = before - spans_.size();
+  const std::size_t removed = spans_.EraseIf(drop);
   spans_pruned_ += removed;
   return removed;
 }
@@ -130,8 +150,7 @@ void Recorder::Sample(Time now) {
     series_.push_back(SeriesPoint{now, &name, gauge.value()});
 }
 
-std::string Recorder::ChromeTraceJson() const {
-  std::ostringstream os;
+void Recorder::WriteChromeTrace(std::ostream& os) const {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   auto sep = [&] {
@@ -143,9 +162,10 @@ std::string Recorder::ChromeTraceJson() const {
   // Track-name metadata for every (pid) / (pid, tid) that carries spans.
   std::set<std::int32_t> pids;
   std::set<std::pair<std::int32_t, std::int32_t>> tids;
-  for (const auto& span : spans_) {
-    pids.insert(span.track.pid);
-    tids.insert({span.track.pid, span.track.tid});
+  for (std::size_t i = 0; i < spans_.size(); ++i) {
+    const Track& track = spans_[i].track;
+    pids.insert(track.pid);
+    tids.insert({track.pid, track.tid});
   }
   for (std::int32_t pid : pids) {
     sep();
@@ -159,26 +179,26 @@ std::string Recorder::ChromeTraceJson() const {
        << ",\"args\":{\"name\":\"" << JsonEscape(Track{pid, tid}.TidName()) << "\"}}";
   }
 
-  for (const auto& span : spans_) {
+  for (std::size_t i = 0; i < spans_.size(); ++i) {
+    const SpanEvent& span = spans_[i];
     sep();
-    os << "{\"ph\":\"X\",\"cat\":\"" << span.category << "\",\"name\":\"" << span.name
+    os << "{\"ph\":\"X\",\"cat\":\"" << category(span) << "\",\"name\":\"" << name(span)
        << "\",\"pid\":" << span.track.pid << ",\"tid\":" << span.track.tid
        << ",\"ts\":" << TraceTs(span.start) << ",\"dur\":" << TraceTs(span.end - span.start);
-    const bool tagged = span.tag.cat != Category::kNone || span.tag.self.id != 0 ||
-                        span.tag.parent.id != 0;
+    const bool tagged = span.cat != Category::kNone || span.self || span.parent;
     if (span.bytes != kNoBytes || tagged) {
       os << ",\"args\":{";
       bool first_arg = true;
-      auto arg = [&](const char* key) -> std::ostringstream& {
+      auto arg = [&](const char* key) -> std::ostream& {
         if (!first_arg) os << ",";
         first_arg = false;
         os << "\"" << key << "\":";
         return os;
       };
       if (span.bytes != kNoBytes) arg("bytes") << span.bytes;
-      if (span.tag.cat != Category::kNone) arg("ac") << "\"" << CategoryName(span.tag.cat) << "\"";
-      if (span.tag.self.id != 0) arg("id") << span.tag.self.id;
-      if (span.tag.parent.id != 0) arg("parent") << span.tag.parent.id;
+      if (span.cat != Category::kNone) arg("ac") << "\"" << CategoryName(span.cat) << "\"";
+      if (span.self) arg("id") << span.self.id;
+      if (span.parent) arg("parent") << span.parent.id;
       os << "}";
     }
     os << "}";
@@ -193,7 +213,12 @@ std::string Recorder::ChromeTraceJson() const {
   }
 
   os << "\n]}\n";
-  return os.str();
+}
+
+std::string Recorder::ChromeTraceJson() const {
+  std::ostringstream os;
+  WriteChromeTrace(os);
+  return std::move(os).str();
 }
 
 std::string Recorder::MetricsJson(Time sim_elapsed, const std::string& attribution_json,
@@ -273,7 +298,12 @@ std::string Recorder::SeriesCsv() const {
 }
 
 Status Recorder::WriteChromeTrace(const std::string& path) const {
-  return WriteWholeFile(path, ChromeTraceJson());
+  std::ofstream out(path);
+  if (!out) return UnavailableError("cannot open " + path + " for writing");
+  WriteChromeTrace(out);
+  out.close();
+  if (!out) return UnavailableError("short write to " + path);
+  return Status::Ok();
 }
 
 Status Recorder::WriteMetricsJson(const std::string& path, Time sim_elapsed,

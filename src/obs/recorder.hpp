@@ -26,9 +26,13 @@
 // processes it observes (construct it before the Scenario).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/status.hpp"
@@ -139,8 +143,8 @@ struct Track {
 
 class Recorder {
  public:
-  /// Default cap on recorded spans (satellite of docs/OBSERVABILITY.md's
-  /// memory-bounding note): 4M spans ≈ 300 MB. Beyond it spans are counted
+  /// Default cap on recorded spans (docs/OBSERVABILITY.md, "Span memory
+  /// bound"): 4 Mi spans of 56 bytes ≈ 224 MiB. Beyond it spans are counted
   /// in `spans_dropped()` instead of growing without limit.
   static constexpr std::size_t kDefaultSpanLimit = 4u << 20;
 
@@ -165,14 +169,58 @@ class Recorder {
   bool installed() const { return current_ == this; }
 
   // --- span tracing ------------------------------------------------------
+  /// One recorded span. The (category, name) literal pair is interned into
+  /// `kind` (read back through category() / name()) and the attribution tag
+  /// is stored flat, so a span costs 56 bytes.
   struct SpanEvent {
     Time start;
     Time end;
-    const char* category;  // static-string literal (trace grouping)
-    const char* name;      // static-string literal
-    Track track;
     Bytes bytes;
-    SpanTag tag;
+    double ideal;  // SpanTag::ideal
+    Track track;
+    SpanRef self;
+    SpanRef parent;
+    std::uint16_t kind;
+    Category cat;
+  };
+  static_assert(sizeof(SpanEvent) <= 56);
+  static_assert(std::is_trivially_copyable_v<SpanEvent> &&
+                std::is_trivially_destructible_v<SpanEvent>);
+
+  /// The recorded spans, in emission order, stored in fixed-size blocks:
+  /// growth adds a block and never copies, and a block's untouched tail
+  /// stays non-resident.
+  class SpanLog {
+   public:
+    static constexpr std::size_t kBlockShift = 15;  // 32 Ki spans per block
+    static constexpr std::size_t kBlockSpans = std::size_t{1} << kBlockShift;
+
+    std::size_t size() const { return size_; }
+    const SpanEvent& operator[](std::size_t i) const {
+      return blocks_[i >> kBlockShift][i & (kBlockSpans - 1)];
+    }
+
+   private:
+    friend class Recorder;
+    struct FreeBlock {
+      void operator()(SpanEvent* block) const {
+        std::allocator<SpanEvent>().deallocate(block, kBlockSpans);
+      }
+    };
+    using Block = std::unique_ptr<SpanEvent[], FreeBlock>;
+
+    SpanEvent& at(std::size_t i) { return blocks_[i >> kBlockShift][i & (kBlockSpans - 1)]; }
+    void push_back(const SpanEvent& span) {
+      if (size_ == blocks_.size() * kBlockSpans)
+        blocks_.emplace_back(std::allocator<SpanEvent>().allocate(kBlockSpans));
+      std::construct_at(&at(size_), span);
+      ++size_;
+    }
+    /// Stable in-place compaction; releases the blocks left empty.
+    std::size_t EraseIf(const std::function<bool(const SpanEvent&)>& drop);
+
+    std::vector<Block> blocks_;
+    std::size_t size_ = 0;
   };
 
   SpanRef AddSpan(const char* category, const char* name, Track track, Time start, Time end,
@@ -186,7 +234,8 @@ class Recorder {
       ++spans_dropped_;
       return SpanRef{};
     }
-    spans_.push_back(SpanEvent{start, end, category, name, track, bytes, tag});
+    spans_.push_back(SpanEvent{start, end, bytes, tag.ideal, track, tag.self, tag.parent,
+                               KindOf(category, name), tag.cat});
     return tag.self;
   }
   /// Zero-duration marker.
@@ -206,8 +255,11 @@ class Recorder {
   }
 
   std::size_t span_count() const { return spans_.size(); }
-  const std::vector<SpanEvent>& spans() const { return spans_; }
+  const SpanLog& spans() const { return spans_; }
   const std::vector<CausalLink>& links() const { return links_; }
+  /// The category and name literals a span was emitted with.
+  const char* category(const SpanEvent& span) const { return kinds_[span.kind].category; }
+  const char* name(const SpanEvent& span) const { return kinds_[span.kind].name; }
 
   /// Caps `spans()` memory; further spans are dropped and counted (or
   /// handed to the prune hook first, when one is set).
@@ -224,7 +276,8 @@ class Recorder {
   /// the simulation. Pass nullptr to clear.
   using PruneHook = std::function<std::size_t(Recorder&)>;
   void SetPruneHook(PruneHook hook) { prune_hook_ = std::move(hook); }
-  /// Removes every span matching `drop`; returns and counts the evictions.
+  /// Removes every span matching `drop`, keeping the survivors' order;
+  /// returns and counts the evictions.
   std::size_t EraseSpansIf(const std::function<bool(const SpanEvent&)>& drop);
   /// Spans evicted by the prune hook (distinct from spans_dropped(): a
   /// pruned span was recorded and then deliberately retired).
@@ -242,6 +295,7 @@ class Recorder {
 
   // --- export ------------------------------------------------------------
   /// Chrome trace-event JSON (spans + track names + sampled counters).
+  void WriteChromeTrace(std::ostream& os) const;
   std::string ChromeTraceJson() const;
   /// Machine-readable run report (schema univistor.metrics.v3): counters,
   /// gauges, distributions, series. The embed parameters, when non-empty,
@@ -268,12 +322,32 @@ class Recorder {
     double value;
   };
 
+  struct Kind {
+    const char* category = nullptr;
+    const char* name = nullptr;
+    std::uint16_t id = 0;
+  };
+
   /// Runs the prune hook (re-entrancy guarded); true when room was freed.
   bool MakeRoom();
 
+  /// Interned kind of a (category, name) literal pair. Spans come from a
+  /// few dozen call sites, so a direct-mapped cache answers almost every
+  /// lookup; misses scan `kinds_`.
+  std::uint16_t KindOf(const char* category, const char* name) {
+    const std::uint64_t key = reinterpret_cast<std::uintptr_t>(name) ^
+                              (std::uint64_t{reinterpret_cast<std::uintptr_t>(category)} << 1);
+    Kind& slot = kind_cache_[(key * 0x9e3779b97f4a7c15ull) >> 56];
+    if (slot.name != name || slot.category != category) slot = InternKind(category, name);
+    return slot.id;
+  }
+  Kind InternKind(const char* category, const char* name);
+
   static inline thread_local Recorder* current_ = nullptr;
 
-  std::vector<SpanEvent> spans_;
+  SpanLog spans_;
+  std::vector<Kind> kinds_;
+  std::array<Kind, 256> kind_cache_{};
   std::vector<CausalLink> links_;
   std::size_t span_limit_ = kDefaultSpanLimit;
   std::uint64_t spans_dropped_ = 0;

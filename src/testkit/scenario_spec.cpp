@@ -327,6 +327,8 @@ Result<ScenarioSpec> ParseScenarioSpec(const std::string& text) {
   if (spec.procs < 1 || spec.procs_per_node < 1)
     return InvalidArgumentError("procs and ppn must be >= 1");
   if (spec.steps < 1) return InvalidArgumentError("steps must be >= 1");
+  if (spec.osts < 1) return InvalidArgumentError("osts must be >= 1");
+  if (spec.bb_nodes < 0) return InvalidArgumentError("bb_nodes must be >= 0");
   if (spec.first_layer != 0 && spec.first_layer != 2 && spec.first_layer != 3)
     return InvalidArgumentError("layer must be 0 (DRAM), 2 (BB), or 3 (PFS)");
   if (spec.failed_node < 0 || spec.failed_node >= spec.Nodes())

@@ -161,7 +161,9 @@ TEST(Attribution, CriticalPathCoversTheSlowestRankWindow) {
   for (std::size_t i = 0; i < report.critical_path.size(); ++i) {
     const auto& seg = report.critical_path[i];
     EXPECT_GT(seg.end, seg.start);
-    if (i > 0) EXPECT_GE(seg.start, report.critical_path[i - 1].end - 1e-9);
+    if (i > 0) {
+      EXPECT_GE(seg.start, report.critical_path[i - 1].end - 1e-9);
+    }
     covered += seg.duration();
   }
   EXPECT_NEAR(covered, report.critical_elapsed, 1e-3 * report.critical_elapsed);
@@ -213,6 +215,30 @@ TEST(Attribution, SpanCapDropsAreCountedAndAnalysisSurvives) {
   // Attribution on the truncated trace still partitions what it saw.
   ExpectExactPartition(report);
   EXPECT_NE(recorder.MetricsJson(1.0).find("\"spans_dropped\":"), std::string::npos);
+}
+
+TEST(Attribution, CausalDescentFollowsLinksAndParentIds) {
+  // One rank op (id 1) whose metadata leg names it as parent, and a link to
+  // id 2, which two later spans carry: the first one emitted owns the id.
+  using obs::Category;
+  obs::Recorder recorder;
+  const obs::Track rank = obs::Track::Rank(0, 0, 0);
+  recorder.AddSpanTagged("vmpi", "close", rank, 0.0, 10.0, obs::kNoBytes, {.self = {1}});
+  recorder.AddSpanTagged("meta", "rpc.service", obs::Track::MetaServer(0, 0), 0.0, 4.0,
+                         obs::kNoBytes, {.cat = Category::kMeta, .parent = {1}});
+  recorder.AddSpanTagged("hw", "ost.access", obs::Track::Ost(0), 4.0, 10.0, 64,
+                         {.cat = Category::kPfs, .self = {2}});
+  recorder.AddSpanTagged("hw", "bb.access", obs::Track::BbNode(0), 4.0, 10.0, 64,
+                         {.cat = Category::kBb, .self = {2}});
+  recorder.AddLink({1}, {2});
+  recorder.AddLink({1}, {7});  // never emitted: resolves to nothing
+  const obs::Report report = obs::Analyze(recorder, {{0, "app", false, 1}}, 10.0);
+  ASSERT_EQ(report.critical_path.size(), 2u);
+  EXPECT_EQ(report.critical_path[0].name, "rpc.service");
+  EXPECT_EQ(report.critical_path[0].category, Category::kMeta);
+  EXPECT_EQ(report.critical_path[1].name, "ost.access");
+  EXPECT_EQ(report.critical_path[1].category, Category::kPfs);
+  EXPECT_EQ(report.critical_path[1].where, "ost 0 / device");
 }
 
 TEST(Attribution, TextReportMentionsEveryJob) {

@@ -11,6 +11,7 @@
 #include "src/cluster/arrival.hpp"
 #include "src/cluster/simulation.hpp"
 #include "src/hw/utilization.hpp"
+#include "src/obs/attribution.hpp"
 #include "src/obs/recorder.hpp"
 #include "src/sim/fair_share.hpp"
 #include "src/univistor/driver.hpp"
@@ -124,6 +125,17 @@ void CheckDigest(const char* what, std::uint64_t digest, std::uint64_t golden) {
                             << "(see comment above)";
 }
 
+/// Exact analysis output: the attribution run-report block plus the text
+/// tables, so the span index behind obs::Analyze is pinned byte for byte.
+std::uint64_t AnalysisDigest(const obs::Recorder& recorder, vmpi::Runtime& runtime,
+                             Time elapsed) {
+  std::vector<obs::JobSpec> jobs;
+  for (int p = 0; p < runtime.program_count(); ++p)
+    jobs.push_back({p, runtime.ProgramName(p), runtime.IsServer(p), runtime.ProgramSize(p)});
+  const obs::Report report = obs::Analyze(recorder, jobs, elapsed);
+  return Fnv1a(obs::AttributionJson(report) + obs::ToText(report));
+}
+
 TEST(GoldenTrace, MicroWriteTraceDigestIsStable) {
   obs::Recorder recorder;
   recorder.Install();
@@ -156,9 +168,50 @@ TEST(GoldenTrace, VpicTraceDigestIsStable) {
                                            .bytes_per_var = 4_MiB,
                                            .compute_time = 5.0,
                                            .file_prefix = "g"});
+    CheckDigest("vpic_ia_analysis",
+                AnalysisDigest(recorder, scenario.runtime(), scenario.engine().Now()),
+                0x2d7a5eb10501ae52ull);
   }
   recorder.Uninstall();
   CheckDigest("vpic_ia", Fnv1a(recorder.ChromeTraceJson()), 0xd53fcb3c7146867eull);
+}
+
+TEST(GoldenTrace, PrunedClusterTraceAndAnalysisDigestsAreStable) {
+  // A BB-bound mix under a span cap low enough that tail retention evicts
+  // finished jobs' spans mid-run: pins the survivors and their order, and
+  // the analysis over a log with causal links (close -> flush) and holes.
+  hw::ClusterParams params = hw::CoriPreset(16, 4);
+  params.node.cores = 8;
+  params.bb.bb_nodes = 2;
+  params.bb.capacity_per_bb_node = 64_MiB;
+  params.pfs.osts = 4;
+  params.seed = 12;
+  workload::ScenarioOptions options;
+  options.procs = 16;
+  options.cluster_params = params;
+
+  obs::Recorder recorder;
+  recorder.SetSpanLimit(2048);
+  recorder.Install();
+  {
+    workload::Scenario scenario(options);
+    cluster::MixParams mix;
+    mix.jobs = 8;
+    mix.mean_interarrival = 0.005;
+    mix.bb_bound = true;
+    cluster::ClusterOptions cluster_options;
+    cluster_options.base_config.chunk_size = 1_MiB;
+    cluster_options.telemetry.enabled = true;
+    cluster::ClusterSim sim(scenario, cluster::SampleJobMix(12, mix), cluster_options);
+    sim.Run();
+    EXPECT_GT(recorder.spans_pruned(), 0u) << "the cap must force tail-based eviction";
+    EXPECT_FALSE(recorder.links().empty()) << "closes link their flushes";
+    CheckDigest("cluster_pruned_analysis",
+                AnalysisDigest(recorder, scenario.runtime(), scenario.engine().Now()),
+                0x8d3dbf71c301040cull);
+  }
+  recorder.Uninstall();
+  CheckDigest("cluster_pruned", Fnv1a(recorder.ChromeTraceJson()), 0xbc0145cee27c0c34ull);
 }
 
 /// One traced cluster run; telemetry (sketches + SLO trackers) feeds only

@@ -6,7 +6,9 @@
 
 #include <cctype>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "src/hw/probes.hpp"
 #include "src/obs/recorder.hpp"
@@ -160,6 +162,142 @@ TEST(Metrics, RegistryReferencesAreStable) {
   obs::Counter& first = registry.GetCounter("stable");
   for (int i = 0; i < 100; ++i) registry.GetCounter("filler-" + std::to_string(i));
   EXPECT_EQ(&first, &registry.GetCounter("stable"));
+}
+
+TEST(Metrics, LiteralAndStringLookupsReachOneMetric) {
+  obs::MetricsRegistry registry;
+  // Longer than the small-string buffer, like meta.insert.records.
+  const std::string name = "meta.insert.records";
+  obs::Counter& counter = registry.GetCounter("meta.insert.records");
+  EXPECT_EQ(&counter, &registry.GetCounter(name));
+  EXPECT_EQ(&counter, &registry.GetCounter(std::string_view(name)));
+  obs::Gauge& gauge = registry.GetGauge("g");
+  EXPECT_EQ(&gauge, &registry.GetGauge(std::string("g")));
+  obs::Distribution& dist = registry.GetDistribution("meta.rpc.latency");
+  EXPECT_EQ(&dist, &registry.GetDistribution(std::string("meta.rpc.latency")));
+
+  // Export order is the names' lexicographic order, whatever the lookup
+  // type or insertion order.
+  for (const char* n : {"b", "a.z", "a"}) registry.GetCounter(n);
+  registry.GetCounter(std::string("c.a.name.longer.than.sso"));
+  std::vector<std::string> order;
+  for (const auto& [key, value] : registry.counters()) order.push_back(key);
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "a.z", "b", "c.a.name.longer.than.sso",
+                                             "meta.insert.records"}));
+
+  obs::Recorder recorder;
+  recorder.Install();
+  obs::Count("meta.insert.records", 2);
+  obs::Count("meta.insert.records");
+  recorder.Uninstall();
+  EXPECT_EQ(recorder.metrics().GetCounter(name).value(), 3u);
+  EXPECT_EQ(recorder.metrics().counters().size(), 1u);
+}
+
+// --- Span log: block storage, interning, in-place eviction. ---
+
+constexpr const char* kSpanNames[] = {"write", "rpc.service", "md.queue"};
+
+/// A span whose every field is a function of `i`, so survivors of an
+/// eviction can be told apart.
+void AddNumberedSpan(obs::Recorder& recorder, std::size_t i) {
+  const obs::SpanTag tag{.cat = static_cast<obs::Category>(i % obs::kCategoryCount),
+                         .parent = obs::SpanRef{static_cast<std::uint32_t>(i / 3)},
+                         .self = obs::SpanRef{static_cast<std::uint32_t>(i + 1)},
+                         .ideal = 0.5 * static_cast<double>(i)};
+  recorder.AddSpanTagged(i % 2 == 0 ? "vmpi" : "meta", kSpanNames[i % 3],
+                         obs::Track::Rank(static_cast<int>(i % 7), 0, static_cast<int>(i % 64)),
+                         static_cast<Time>(i), static_cast<Time>(i) + 0.25,
+                         i % 5 == 0 ? obs::kNoBytes : i, tag);
+}
+
+void ExpectSameSpans(const obs::Recorder& recorder,
+                     const std::vector<obs::Recorder::SpanEvent>& expected) {
+  ASSERT_EQ(recorder.span_count(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const obs::Recorder::SpanEvent& got = recorder.spans()[i];
+    const obs::Recorder::SpanEvent& want = expected[i];
+    ASSERT_EQ(got.start, want.start) << "span " << i;
+    ASSERT_EQ(got.end, want.end) << "span " << i;
+    ASSERT_EQ(got.bytes, want.bytes) << "span " << i;
+    ASSERT_EQ(got.ideal, want.ideal) << "span " << i;
+    ASSERT_EQ(got.track, want.track) << "span " << i;
+    ASSERT_EQ(got.self, want.self) << "span " << i;
+    ASSERT_EQ(got.parent, want.parent) << "span " << i;
+    ASSERT_EQ(got.kind, want.kind) << "span " << i;
+    ASSERT_EQ(got.cat, want.cat) << "span " << i;
+  }
+}
+
+TEST(SpanLog, RecordsAcrossBlocksAndInternsKinds) {
+  constexpr std::size_t kBlock = obs::Recorder::SpanLog::kBlockSpans;
+  const std::size_t count = 3 * kBlock + 17;
+  obs::Recorder recorder;
+  for (std::size_t i = 0; i < count; ++i) AddNumberedSpan(recorder, i);
+  ASSERT_EQ(recorder.span_count(), count);
+  for (std::size_t i : {std::size_t{0}, kBlock - 1, kBlock, 2 * kBlock + 5, count - 1}) {
+    const obs::Recorder::SpanEvent& span = recorder.spans()[i];
+    EXPECT_EQ(span.start, static_cast<Time>(i));
+    EXPECT_EQ(span.self.id, i + 1);
+    EXPECT_EQ(span.parent.id, i / 3);
+    EXPECT_EQ(span.ideal, 0.5 * static_cast<double>(i));
+    EXPECT_EQ(span.bytes, i % 5 == 0 ? obs::kNoBytes : i);
+    EXPECT_EQ(span.track.tid, obs::Track::Rank(0, 0, static_cast<int>(i % 64)).tid);
+  }
+
+  // category() and name() hand back the very literals the span was
+  // emitted with; equal pairs share one kind.
+  const char* kCat = "hw";
+  const char* kName = "ost.access";
+  recorder.AddSpan(kCat, kName, obs::Track::Ost(1), 1.0, 2.0);
+  recorder.AddSpan(kCat, kName, obs::Track::Ost(2), 3.0, 4.0);
+  const obs::Recorder::SpanEvent& a = recorder.spans()[count];
+  const obs::Recorder::SpanEvent& b = recorder.spans()[count + 1];
+  EXPECT_EQ(recorder.category(a), kCat);
+  EXPECT_EQ(recorder.name(a), kName);
+  EXPECT_EQ(a.kind, b.kind);
+  for (std::size_t i = 2 * kBlock - 3; i < 2 * kBlock + 3; ++i) {
+    EXPECT_EQ(recorder.name(recorder.spans()[i]), kSpanNames[i % 3]);
+    EXPECT_STREQ(recorder.category(recorder.spans()[i]), i % 2 == 0 ? "vmpi" : "meta");
+  }
+  EXPECT_NE(recorder.spans()[0].kind, recorder.spans()[1].kind);
+}
+
+TEST(SpanLog, EraseSpansIfMatchesAVectorReference) {
+  constexpr std::size_t kBlock = obs::Recorder::SpanLog::kBlockSpans;
+  const std::size_t count = 3 * kBlock + 900;
+  obs::Recorder recorder;
+  for (std::size_t i = 0; i < count; ++i) AddNumberedSpan(recorder, i);
+  std::vector<obs::Recorder::SpanEvent> reference;
+  for (std::size_t i = 0; i < count; ++i) reference.push_back(recorder.spans()[i]);
+
+  // Drops a run straddling the first block boundary, every third span of
+  // the second block, and the tail of the last block.
+  auto drop = [&](const obs::Recorder::SpanEvent& s) {
+    const auto i = static_cast<std::size_t>(s.start);
+    return (i + 200 >= kBlock && i < kBlock + 300) ||
+           (i >= kBlock && i < 2 * kBlock && i % 3 == 0) || i >= 3 * kBlock + 400;
+  };
+  const std::size_t removed = recorder.EraseSpansIf(drop);
+  const std::size_t expected_removed = std::erase_if(reference, drop);
+  EXPECT_EQ(removed, expected_removed);
+  EXPECT_EQ(recorder.spans_pruned(), expected_removed);
+  ExpectSameSpans(recorder, reference);
+
+  // Emptying whole blocks releases them; recording resumes at the end.
+  auto drop_late = [&](const obs::Recorder::SpanEvent& s) { return s.start >= 2.0 * kBlock; };
+  const std::size_t late = recorder.EraseSpansIf(drop_late);
+  EXPECT_EQ(late, std::erase_if(reference, drop_late));
+  EXPECT_EQ(recorder.spans_pruned(), expected_removed + late);
+  for (std::size_t i = count; i < count + kBlock + 3; ++i) {
+    AddNumberedSpan(recorder, i);
+    reference.push_back(recorder.spans()[recorder.span_count() - 1]);
+  }
+  ExpectSameSpans(recorder, reference);
+  EXPECT_EQ(recorder.spans()[recorder.span_count() - 1].start,
+            static_cast<Time>(count + kBlock + 2));
+  EXPECT_EQ(recorder.EraseSpansIf([](const obs::Recorder::SpanEvent&) { return false; }), 0u);
+  ExpectSameSpans(recorder, reference);
 }
 
 // --- Track naming. ---

@@ -78,6 +78,10 @@ TEST(ScenarioSpecTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(ParseScenarioSpec("procs=4 bb_mb=-1").ok());
   EXPECT_FALSE(ParseScenarioSpec("procs=4 ssd_mb=-1").ok());
   EXPECT_FALSE(ParseScenarioSpec("procs=4 chunk_mb=17592186044416").ok());  // 2^44 MiB
+  // OST counts divide stripe arithmetic; node counts size the machine.
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 osts=0").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 osts=-1").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 bb_nodes=-1").ok());
 }
 
 TEST(ScenarioSpecTest, SamplerCoversErasureCoding) {
