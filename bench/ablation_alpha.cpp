@@ -16,15 +16,15 @@ int main() {
     univistor::Config config;
     config.striping.alpha = alpha;
     auto setup = MakeUniviStor(procs, config);
-    RunHdfMicro(*setup.scenario, setup.app, *setup.driver,
+    RunHdfMicro(*setup.scenario, setup.app, *setup.system.driver,
                 MicroParams{.bytes_per_proc = 256_MiB, .file_name = "micro.h5"});
-    const auto& stats = setup.system->flush_stats();
+    const auto& stats = setup.system.univistor->flush_stats();
     const double rate = stats.last_flush_duration > 0
                             ? static_cast<double>(stats.bytes_flushed) /
                                   stats.last_flush_duration / 1e9
                             : 0.0;
     const auto plan = placement::PlanAdaptiveStriping(
-        stats.bytes_flushed, setup.system->total_servers(),
+        stats.bytes_flushed, setup.system.univistor->total_servers(),
         setup.scenario->pfs().ost_count(), config.striping);
     table.AddNumericRow({static_cast<double>(alpha), rate,
                          static_cast<double>(plan.osts_per_server),

@@ -15,9 +15,9 @@ int main() {
     univistor::Config config;
     config.chunk_size = chunk;
     auto setup = MakeUniviStor(procs, config);
-    const auto write = RunHdfMicro(*setup.scenario, setup.app, *setup.driver,
+    const auto write = RunHdfMicro(*setup.scenario, setup.app, *setup.system.driver,
                                    MicroParams{.bytes_per_proc = 256_MiB});
-    const auto& stats = setup.system->flush_stats();
+    const auto& stats = setup.system.univistor->flush_stats();
     const double flush_rate = stats.last_flush_duration > 0
                                   ? static_cast<double>(stats.bytes_flushed) /
                                         stats.last_flush_duration / 1e9

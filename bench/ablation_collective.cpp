@@ -22,7 +22,7 @@ struct LustreRun {
 LustreRun RunLustre(int procs, Bytes block, bool collective) {
   auto setup = MakeLustre(procs);
   vmpi::File file(setup.scenario->runtime(), setup.app,
-                  {"a.h5", vmpi::FileMode::kWriteOnly}, *setup.driver);
+                  {"a.h5", vmpi::FileMode::kWriteOnly}, *setup.system.driver);
   vmpi::CollectiveIo collective_io(file, {});
   auto& engine = setup.scenario->engine();
   const Time start = engine.Now();
@@ -61,7 +61,7 @@ int main() {
     const auto collective = RunLustre(procs, block, true);
 
     auto uvs = MakeUniviStor(procs, univistor::Config{});
-    const auto uvs_t = RunHdfMicro(*uvs.scenario, uvs.app, *uvs.driver,
+    const auto uvs_t = RunHdfMicro(*uvs.scenario, uvs.app, *uvs.system.driver,
                                    MicroParams{.bytes_per_proc = block});
 
     table.AddNumericRow({static_cast<double>(procs), independent.elapsed,

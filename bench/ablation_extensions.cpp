@@ -24,12 +24,12 @@ int main() {
       config.flush_on_close = false;
       config.replicate_volatile = replicate;
       auto setup = MakeUniviStor(procs, config);
-      const auto t = RunHdfMicro(*setup.scenario, setup.app, *setup.driver,
+      const auto t = RunHdfMicro(*setup.scenario, setup.app, *setup.system.driver,
                                  MicroParams{.bytes_per_proc = 256_MiB});
       if (!replicate) base_rate = t.rate();
       table.AddRow({replicate ? "replicate-to-BB" : "volatile-only",
                     FormatDouble(t.rate() / 1e9, 2),
-                    FormatDouble(static_cast<double>(setup.system->replicated_bytes()) /
+                    FormatDouble(static_cast<double>(setup.system.univistor->replicated_bytes()) /
                                      static_cast<double>(1_GiB),
                                  1),
                     FormatDouble(base_rate / t.rate(), 2)});
@@ -47,16 +47,16 @@ int main() {
       config.promote_hot_reads = promote;
       config.read_cache_capacity_per_node = 16_GiB;  // hold one full pass
       auto setup = MakeUniviStor(procs, config);
-      RunHdfMicro(*setup.scenario, setup.app, *setup.driver,
+      RunHdfMicro(*setup.scenario, setup.app, *setup.system.driver,
                   MicroParams{.bytes_per_proc = 256_MiB});
-      const auto pass1 = RunHdfMicro(*setup.scenario, setup.app, *setup.driver,
+      const auto pass1 = RunHdfMicro(*setup.scenario, setup.app, *setup.system.driver,
                                      MicroParams{.bytes_per_proc = 256_MiB, .read = true});
-      const auto pass2 = RunHdfMicro(*setup.scenario, setup.app, *setup.driver,
+      const auto pass2 = RunHdfMicro(*setup.scenario, setup.app, *setup.system.driver,
                                      MicroParams{.bytes_per_proc = 256_MiB, .read = true});
       table.AddRow({promote ? "promote-hot-reads" : "no-promotion",
                     FormatDouble(pass1.rate() / 1e9, 2), FormatDouble(pass2.rate() / 1e9, 2),
-                    std::to_string(setup.system->read_cache_hits()),
-                    FormatDouble(static_cast<double>(setup.system->promoted_bytes()) /
+                    std::to_string(setup.system.univistor->read_cache_hits()),
+                    FormatDouble(static_cast<double>(setup.system.univistor->promoted_bytes()) /
                                      static_cast<double>(1_GiB),
                                  1)});
     }

@@ -19,13 +19,13 @@ int main() {
     options.cluster_params = hw::CoriPreset(procs);
     options.cluster_params.pfs.shared_file_lock_penalty = penalty;
     Scenario lustre_scenario(options);
-    baselines::LustreDriver lustre(lustre_scenario.runtime(), lustre_scenario.pfs());
+    const SystemUnderTest lustre = BuildSystem(lustre_scenario, SystemKind::kLustre, {});
     auto app = lustre_scenario.runtime().LaunchProgram("app", procs);
-    const auto lustre_t = RunHdfMicro(lustre_scenario, app, lustre,
+    const auto lustre_t = RunHdfMicro(lustre_scenario, app, *lustre.driver,
                                       MicroParams{.bytes_per_proc = 256_MiB});
 
     auto uvs = MakeUniviStor(procs, univistor::Config{});
-    const auto uvs_t = RunHdfMicro(*uvs.scenario, uvs.app, *uvs.driver,
+    const auto uvs_t = RunHdfMicro(*uvs.scenario, uvs.app, *uvs.system.driver,
                                    MicroParams{.bytes_per_proc = 256_MiB});
 
     table.AddNumericRow({penalty, lustre_t.rate() / 1e9, uvs_t.rate() / 1e9,

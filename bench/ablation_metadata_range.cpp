@@ -17,12 +17,12 @@ int main() {
     config.metadata_range_size = range;
     config.flush_on_close = false;
     auto setup = MakeUniviStor(procs, config);
-    const auto write = RunHdfMicro(*setup.scenario, setup.app, *setup.driver,
+    const auto write = RunHdfMicro(*setup.scenario, setup.app, *setup.system.driver,
                                    MicroParams{.bytes_per_proc = 256_MiB});
     const auto read = RunHdfMicro(
-        *setup.scenario, setup.app, *setup.driver,
+        *setup.scenario, setup.app, *setup.system.driver,
         MicroParams{.bytes_per_proc = 256_MiB, .read = true});
-    const kv::RangePartitioner part(setup.system->total_servers(), range);
+    const kv::RangePartitioner part(setup.system.univistor->total_servers(), range);
     const auto fanout = part.ServersFor(0, 256_MiB).size();
     table.AddRow({HumanBytes(range), FormatDouble(write.rate() / 1e9, 2),
                   FormatDouble(read.rate() / 1e9, 2), std::to_string(fanout)});

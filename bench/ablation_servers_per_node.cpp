@@ -14,15 +14,15 @@ int main() {
     univistor::Config config;
     config.servers_per_node = spn;
     auto setup = MakeUniviStor(procs, config);
-    const auto write = RunHdfMicro(*setup.scenario, setup.app, *setup.driver,
+    const auto write = RunHdfMicro(*setup.scenario, setup.app, *setup.system.driver,
                                    MicroParams{.bytes_per_proc = 256_MiB});
-    const auto& stats = setup.system->flush_stats();
+    const auto& stats = setup.system.univistor->flush_stats();
     const double flush_rate = stats.last_flush_duration > 0
                                   ? static_cast<double>(stats.bytes_flushed) /
                                         stats.last_flush_duration / 1e9
                                   : 0.0;
     table.AddNumericRow({static_cast<double>(spn), write.rate() / 1e9, flush_rate,
-                         static_cast<double>(setup.system->total_servers())});
+                         static_cast<double>(setup.system.univistor->total_servers())});
   }
   Emit("Ablation: servers per node, " + std::to_string(procs) + " procs", table);
   return 0;

@@ -74,54 +74,34 @@ void Emit(const std::string& title, const Table& table) {
 }
 
 namespace {
-workload::ScenarioOptions Options(int procs, sched::PlacementPolicy policy, bool workflow) {
-  workload::ScenarioOptions options;
-  options.procs = procs;
-  options.policy = policy;
-  options.workflow_enabled = workflow;
-  return options;
+Setup Make(workload::SystemKind kind, int procs, const univistor::Config& config,
+           sched::PlacementPolicy policy, bool workflow, int client_programs) {
+  InitBenchEnvOnce();
+  Setup setup;
+  setup.scenario = std::make_unique<workload::Scenario>(workload::ScenarioOptions{
+      .procs = procs, .policy = policy, .workflow_enabled = workflow});
+  setup.system = workload::BuildSystem(*setup.scenario, kind, config);
+  setup.app = setup.scenario->runtime().LaunchProgram("app", procs / client_programs);
+  setup.obs.Attach(*setup.scenario, setup.system.univistor.get());
+  return setup;
 }
 }  // namespace
 
-UvsSetup MakeUniviStor(int procs, const univistor::Config& config, bool cfs, bool workflow,
-                       int client_programs) {
-  InitBenchEnvOnce();
-  UvsSetup setup;
-  setup.scenario = std::make_unique<workload::Scenario>(
-      Options(procs, cfs ? sched::PlacementPolicy::kCfs
-                         : sched::PlacementPolicy::kInterferenceAware,
-              workflow));
-  setup.system = std::make_unique<univistor::UniviStor>(
-      setup.scenario->runtime(), setup.scenario->pfs(), setup.scenario->workflow(), config);
-  setup.driver = std::make_unique<univistor::UniviStorDriver>(*setup.system);
-  setup.app = setup.scenario->runtime().LaunchProgram("app", procs / client_programs);
-  setup.obs.Attach(*setup.scenario, setup.system.get());
-  return setup;
+Setup MakeUniviStor(int procs, const univistor::Config& config, bool cfs, bool workflow,
+                    int client_programs) {
+  return Make(workload::SystemKind::kUniviStor, procs, config,
+              cfs ? sched::PlacementPolicy::kCfs : sched::PlacementPolicy::kInterferenceAware,
+              workflow, client_programs);
 }
 
-DeSetup MakeDataElevator(int procs, int client_programs) {
-  InitBenchEnvOnce();
-  DeSetup setup;
-  setup.scenario = std::make_unique<workload::Scenario>(
-      Options(procs, sched::PlacementPolicy::kCfs, false));
-  setup.system = std::make_unique<baselines::DataElevator>(setup.scenario->runtime(),
-                                                           setup.scenario->pfs());
-  setup.driver = std::make_unique<baselines::DataElevatorDriver>(*setup.system);
-  setup.app = setup.scenario->runtime().LaunchProgram("app", procs / client_programs);
-  setup.obs.Attach(*setup.scenario, nullptr);
-  return setup;
+Setup MakeDataElevator(int procs, int client_programs) {
+  return Make(workload::SystemKind::kDataElevator, procs, {}, sched::PlacementPolicy::kCfs,
+              false, client_programs);
 }
 
-LustreSetup MakeLustre(int procs, int client_programs) {
-  InitBenchEnvOnce();
-  LustreSetup setup;
-  setup.scenario = std::make_unique<workload::Scenario>(
-      Options(procs, sched::PlacementPolicy::kCfs, false));
-  setup.driver = std::make_unique<baselines::LustreDriver>(setup.scenario->runtime(),
-                                                           setup.scenario->pfs());
-  setup.app = setup.scenario->runtime().LaunchProgram("app", procs / client_programs);
-  setup.obs.Attach(*setup.scenario, nullptr);
-  return setup;
+Setup MakeLustre(int procs, int client_programs) {
+  return Make(workload::SystemKind::kLustre, procs, {}, sched::PlacementPolicy::kCfs, false,
+              client_programs);
 }
 
 Time RunCoupledWorkflow(workload::Scenario& scenario, vmpi::AdioDriver& driver,

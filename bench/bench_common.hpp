@@ -19,14 +19,12 @@
 #include <string>
 #include <vector>
 
-#include "src/baselines/data_elevator.hpp"
-#include "src/baselines/lustre_driver.hpp"
 #include "src/common/table.hpp"
 #include "src/obs/recorder.hpp"
 #include "src/obs/sampler.hpp"
-#include "src/univistor/driver.hpp"
 #include "src/univistor/system.hpp"
 #include "src/workload/bdcats.hpp"
+#include "src/workload/deployment.hpp"
 #include "src/workload/hdf_micro.hpp"
 #include "src/workload/scenario.hpp"
 #include "src/workload/vpic.hpp"
@@ -67,38 +65,24 @@ double Rate(Bytes bytes, Time seconds);
 /// Prints a figure header + the table (and CSV when UVS_CSV is set).
 void Emit(const std::string& title, const Table& table);
 
-/// A complete UniviStor deployment on a fresh simulated machine.
-struct UvsSetup {
+/// One deployment on a fresh simulated machine: the system under test and
+/// its launched client program.
+struct Setup {
   std::unique_ptr<workload::Scenario> scenario;
-  std::unique_ptr<univistor::UniviStor> system;
-  std::unique_ptr<univistor::UniviStorDriver> driver;
+  workload::SystemUnderTest system;
   vmpi::ProgramId app = -1;
   ObsHook obs;  // last member: exports its files while the engine is alive
 };
 
 /// Builds the machine with the paper's defaults (IA placement unless the
-/// config disables it — pass `cfs` to force CFS) and launches `procs`
-/// client ranks.
-UvsSetup MakeUniviStor(int procs, const univistor::Config& config, bool cfs = false,
-                       bool workflow = false, int client_programs = 1);
+/// config disables it — pass `cfs` to force CFS) and launches
+/// `procs / client_programs` client ranks.
+Setup MakeUniviStor(int procs, const univistor::Config& config, bool cfs = false,
+                    bool workflow = false, int client_programs = 1);
 
 /// Data Elevator / Lustre deployments (always CFS, as deployed in §III).
-struct DeSetup {
-  std::unique_ptr<workload::Scenario> scenario;
-  std::unique_ptr<baselines::DataElevator> system;
-  std::unique_ptr<baselines::DataElevatorDriver> driver;
-  vmpi::ProgramId app = -1;
-  ObsHook obs;  // last member: exports its files while the engine is alive
-};
-DeSetup MakeDataElevator(int procs, int client_programs = 1);
-
-struct LustreSetup {
-  std::unique_ptr<workload::Scenario> scenario;
-  std::unique_ptr<baselines::LustreDriver> driver;
-  vmpi::ProgramId app = -1;
-  ObsHook obs;  // last member: exports its files while the engine is alive
-};
-LustreSetup MakeLustre(int procs, int client_programs = 1);
+Setup MakeDataElevator(int procs, int client_programs = 1);
+Setup MakeLustre(int procs, int client_programs = 1);
 
 /// Runs VPIC-IO (writer program) coupled with BD-CATS-IO (reader program)
 /// and returns the workflow's elapsed time (VPIC start -> BD-CATS end).

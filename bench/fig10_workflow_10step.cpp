@@ -28,7 +28,7 @@ Time Run(int procs, hw::Layer layer, bool overlap) {
   auto setup = MakeUniviStor(procs, config, /*cfs=*/false, /*workflow=*/true,
                              /*client_programs=*/2);
   const auto reader = setup.scenario->runtime().LaunchProgram("bdcats", procs / 2);
-  return RunCoupledWorkflow(*setup.scenario, *setup.driver, setup.app, reader, Params(),
+  return RunCoupledWorkflow(*setup.scenario, *setup.system.driver, setup.app, reader, Params(),
                             overlap);
 }
 

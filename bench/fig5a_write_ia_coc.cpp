@@ -18,17 +18,17 @@ int main() {
   for (int procs : ScaleSweep()) {
     univistor::Config config;  // IA placement + COC on
     auto both = MakeUniviStor(procs, config);
-    const auto both_t = RunHdfMicro(*both.scenario, both.app, *both.driver, params);
+    const auto both_t = RunHdfMicro(*both.scenario, both.app, *both.system.driver, params);
 
     univistor::Config no_ia_config;
     no_ia_config.interference_aware_flush = false;
     auto no_ia = MakeUniviStor(procs, no_ia_config, /*cfs=*/true);
-    const auto no_ia_t = RunHdfMicro(*no_ia.scenario, no_ia.app, *no_ia.driver, params);
+    const auto no_ia_t = RunHdfMicro(*no_ia.scenario, no_ia.app, *no_ia.system.driver, params);
 
     univistor::Config no_coc_config;
     no_coc_config.collective_open_close = false;
     auto no_coc = MakeUniviStor(procs, no_coc_config);
-    const auto no_coc_t = RunHdfMicro(*no_coc.scenario, no_coc.app, *no_coc.driver, params);
+    const auto no_coc_t = RunHdfMicro(*no_coc.scenario, no_coc.app, *no_coc.system.driver, params);
 
     table.AddNumericRow({static_cast<double>(procs), Rate(both_t.bytes, both_t.elapsed),
                          Rate(no_ia_t.bytes, no_ia_t.elapsed),

@@ -11,11 +11,11 @@ using namespace uvs::workload;
 
 namespace {
 
-double ReadRate(bench::UvsSetup& setup, const MicroParams& write_params) {
-  RunHdfMicro(*setup.scenario, setup.app, *setup.driver, write_params);
+double ReadRate(bench::Setup& setup, const MicroParams& write_params) {
+  RunHdfMicro(*setup.scenario, setup.app, *setup.system.driver, write_params);
   MicroParams read_params = write_params;
   read_params.read = true;
-  const auto t = RunHdfMicro(*setup.scenario, setup.app, *setup.driver, read_params);
+  const auto t = RunHdfMicro(*setup.scenario, setup.app, *setup.system.driver, read_params);
   return t.rate();
 }
 

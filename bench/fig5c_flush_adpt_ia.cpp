@@ -16,9 +16,9 @@ double FlushRate(int procs, bool adpt, bool ia) {
   config.adaptive_striping = adpt;
   config.interference_aware_flush = ia;
   auto setup = MakeUniviStor(procs, config, /*cfs=*/!ia);
-  RunHdfMicro(*setup.scenario, setup.app, *setup.driver,
+  RunHdfMicro(*setup.scenario, setup.app, *setup.system.driver,
               MicroParams{.bytes_per_proc = 256_MiB, .file_name = "micro.h5"});
-  const auto& stats = setup.system->flush_stats();
+  const auto& stats = setup.system.univistor->flush_stats();
   return stats.last_flush_duration > 0
              ? static_cast<double>(stats.bytes_flushed) / stats.last_flush_duration
              : 0.0;

@@ -18,18 +18,18 @@ int main() {
   for (int procs : ScaleSweep()) {
     univistor::Config dram_config;
     auto dram = MakeUniviStor(procs, dram_config);
-    const auto dram_t = RunHdfMicro(*dram.scenario, dram.app, *dram.driver, params);
+    const auto dram_t = RunHdfMicro(*dram.scenario, dram.app, *dram.system.driver, params);
 
     univistor::Config bb_config;
     bb_config.first_cache_layer = hw::Layer::kSharedBurstBuffer;
     auto bb = MakeUniviStor(procs, bb_config);
-    const auto bb_t = RunHdfMicro(*bb.scenario, bb.app, *bb.driver, params);
+    const auto bb_t = RunHdfMicro(*bb.scenario, bb.app, *bb.system.driver, params);
 
     auto de = MakeDataElevator(procs);
-    const auto de_t = RunHdfMicro(*de.scenario, de.app, *de.driver, params);
+    const auto de_t = RunHdfMicro(*de.scenario, de.app, *de.system.driver, params);
 
     auto lustre = MakeLustre(procs);
-    const auto lustre_t = RunHdfMicro(*lustre.scenario, lustre.app, *lustre.driver, params);
+    const auto lustre_t = RunHdfMicro(*lustre.scenario, lustre.app, *lustre.system.driver, params);
 
     table.AddNumericRow({static_cast<double>(procs), Rate(dram_t.bytes, dram_t.elapsed),
                          Rate(bb_t.bytes, bb_t.elapsed), Rate(de_t.bytes, de_t.elapsed),

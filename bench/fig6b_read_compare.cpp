@@ -20,22 +20,22 @@ int main() {
     univistor::Config dram_config;
     dram_config.flush_on_close = false;
     auto dram = MakeUniviStor(procs, dram_config);
-    RunHdfMicro(*dram.scenario, dram.app, *dram.driver, write_params);
-    const auto dram_t = RunHdfMicro(*dram.scenario, dram.app, *dram.driver, read_params);
+    RunHdfMicro(*dram.scenario, dram.app, *dram.system.driver, write_params);
+    const auto dram_t = RunHdfMicro(*dram.scenario, dram.app, *dram.system.driver, read_params);
 
     univistor::Config bb_config = dram_config;
     bb_config.first_cache_layer = hw::Layer::kSharedBurstBuffer;
     auto bb = MakeUniviStor(procs, bb_config);
-    RunHdfMicro(*bb.scenario, bb.app, *bb.driver, write_params);
-    const auto bb_t = RunHdfMicro(*bb.scenario, bb.app, *bb.driver, read_params);
+    RunHdfMicro(*bb.scenario, bb.app, *bb.system.driver, write_params);
+    const auto bb_t = RunHdfMicro(*bb.scenario, bb.app, *bb.system.driver, read_params);
 
     auto de = MakeDataElevator(procs);
-    RunHdfMicro(*de.scenario, de.app, *de.driver, write_params);
-    const auto de_t = RunHdfMicro(*de.scenario, de.app, *de.driver, read_params);
+    RunHdfMicro(*de.scenario, de.app, *de.system.driver, write_params);
+    const auto de_t = RunHdfMicro(*de.scenario, de.app, *de.system.driver, read_params);
 
     auto lustre = MakeLustre(procs);
-    RunHdfMicro(*lustre.scenario, lustre.app, *lustre.driver, write_params);
-    const auto lustre_t = RunHdfMicro(*lustre.scenario, lustre.app, *lustre.driver,
+    RunHdfMicro(*lustre.scenario, lustre.app, *lustre.system.driver, write_params);
+    const auto lustre_t = RunHdfMicro(*lustre.scenario, lustre.app, *lustre.system.driver,
                                       read_params);
 
     table.AddNumericRow({static_cast<double>(procs), Rate(dram_t.bytes, dram_t.elapsed),

@@ -18,8 +18,8 @@ double UvsFlushRate(int procs, hw::Layer first_layer) {
   univistor::Config config;
   config.first_cache_layer = first_layer;
   auto setup = MakeUniviStor(procs, config);
-  RunHdfMicro(*setup.scenario, setup.app, *setup.driver, kParams);
-  const auto& stats = setup.system->flush_stats();
+  RunHdfMicro(*setup.scenario, setup.app, *setup.system.driver, kParams);
+  const auto& stats = setup.system.univistor->flush_stats();
   return stats.last_flush_duration > 0
              ? static_cast<double>(stats.bytes_flushed) / stats.last_flush_duration
              : 0.0;
@@ -27,8 +27,8 @@ double UvsFlushRate(int procs, hw::Layer first_layer) {
 
 double DeFlushRate(int procs) {
   auto setup = MakeDataElevator(procs);
-  RunHdfMicro(*setup.scenario, setup.app, *setup.driver, kParams);
-  const auto& stats = setup.system->flush_stats();
+  RunHdfMicro(*setup.scenario, setup.app, *setup.system.driver, kParams);
+  const auto& stats = setup.system.data_elevator->flush_stats();
   return stats.last_flush_duration > 0
              ? static_cast<double>(stats.bytes_flushed) / stats.last_flush_duration
              : 0.0;

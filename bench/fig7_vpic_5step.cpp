@@ -29,18 +29,18 @@ int main() {
   for (int procs : ScaleSweep()) {
     univistor::Config dram_config;
     auto dram = MakeUniviStor(procs, dram_config);
-    const auto dram_r = RunVpic(*dram.scenario, dram.app, *dram.driver, Params());
+    const auto dram_r = RunVpic(*dram.scenario, dram.app, *dram.system.driver, Params());
 
     univistor::Config bb_config;
     bb_config.first_cache_layer = hw::Layer::kSharedBurstBuffer;
     auto bb = MakeUniviStor(procs, bb_config);
-    const auto bb_r = RunVpic(*bb.scenario, bb.app, *bb.driver, Params());
+    const auto bb_r = RunVpic(*bb.scenario, bb.app, *bb.system.driver, Params());
 
     auto de = MakeDataElevator(procs);
-    const auto de_r = RunVpic(*de.scenario, de.app, *de.driver, Params());
+    const auto de_r = RunVpic(*de.scenario, de.app, *de.system.driver, Params());
 
     auto lustre = MakeLustre(procs);
-    const auto lustre_r = RunVpic(*lustre.scenario, lustre.app, *lustre.driver, Params());
+    const auto lustre_r = RunVpic(*lustre.scenario, lustre.app, *lustre.system.driver, Params());
 
     table.AddNumericRow({static_cast<double>(procs), dram_r.write_time,
                          dram_r.total_io_time, bb_r.write_time, bb_r.total_io_time,

@@ -24,7 +24,7 @@ VpicResult Run(int procs, hw::Layer first_layer) {
   univistor::Config config;
   config.first_cache_layer = first_layer;
   auto setup = MakeUniviStor(procs, config);
-  return RunVpic(*setup.scenario, setup.app, *setup.driver, Params());
+  return RunVpic(*setup.scenario, setup.app, *setup.system.driver, Params());
 }
 
 }  // namespace

@@ -35,7 +35,7 @@ int main() {
                                  /*client_programs=*/2);
       const auto reader =
           setup.scenario->runtime().LaunchProgram("bdcats", procs / 2);
-      return RunCoupledWorkflow(*setup.scenario, *setup.driver, setup.app, reader,
+      return RunCoupledWorkflow(*setup.scenario, *setup.system.driver, setup.app, reader,
                                 Params(), overlap);
     };
     const Time dram_ovl = uvs_run(hw::Layer::kDram, true);
@@ -45,12 +45,12 @@ int main() {
 
     auto de = MakeDataElevator(procs, /*client_programs=*/2);
     const auto de_reader = de.scenario->runtime().LaunchProgram("bdcats", procs / 2);
-    const Time de_time = RunCoupledWorkflow(*de.scenario, *de.driver, de.app, de_reader,
+    const Time de_time = RunCoupledWorkflow(*de.scenario, *de.system.driver, de.app, de_reader,
                                             Params(), /*overlap=*/false);
 
     auto lustre = MakeLustre(procs, /*client_programs=*/2);
     const auto lu_reader = lustre.scenario->runtime().LaunchProgram("bdcats", procs / 2);
-    const Time lu_time = RunCoupledWorkflow(*lustre.scenario, *lustre.driver, lustre.app,
+    const Time lu_time = RunCoupledWorkflow(*lustre.scenario, *lustre.system.driver, lustre.app,
                                             lu_reader, Params(), /*overlap=*/false);
 
     table.AddNumericRow({static_cast<double>(procs), dram_ovl, dram_non, bb_ovl, bb_non,

@@ -1,12 +1,11 @@
 // google-benchmark microbenchmarks for the discrete-event kernel itself:
-// event dispatch throughput, coroutine spawn/join, channel round-trips,
-// and the fair-share pool under churn. These bound how large a simulated
-// machine the figure benches can afford.
+// event dispatch throughput, coroutine spawn/join, and the fair-share
+// pool under churn. These bound how large a simulated machine the figure
+// benches can afford.
 #include <benchmark/benchmark.h>
 
 #include <deque>
 
-#include "src/sim/channel.hpp"
 #include "src/sim/combinators.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/fair_share.hpp"
@@ -80,33 +79,6 @@ void BM_SpawnJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * procs);
 }
 BENCHMARK(BM_SpawnJoin)->Arg(100)->Arg(10000);
-
-Task PingPong(Engine& engine, Channel<int>& ping, Channel<int>& pong, int rounds) {
-  (void)engine;
-  for (int i = 0; i < rounds; ++i) {
-    ping.Send(i);
-    benchmark::DoNotOptimize(co_await pong.Recv());
-  }
-}
-
-Task Echo(Channel<int>& ping, Channel<int>& pong, int rounds) {
-  for (int i = 0; i < rounds; ++i) {
-    int v = co_await ping.Recv();
-    pong.Send(v);
-  }
-}
-
-void BM_ChannelPingPong(benchmark::State& state) {
-  for (auto _ : state) {
-    Engine engine;
-    Channel<int> ping(engine), pong(engine);
-    engine.Spawn(PingPong(engine, ping, pong, 1000));
-    engine.Spawn(Echo(ping, pong, 1000));
-    engine.Run();
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_ChannelPingPong);
 
 Task DoTransfer(FairSharePool& pool, Bytes bytes) { co_await pool.Transfer(bytes); }
 

@@ -11,6 +11,12 @@
 namespace uvs::baselines {
 
 namespace {
+constexpr int kServersPerNode = 2;
+/// HDF5 metadata requests per open, served by the central MDS.
+constexpr int kMdOpsPerOpen = 4;
+/// BB-node streams one rank's access fans out to.
+constexpr int kBbStreamsPerAccess = 4;
+
 sim::Task PoolLeg(sim::FairSharePool& pool, Bytes bytes) { co_await pool.Transfer(bytes); }
 sim::Task BbLeg(hw::BurstBuffer& bb, int node, Bytes bytes, double inflation,
                 obs::SpanRef parent = {}) {
@@ -25,18 +31,12 @@ sim::Task TaggedLeg(sim::Engine& engine, const char* name, obs::Track track, Byt
 }
 }  // namespace
 
-DataElevator::DataElevator(vmpi::Runtime& runtime, storage::Pfs& pfs, Options options)
-    : runtime_(&runtime),
-      pfs_(&pfs),
-      options_(options),
-      mds_(std::make_unique<sim::Mutex>(runtime.engine())) {
-  total_servers_ = runtime.cluster().node_count() * options_.servers_per_node;
+DataElevator::DataElevator(vmpi::Runtime& runtime, storage::Pfs& pfs)
+    : runtime_(&runtime), pfs_(&pfs), mds_(std::make_unique<sim::Mutex>(runtime.engine())) {
+  total_servers_ = runtime.cluster().node_count() * kServersPerNode;
   server_program_ = runtime.LaunchProgram("de-server", total_servers_, /*is_server=*/true);
   for (int s = 0; s < total_servers_; ++s) runtime.SetRankBusy(server_program_, s, false);
 }
-
-DataElevator::DataElevator(vmpi::Runtime& runtime, storage::Pfs& pfs)
-    : DataElevator(runtime, pfs, Options{}) {}
 
 storage::FileId DataElevator::OpenOrCreate(const std::string& name) {
   if (auto it = names_.find(name); it != names_.end()) return it->second;
@@ -61,7 +61,7 @@ sim::Task DataElevator::OpenMetadata(vmpi::ProgramId program, int rank, obs::Spa
   const Time queued = engine.Now();
   auto guard = co_await mds_->Lock();
   const Time serviced = engine.Now();
-  co_await engine.Delay(static_cast<double>(options_.md_ops_per_open) *
+  co_await engine.Delay(static_cast<double>(kMdOpsPerOpen) *
                         runtime_->cluster().params().rpc_service_time);
   if (obs::Recorder* r = obs::Recorder::Current()) {
     r->AddSpanTagged("baselines", "de.md.latency", track, start, queued, obs::kNoBytes,
@@ -102,7 +102,7 @@ sim::Task DataElevator::BbAccess(vmpi::ProgramId program, int rank, FileInfo& in
   const double inflation = BbInflation(info, read);
 
   const int bb_nodes = cluster.burst_buffer().node_count();
-  const int streams = std::min(options_.bb_streams_per_write, bb_nodes);
+  const int streams = std::min(kBbStreamsPerAccess, bb_nodes);
   const Bytes base = len / static_cast<Bytes>(streams);
 
   std::vector<sim::Task> legs;
@@ -136,7 +136,6 @@ sim::Task DataElevator::BbAccess(vmpi::ProgramId program, int rank, FileInfo& in
 sim::Task DataElevator::Write(vmpi::ProgramId program, int rank, storage::FileId fid,
                               Bytes offset, Bytes len, obs::SpanRef parent) {
   FileInfo& info = Info(fid);
-  info.logical_size = std::max(info.logical_size, offset + len);
   info.cached_bytes += len;
   co_await BbAccess(program, rank, info, offset, len, /*read=*/false, parent);
 }
@@ -168,7 +167,7 @@ sim::Task DataElevator::ServerFlushShare(FileInfo& info, int server_idx, Bytes r
                                          Bytes bytes) {
   hw::Cluster& cluster = runtime_->cluster();
   sim::Engine& engine = cluster.engine();
-  const int node = server_idx / options_.servers_per_node;
+  const int node = server_idx / kServersPerNode;
   const bool traced = obs::Enabled();
   const obs::Track track = obs::Track::Rank(node, server_program_, server_idx);
   const obs::SpanRef self = obs::NewSpanRef();

@@ -20,26 +20,16 @@ namespace uvs::baselines {
 
 class DataElevator {
  public:
-  struct Options {
-    int servers_per_node = 2;
-    /// Flush streams per server onto the PFS.
-    int md_ops_per_open = 4;
-    /// BB-node streams one rank's write fans out to.
-    int bb_streams_per_write = 4;
-  };
-
   struct FlushStats {
     int flushes = 0;
     Bytes bytes_flushed = 0;
     Time last_flush_duration = 0;
   };
 
-  DataElevator(vmpi::Runtime& runtime, storage::Pfs& pfs, Options options);
   DataElevator(vmpi::Runtime& runtime, storage::Pfs& pfs);
 
   vmpi::Runtime& runtime() { return *runtime_; }
   storage::Pfs& pfs() { return *pfs_; }
-  const Options& options() const { return options_; }
   const FlushStats& flush_stats() const { return flush_stats_; }
 
   storage::FileId OpenOrCreate(const std::string& name);
@@ -56,7 +46,6 @@ class DataElevator {
   struct FileInfo {
     std::string name;
     Bytes cached_bytes = 0;  // resident on the BB
-    Bytes logical_size = 0;
     int active_writers = 0;
     int active_readers = 0;
     storage::Pfs::FileHandle pfs_file = -1;
@@ -73,7 +62,6 @@ class DataElevator {
 
   vmpi::Runtime* runtime_;
   storage::Pfs* pfs_;
-  Options options_;
   vmpi::ProgramId server_program_ = -1;
   int total_servers_ = 0;
   std::unique_ptr<sim::Mutex> mds_;

@@ -16,25 +16,28 @@ sim::Task Tagged(sim::Engine& engine, const char* name, obs::Track track, Bytes 
   co_await std::move(inner);
 }
 
+/// HDF5 metadata requests per open; every rank pays them (no collective
+/// optimization in the baseline).
+constexpr int kMdOpsPerOpen = 4;
+
 obs::Track RankTrack(vmpi::Runtime& runtime, vmpi::File& file, int rank) {
   return obs::Track::Rank(runtime.Rank(file.program(), rank).node, file.program(), rank);
 }
 }  // namespace
 
-LustreDriver::LustreDriver(vmpi::Runtime& runtime, storage::Pfs& pfs, Options options)
-    : runtime_(&runtime),
-      pfs_(&pfs),
-      options_(options),
-      mds_(std::make_unique<sim::Mutex>(runtime.engine())) {}
-
 LustreDriver::LustreDriver(vmpi::Runtime& runtime, storage::Pfs& pfs)
-    : LustreDriver(runtime, pfs, Options{}) {}
+    : runtime_(&runtime), pfs_(&pfs), mds_(std::make_unique<sim::Mutex>(runtime.engine())) {}
 
 LustreDriver::State& LustreDriver::StateOf(vmpi::File& file) {
   if (auto* state = file.driver_state<State>()) return *state;
   auto& state = file.EmplaceDriverState<State>();
   auto existing = pfs_->Lookup(file.options().name);
-  state.handle = existing.ok() ? *existing : pfs_->Create(file.options().name, options_.stripe);
+  // Large shared files are striped across every OST (the "simple and
+  // widely used approach" of §II-D), as Data Elevator's flush does.
+  state.handle = existing.ok() ? *existing
+                               : pfs_->Create(file.options().name,
+                                              {.stripe_size = 1_MiB,
+                                               .stripe_count = pfs_->ost_count()});
   return state;
 }
 
@@ -63,7 +66,7 @@ sim::Task LustreDriver::MdsOp(int node, int ops, obs::Track rank_track, obs::Spa
 sim::Task LustreDriver::Open(vmpi::File& file, int rank, obs::SpanRef op) {
   StateOf(file);
   const int node = runtime_->Rank(file.program(), rank).node;
-  co_await MdsOp(node, options_.md_ops_per_open, RankTrack(*runtime_, file, rank), op);
+  co_await MdsOp(node, kMdOpsPerOpen, RankTrack(*runtime_, file, rank), op);
 }
 
 sim::Task LustreDriver::WriteAt(vmpi::File& file, int rank, Bytes offset, Bytes len,

@@ -15,17 +15,6 @@ namespace uvs::baselines {
 
 class LustreDriver : public vmpi::AdioDriver {
  public:
-  struct Options {
-    /// Stripe settings for newly created shared files; VPIC-style large
-    /// shared files on Cori are striped across all OSTs (the "simple and
-    /// widely used approach" of §II-D).
-    storage::StripeConfig stripe{.stripe_size = 1_MiB, .stripe_count = 248};
-    /// HDF5 metadata requests per open/close; every rank pays them (no
-    /// collective optimization in the baseline).
-    int md_ops_per_open = 4;
-  };
-
-  LustreDriver(vmpi::Runtime& runtime, storage::Pfs& pfs, Options options);
   LustreDriver(vmpi::Runtime& runtime, storage::Pfs& pfs);
 
   const char* fs_type() const override { return "lustre"; }
@@ -48,7 +37,6 @@ class LustreDriver : public vmpi::AdioDriver {
 
   vmpi::Runtime* runtime_;
   storage::Pfs* pfs_;
-  Options options_;
   std::unique_ptr<sim::Mutex> mds_;
 };
 

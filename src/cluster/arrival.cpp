@@ -39,13 +39,13 @@ std::vector<JobSpec> SampleJobMix(std::uint64_t seed, const MixParams& params) {
     job.kind = kind_draw < 0.4   ? JobKind::kMicroWrite
                : kind_draw < 0.7 ? JobKind::kMicroReadBack
                                  : JobKind::kVpic;
-    job.system = Chance(rng, params.lustre_fraction) ? JobSystem::kLustre
-                                                     : JobSystem::kUniviStor;
+    job.system = Chance(rng, params.lustre_fraction) ? workload::SystemKind::kLustre
+                                                     : workload::SystemKind::kUniviStor;
     job.procs = Pick(rng, {2, 4, 8});
     job.bytes_per_rank = Pick<Bytes>(rng, {1_MiB, 2_MiB, 4_MiB, 8_MiB});
     job.steps = job.kind == JobKind::kVpic ? Pick(rng, {1, 2, 3}) : 1;
     job.compute_time = job.kind == JobKind::kVpic && Chance(rng, 0.5) ? 0.001 : 0.0;
-    if (job.system == JobSystem::kUniviStor) {
+    if (job.system == workload::SystemKind::kUniviStor) {
       // BB-bound mixes mostly start at the burst buffer; balanced mixes
       // mostly run the DRAM cascade.
       job.first_layer = Chance(rng, params.bb_bound ? 0.9 : 0.25) ? 2 : 0;
@@ -56,7 +56,7 @@ std::vector<JobSpec> SampleJobMix(std::uint64_t seed, const MixParams& params) {
   // mixes, and historical seeds keep their jobs when ec_fraction is 0).
   if (params.ec_fraction > 0) {
     for (JobSpec& job : jobs) {
-      if (job.system != JobSystem::kUniviStor) continue;
+      if (job.system != workload::SystemKind::kUniviStor) continue;
       job.ec = Chance(rng, params.ec_fraction);
     }
   }
@@ -85,8 +85,8 @@ Result<JobSpec> ParseJobLine(const std::string& line) {
         else if (val == "vpic") job.kind = JobKind::kVpic;
         else return InvalidArgumentError("unknown job kind: " + val);
       } else if (key == "system") {
-        if (val == "univistor") job.system = JobSystem::kUniviStor;
-        else if (val == "lustre") job.system = JobSystem::kLustre;
+        if (val == "univistor") job.system = workload::SystemKind::kUniviStor;
+        else if (val == "lustre") job.system = workload::SystemKind::kLustre;
         else return InvalidArgumentError("unknown job system: " + val);
       } else if (key == "procs") {
         job.procs = std::stoi(val);

@@ -14,14 +14,6 @@ const char* JobKindName(JobKind kind) {
   return "?";
 }
 
-const char* JobSystemName(JobSystem system) {
-  switch (system) {
-    case JobSystem::kUniviStor: return "univistor";
-    case JobSystem::kLustre: return "lustre";
-  }
-  return "?";
-}
-
 double Quantile(std::vector<double> values, double q) {
   if (values.empty()) return 0;
   std::sort(values.begin(), values.end());

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/common/units.hpp"
+#include "src/workload/deployment.hpp"
 
 namespace uvs::cluster {
 
@@ -24,16 +25,13 @@ enum class JobKind : std::uint8_t {
 };
 const char* JobKindName(JobKind kind);
 
-enum class JobSystem : std::uint8_t { kUniviStor, kLustre };
-const char* JobSystemName(JobSystem system);
-
 /// Static description of one job in a mix. Sampled (arrival.hpp), parsed
 /// from a trace line, or built directly by tests.
 struct JobSpec {
   int id = 0;
   Time arrival = 0;
   JobKind kind = JobKind::kMicroWrite;
-  JobSystem system = JobSystem::kUniviStor;
+  workload::SystemKind system = workload::SystemKind::kUniviStor;
   int procs = 4;                 // client ranks
   Bytes bytes_per_rank = 4_MiB;  // per step for kVpic
   int steps = 1;                 // kVpic checkpoint steps
@@ -53,7 +51,7 @@ struct JobSpec {
   /// Burst-buffer reservation the job asks the cluster scheduler for.
   /// Zero for jobs that never touch the BB (Lustre, PFS-direct).
   Bytes BbDemand() const {
-    if (system == JobSystem::kLustre || first_layer >= 3) return 0;
+    if (system == workload::SystemKind::kLustre || first_layer >= 3) return 0;
     return TotalBytes();
   }
 

@@ -28,8 +28,8 @@ std::string FmtDouble(double v) {
 
 /// Memoization key: every job field that shapes the solo run.
 std::string SoloKey(const JobSpec& spec, int width, Bytes bb_grant) {
-  return std::string(JobKindName(spec.kind)) + "/" + JobSystemName(spec.system) + "/p" +
-         std::to_string(spec.procs) + "/b" + std::to_string(spec.bytes_per_rank) + "/s" +
+  return std::string(JobKindName(spec.kind)) + "/" + workload::SystemKindName(spec.system) +
+         "/p" + std::to_string(spec.procs) + "/b" + std::to_string(spec.bytes_per_rank) + "/s" +
          std::to_string(spec.steps) + "/c" + FmtDouble(spec.compute_time) + "/l" +
          std::to_string(spec.first_layer) + "/w" + std::to_string(width) + "/g" +
          std::to_string(bb_grant) + "/e" + (spec.ec ? "1" : "0");
@@ -90,7 +90,7 @@ Bytes ClusterSim::ClampedDemand(const JobSpec& spec) const {
 }
 
 const univistor::UniviStor* ClusterSim::system(int job) const {
-  return jobs_.at(static_cast<std::size_t>(job)).system.get();
+  return jobs_.at(static_cast<std::size_t>(job)).sut.univistor.get();
 }
 
 bool ClusterSim::JobOnNode(int job, int node) const {
@@ -200,7 +200,8 @@ ClusterSim::SoloStats ClusterSim::SoloRunUncached(const JobSpec& spec, const Sol
   stats.elapsed = job.finished >= 0 ? job.finished : solo.engine().Now();
   // Contention-free drain baseline: total seconds this job's flushes (BB ->
   // PFS drains, including the flush-on-close wait) take when it runs alone.
-  stats.flush_wait = job.system != nullptr ? job.system->flush_stats().total_flush_time : 0;
+  const univistor::UniviStor* sys = job.sut.univistor.get();
+  stats.flush_wait = sys != nullptr ? sys->flush_stats().total_flush_time : 0;
   return stats;
 }
 
@@ -255,33 +256,23 @@ sim::Task ClusterSim::JobLifecycle(int idx) {
 
 sim::Task ClusterSim::ExecuteJob(workload::Scenario& sc, JobState& job, bool live) {
   const JobSpec& spec = job.spec;
-  vmpi::AdioDriver* driver = nullptr;
-  if (spec.system == JobSystem::kUniviStor) {
-    univistor::Config cfg = options_.base_config;
-    cfg.first_cache_layer = FirstLayer(spec.first_layer);
-    // A zero grant must mean "no BB layer", but bb_capacity_limit == 0
-    // means "the whole BB" — 1 byte is below any chunk size, so the
-    // cascade drops the BB log and spills to the PFS instead.
-    cfg.bb_capacity_limit = std::max<Bytes>(job.bb_grant, 1);
-    // Per-job EC opt-in layers onto the base config's shard counts (which
-    // default to 4+2; Pfs::Create clamps to the machine's OST count).
-    if (spec.ec) cfg.ec.enabled = true;
-    job.system =
-        std::make_unique<univistor::UniviStor>(sc.runtime(), sc.pfs(), sc.workflow(), cfg);
-    if (live) {
-      for (int n = 0; n < static_cast<int>(node_alive_.size()); ++n)
-        if (node_alive_[static_cast<std::size_t>(n)] == 0) job.system->FailNode(n);
-      if (injector_ != nullptr) job.system->AttachFaults(injector_);
-    }
-    job.uvs_driver = std::make_unique<univistor::UniviStorDriver>(*job.system);
-    driver = job.uvs_driver.get();
-  } else {
-    baselines::LustreDriver::Options opt;
-    opt.stripe.stripe_count = sc.pfs().ost_count();
-    job.lustre_driver =
-        std::make_unique<baselines::LustreDriver>(sc.runtime(), sc.pfs(), opt);
-    driver = job.lustre_driver.get();
+  univistor::Config cfg = options_.base_config;
+  cfg.first_cache_layer = FirstLayer(spec.first_layer);
+  // A zero grant must mean "no BB layer", but bb_capacity_limit == 0
+  // means "the whole BB" — 1 byte is below any chunk size, so the
+  // cascade drops the BB log and spills to the PFS instead.
+  cfg.bb_capacity_limit = std::max<Bytes>(job.bb_grant, 1);
+  // Per-job EC opt-in layers onto the base config's shard counts (which
+  // default to 4+2; Pfs::Create clamps to the machine's OST count).
+  if (spec.ec) cfg.ec.enabled = true;
+  job.sut = workload::BuildSystem(sc, spec.system, cfg);
+  univistor::UniviStor* sys = job.sut.univistor.get();
+  if (live && sys != nullptr) {
+    for (int n = 0; n < static_cast<int>(node_alive_.size()); ++n)
+      if (node_alive_[static_cast<std::size_t>(n)] == 0) sys->FailNode(n);
+    if (injector_ != nullptr) sys->AttachFaults(injector_);
   }
+  vmpi::AdioDriver* driver = job.sut.driver.get();
 
   job.program = sc.runtime().LaunchProgramOn(spec.Name(), spec.procs, job.nodes);
   if (live) {
@@ -315,7 +306,7 @@ sim::Task ClusterSim::ExecuteJob(workload::Scenario& sc, JobState& job, bool liv
     co_await job.ranks_done->Wait();
   }
   job.client_done = sc.engine().Now();
-  if (job.system != nullptr) co_await job.system->WaitAllFlushes();
+  if (sys != nullptr) co_await sys->WaitAllFlushes();
   job.finished = sc.engine().Now();
 }
 
@@ -393,13 +384,14 @@ void ClusterSim::OnJobFinish(int idx) {
   qos.finish = scenario_->engine().Now();
   // Seconds this job's flush drains took beyond its contention-free solo
   // drains: BB drain interference from co-running tenants.
-  const Time drain = job.system != nullptr ? job.system->flush_stats().total_flush_time
-                                           : (job.client_done >= 0 ? qos.finish - job.client_done : 0);
+  const univistor::UniviStor* sys = job.sut.univistor.get();
+  const Time drain = sys != nullptr ? sys->flush_stats().total_flush_time
+                                    : (job.client_done >= 0 ? qos.finish - job.client_done : 0);
   qos.drain_interference = std::max(0.0, drain - job.solo_flush_wait);
-  if (job.system != nullptr) {
-    for (int f = 0; f < job.system->file_count(); ++f)
-      qos.bytes_written += job.system->BytesWritten(static_cast<storage::FileId>(f));
-    qos.lost_bytes = job.system->lost_bytes();
+  if (sys != nullptr) {
+    for (int f = 0; f < sys->file_count(); ++f)
+      qos.bytes_written += sys->BytesWritten(static_cast<storage::FileId>(f));
+    qos.lost_bytes = sys->lost_bytes();
   } else {
     qos.bytes_written = job.spec.TotalBytes();
   }
@@ -419,7 +411,7 @@ void ClusterSim::OnJobFinish(int idx) {
 }
 
 std::string ClusterSim::TenantKey(const JobSpec& spec) {
-  return std::string(JobSystemName(spec.system)) + "/" + JobKindName(spec.kind);
+  return std::string(workload::SystemKindName(spec.system)) + "/" + JobKindName(spec.kind);
 }
 
 void ClusterSim::RecordTelemetry(int idx) {
@@ -556,9 +548,9 @@ void ClusterSim::OnNodeCrash(int node) {
   // Only jobs actually placed on the crashed node lose extents; everyone
   // else keeps running untouched (the multi-tenant crash-targeting fix).
   for (JobState& job : jobs_) {
-    if (!job.started || job.system == nullptr) continue;
+    if (!job.started || job.sut.univistor == nullptr) continue;
     if (std::find(job.nodes.begin(), job.nodes.end(), node) == job.nodes.end()) continue;
-    job.system->FailNode(node);
+    job.sut.univistor->FailNode(node);
   }
   TrySchedule();
 }
@@ -578,7 +570,8 @@ std::string ClusterSim::JobTraceJson() const {
     out += "{\"id\":" + std::to_string(job.spec.id);
     out += ",\"name\":\"" + job.spec.Name() + "\"";
     out += ",\"kind\":\"" + std::string(JobKindName(job.spec.kind)) + "\"";
-    out += ",\"system\":\"" + std::string(JobSystemName(job.spec.system)) + "\"";
+    out += ",\"system\":\"" + std::string(workload::SystemKindName(job.spec.system)) +
+           "\"";
     out += ",\"procs\":" + std::to_string(job.spec.procs);
     out += ",\"bytes_per_rank\":" + std::to_string(job.spec.bytes_per_rank);
     out += ",\"steps\":" + std::to_string(job.spec.steps);

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "src/baselines/lustre_driver.hpp"
 #include "src/cluster/job.hpp"
 #include "src/cluster/scheduler.hpp"
 #include "src/h5lite/h5file.hpp"
@@ -31,8 +30,8 @@
 #include "src/obs/slo.hpp"
 #include "src/sim/event.hpp"
 #include "src/univistor/config.hpp"
-#include "src/univistor/driver.hpp"
 #include "src/univistor/system.hpp"
+#include "src/workload/deployment.hpp"
 #include "src/workload/scenario.hpp"
 #include "src/workload/vpic.hpp"
 
@@ -123,10 +122,6 @@ class ClusterSim {
   obs::QuantileSketch ClusterStretchSketch() const;
   obs::QuantileSketch ClusterWaitSketch() const;
   const std::vector<obs::SloTracker>& cluster_slos() const { return cluster_slos_; }
-  /// True when any completed job violated any SLO threshold.
-  bool JobViolatedSlo(int job) const {
-    return job_slo_violated_.at(static_cast<std::size_t>(job)) != 0;
-  }
   /// The "telemetry" run-report block (univistor.telemetry.v1): per-tenant
   /// sketch summaries plus the merged cluster-wide rollup. Deterministic.
   std::string TelemetryJson() const;
@@ -157,9 +152,7 @@ class ClusterSim {
     bool started = false;
     bool completed = false;
     std::unique_ptr<sim::Event> start_event;
-    std::unique_ptr<univistor::UniviStor> system;
-    std::unique_ptr<univistor::UniviStorDriver> uvs_driver;
-    std::unique_ptr<baselines::LustreDriver> lustre_driver;
+    workload::SystemUnderTest sut;
     std::vector<std::unique_ptr<h5lite::H5File>> files;
     std::unique_ptr<workload::VpicRun> vpic;
     vmpi::ProgramId program = -1;

@@ -1,5 +1,7 @@
 #include "src/fault/injector.hpp"
 
+#include <algorithm>
+
 #include "src/obs/recorder.hpp"
 
 namespace uvs::fault {
@@ -7,13 +9,15 @@ namespace uvs::fault {
 void Injector::Arm() {
   if (armed_) return;
   armed_ = true;
+  // Times already past fire now; the engine never schedules into the past.
+  const auto from_now = [this](Time at) { return std::max(at, engine_->Now()); };
   for (const FaultEvent& ev : plan_.events) {
     // The FaultEvent copy in the lambda exceeds the engine's inline-event
     // budget, so these land on the boxed path — fine for a handful of
     // events per run.
-    engine_->Schedule(ev.at, [this, ev] { Apply(ev); });
+    engine_->Schedule(from_now(ev.at), [this, ev] { Apply(ev); });
     if (ev.kind != EventKind::kNodeCrash && ev.duration > 0.0)
-      engine_->Schedule(ev.at + ev.duration, [this, ev] { EndWindow(ev); });
+      engine_->Schedule(from_now(ev.at + ev.duration), [this, ev] { EndWindow(ev); });
   }
 }
 

@@ -1,8 +1,8 @@
 #include "src/fault/plan.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+
+#include "src/common/parse.hpp"
 
 namespace uvs::fault {
 namespace {
@@ -26,18 +26,18 @@ std::vector<std::string> Split(const std::string& s, char sep) {
   }
 }
 
+// Strict parses (src/common/parse.hpp) into an out-parameter, for the
+// bool-returning key=value callbacks below.
 bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
+  const Result<double> parsed = uvs::ParseDouble(s);
+  if (parsed.ok()) *out = *parsed;
+  return parsed.ok();
 }
 
 bool ParseInt(const std::string& s, int* out) {
-  double v = 0.0;
-  if (!ParseDouble(s, &v) || v != static_cast<double>(static_cast<int>(v))) return false;
-  *out = static_cast<int>(v);
-  return true;
+  const Result<int> parsed = uvs::ParseInt<int>(s);
+  if (parsed.ok()) *out = *parsed;
+  return parsed.ok();
 }
 
 // "T" or "T+D" after the '@'.

@@ -24,11 +24,6 @@ sim::Task Network::Transfer(int src_node, int dst_node, Bytes bytes) {
   co_await sim::WhenAll(engine, std::move(legs));
 }
 
-sim::Task Network::SendMessage(int src_node, int dst_node) {
-  sim::Engine& engine = cluster_->engine();
-  if (src_node != dst_node) co_await engine.Delay(rpc_latency_);
-}
-
 sim::Task Network::RoundTrip(int src_node, int dst_node) {
   sim::Engine& engine = cluster_->engine();
   if (src_node != dst_node) co_await engine.Delay(2 * rpc_latency_);

@@ -19,9 +19,6 @@ class Network {
   /// this level (they are charged to the DRAM pools by the caller).
   sim::Task Transfer(int src_node, int dst_node, Bytes bytes);
 
-  /// One-way small-message latency (requests, acks).
-  sim::Task SendMessage(int src_node, int dst_node);
-
   /// Request/response pair with no payload to speak of.
   sim::Task RoundTrip(int src_node, int dst_node);
 

@@ -238,11 +238,6 @@ class Recorder {
                                KindOf(category, name), tag.cat});
     return tag.self;
   }
-  /// Zero-duration marker.
-  void AddInstant(const char* category, const char* name, Track track, Time at,
-                  Bytes bytes = kNoBytes) {
-    AddSpan(category, name, track, at, at, bytes);
-  }
 
   /// Allocates a fresh span identity (for spans whose children need a
   /// causal parent before the span itself is emitted).

@@ -105,10 +105,6 @@ class Engine {
   void Schedule(Time at, F&& fn) {
     heap_.PushCallback(Clamp(at), next_seq_++, EventHeap::kNoSlot, std::forward<F>(fn));
   }
-  template <typename F>
-  void ScheduleNow(F&& fn) {
-    Schedule(now_, std::forward<F>(fn));
-  }
 
   /// Schedules a raw coroutine resumption — the kernel's cheapest event
   /// (one 16-byte key push + pool write, no allocation, no type erasure).

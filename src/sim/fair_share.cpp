@@ -1,6 +1,8 @@
 #include "src/sim/fair_share.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 namespace uvs::sim {
 
@@ -77,7 +79,13 @@ void FairSharePool::RescheduleTimer() {
   if (heap_.empty()) return;
   const Bandwidth rate = RatePerFlow(heap_.size());
   const double remaining = std::max(0.0, heap_.top()->vfinish - vnow_);
-  const Time at = engine_->Now() + remaining / rate;
+  const Time now = engine_->Now();
+  Time at = now + remaining / rate;
+  // Far from t=0 a short transfer can round to no time at all; without at
+  // least one step of the clock the timer would refire with no progress
+  // forever.
+  if (at <= now && remaining > kResidualEpsilonBytes)
+    at = std::nextafter(now, std::numeric_limits<Time>::infinity());
   timer_ = engine_->ScheduleCancellable(at, [this] { OnTimer(); });
 }
 

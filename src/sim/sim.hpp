@@ -1,7 +1,6 @@
 // Umbrella header for the discrete-event simulation kernel.
 #pragma once
 
-#include "src/sim/channel.hpp"   // IWYU pragma: export
 #include "src/sim/engine.hpp"    // IWYU pragma: export
 #include "src/sim/event.hpp"     // IWYU pragma: export
 #include "src/sim/fair_share.hpp"  // IWYU pragma: export

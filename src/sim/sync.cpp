@@ -22,14 +22,4 @@ void Mutex::Unlock() {
   engine_->ScheduleResumeNow(handle);
 }
 
-void Semaphore::Release() {
-  if (waiters_.empty()) {
-    ++permits_;
-    return;
-  }
-  auto handle = waiters_.front();
-  waiters_.pop_front();
-  engine_->ScheduleResumeNow(handle);
-}
-
 }  // namespace uvs::sim

@@ -1,4 +1,4 @@
-// Mutual exclusion and counting semaphore for simulation processes.
+// Mutual exclusion for simulation processes.
 // FIFO wakeup order; ownership handed over directly on unlock so the lock
 // can never be barged by a process scheduled in between.
 #pragma once
@@ -68,42 +68,6 @@ class Mutex {
 
   Engine* engine_;
   bool locked_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
-};
-
-/// Counting semaphore with FIFO handover semantics.
-class Semaphore {
- public:
-  Semaphore(Engine& engine, std::size_t permits) : engine_(&engine), permits_(permits) {}
-  Semaphore(const Semaphore&) = delete;
-  Semaphore& operator=(const Semaphore&) = delete;
-
-  std::size_t permits() const { return permits_; }
-  std::size_t waiters() const { return waiters_.size(); }
-
-  auto Acquire() {
-    struct Awaiter {
-      Semaphore* sem;
-      bool await_ready() {
-        if (sem->permits_ > 0) {
-          --sem->permits_;
-          return true;
-        }
-        return false;
-      }
-      void await_suspend(std::coroutine_handle<> h) { sem->waiters_.push_back(h); }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this};
-  }
-
-  /// Returns one permit; wakes the oldest waiter if any (the permit is
-  /// handed to it directly).
-  void Release();
-
- private:
-  Engine* engine_;
-  std::size_t permits_;
   std::deque<std::coroutine_handle<>> waiters_;
 };
 

@@ -570,11 +570,6 @@ void Pfs::FailOst(int ost) {
   }
 }
 
-bool Pfs::OstFailed(int ost) const {
-  return ost >= 0 && ost < static_cast<int>(ost_failed_.size()) &&
-         ost_failed_[static_cast<std::size_t>(ost)];
-}
-
 int Pfs::failed_ost_count() const { return failed_osts_; }
 
 int Pfs::peak_failed_osts() const { return peak_failed_osts_; }
@@ -596,16 +591,6 @@ bool Pfs::InjectLatentError(int ost) {
     }
   }
   return false;
-}
-
-int Pfs::MinParityShards() const {
-  int min_m = -1;
-  for (const auto& file : files_) {
-    const int m = file->stripe.parity_shards;
-    if (m <= 0) continue;
-    min_m = min_m < 0 ? m : std::min(min_m, m);
-  }
-  return min_m;
 }
 
 sim::Task Pfs::RebuildOst(int ost) {

@@ -163,7 +163,6 @@ class Pfs {
   /// unavailable until RebuildOst relocates it. Plain-striped files are
   /// not tracked (they have no redundancy model to account against).
   void FailOst(int ost);
-  bool OstFailed(int ost) const;
   int failed_ost_count() const;
   int peak_failed_osts() const;
   /// True once any stripe ever had more than its m shards dead or
@@ -197,8 +196,6 @@ class Pfs {
 
   const EcStats& ec_stats() const { return ec_stats_; }
   Bytes ec_lost_bytes() const { return ec_stats_.lost_bytes; }
-  /// Smallest parity count among erasure-coded files; -1 when none exist.
-  int MinParityShards() const;
 
  private:
   /// Per-stripe shard bookkeeping for erasure-coded files. `version` is

@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "src/baselines/data_elevator.hpp"
-#include "src/baselines/lustre_driver.hpp"
 #include "src/cluster/job.hpp"
 #include "src/cluster/simulation.hpp"
 #include "src/common/rng.hpp"
@@ -17,9 +15,9 @@
 #include "src/obs/recorder.hpp"
 #include "src/storage/pfs.hpp"
 #include "src/univistor/config.hpp"
-#include "src/univistor/driver.hpp"
 #include "src/univistor/system.hpp"
 #include "src/workload/bdcats.hpp"
+#include "src/workload/deployment.hpp"
 #include "src/workload/hdf_micro.hpp"
 #include "src/workload/scenario.hpp"
 #include "src/workload/vpic.hpp"
@@ -27,6 +25,9 @@
 namespace uvs::testkit {
 
 namespace {
+
+using workload::SystemKind;
+using workload::SystemUnderTest;
 
 constexpr const char* kMicroFileName = "fuzz.h5";
 constexpr const char* kVpicPrefix = "fuzz_vpic";
@@ -66,69 +67,6 @@ univistor::Config BuildConfig(const ScenarioSpec& spec) {
     config.ec.parity_shards = spec.ec_m;
   }
   return config;
-}
-
-/// Routes the EC plan events (ostfail/latent/scrub) into the scenario's
-/// shared Pfs; with recovery on, an OST failure also spawns the rebuild.
-void WireEcHandlers(fault::Injector& injector, workload::Scenario& scenario,
-                    const ScenarioSpec& spec) {
-  storage::Pfs* pfs = &scenario.pfs();
-  sim::Engine* engine = &scenario.engine();
-  const bool recovery = spec.recovery;
-  injector.AddOstFailHandler([pfs, engine, recovery](int ost) {
-    pfs->FailOst(ost);
-    if (recovery) engine->Spawn(pfs->RebuildOst(ost), "ec-rebuild");
-  });
-  injector.AddLatentHandler([pfs](int ost) { pfs->InjectLatentError(ost); });
-  const Time interval = univistor::Config::EcConfig{}.scrub_stripe_interval;
-  injector.AddScrubHandler(
-      [pfs, engine, interval] { engine->Spawn(pfs->ScrubPass(interval), "ec-scrub"); });
-}
-
-/// One full background scrub pass after the workload drained (spec.scrub).
-void RunFinalScrub(workload::Scenario& scenario) {
-  scenario.engine().Spawn(
-      scenario.pfs().ScrubPass(univistor::Config::EcConfig{}.scrub_stripe_interval),
-      "ec-scrub-final");
-  scenario.engine().Run();
-}
-
-/// The system under test behind one AdioDriver.
-struct SystemUnderTest {
-  std::unique_ptr<univistor::UniviStor> univistor;
-  std::unique_ptr<univistor::UniviStorDriver> univistor_driver;
-  std::unique_ptr<baselines::LustreDriver> lustre;
-  std::unique_ptr<baselines::DataElevator> data_elevator;
-  std::unique_ptr<baselines::DataElevatorDriver> data_elevator_driver;
-  vmpi::AdioDriver* driver = nullptr;
-};
-
-SystemUnderTest BuildSystem(const ScenarioSpec& spec, workload::Scenario& scenario) {
-  SystemUnderTest sut;
-  switch (spec.system) {
-    case SystemKind::kUniviStor:
-      sut.univistor = std::make_unique<univistor::UniviStor>(
-          scenario.runtime(), scenario.pfs(), scenario.workflow(), BuildConfig(spec));
-      sut.univistor_driver = std::make_unique<univistor::UniviStorDriver>(*sut.univistor);
-      sut.driver = sut.univistor_driver.get();
-      break;
-    case SystemKind::kLustre: {
-      baselines::LustreDriver::Options options;
-      options.stripe.stripe_count = spec.osts;  // the default 248 assumes Cori
-      sut.lustre = std::make_unique<baselines::LustreDriver>(scenario.runtime(), scenario.pfs(),
-                                                             options);
-      sut.driver = sut.lustre.get();
-      break;
-    }
-    case SystemKind::kDataElevator:
-      sut.data_elevator =
-          std::make_unique<baselines::DataElevator>(scenario.runtime(), scenario.pfs());
-      sut.data_elevator_driver =
-          std::make_unique<baselines::DataElevatorDriver>(*sut.data_elevator);
-      sut.driver = sut.data_elevator_driver.get();
-      break;
-  }
-  return sut;
 }
 
 /// Fails the spec'd node at the spec'd point and records the exact
@@ -293,7 +231,7 @@ std::vector<cluster::JobSpec> BuildJobMix(const ScenarioSpec& spec) {
                : spec.workload == WorkloadKind::kMicroReadBack
                    ? cluster::JobKind::kMicroReadBack
                    : cluster::JobKind::kMicroWrite;
-    job.system = cluster::JobSystem::kUniviStor;  // parse rejects baselines for jobs>1
+    job.system = SystemKind::kUniviStor;  // parse rejects baselines for jobs>1
     job.procs = std::max(1, spec.procs / spec.jobs);
     job.bytes_per_rank = spec.bytes_per_rank;
     job.steps = spec.workload == WorkloadKind::kVpic ? spec.steps : 1;
@@ -336,12 +274,14 @@ RunOutcome RunClusterScenario(const ScenarioSpec& spec, const RunOptions& option
       }
       injector = std::make_unique<fault::Injector>(scenario.engine(), *plan);
       sim.AttachInjector(*injector);
-      if (spec.ec_k > 0) WireEcHandlers(*injector, scenario, spec);
+      workload::WireFaults(*injector, scenario, nullptr, spec.recovery,
+                           workload::kScrubStripeInterval);
       injector->Arm();
     }
 
     sim.Run();
-    if (spec.ec_k > 0 && spec.scrub) RunFinalScrub(scenario);
+    if (spec.ec_k > 0 && spec.scrub)
+      workload::RunFinalScrub(scenario, workload::kScrubStripeInterval);
     outcome.sim_time = scenario.engine().Now();
     for (int j = 0; j < sim.job_count(); ++j) {
       if (const univistor::UniviStor* sys = sim.system(j)) {
@@ -421,7 +361,7 @@ RunOutcome RunSingleScenario(const ScenarioSpec& spec, const RunOptions& options
         .workflow_enabled = spec.workload == WorkloadKind::kWorkflow,
         .cluster_params = BuildClusterParams(spec)};
     workload::Scenario scenario(scenario_options);
-    SystemUnderTest sut = BuildSystem(spec, scenario);
+    SystemUnderTest sut = workload::BuildSystem(scenario, spec.system, BuildConfig(spec));
 
     // Seed-timed fault plans: arm the injector before the workload starts
     // so its events interleave with writes, flushes, and reads.
@@ -433,16 +373,15 @@ RunOutcome RunSingleScenario(const ScenarioSpec& spec, const RunOptions& options
         return outcome;
       }
       injector = std::make_unique<fault::Injector>(scenario.engine(), *plan);
-      injector->set_cluster(&scenario.cluster());
-      injector->SetCrashHandler([&sut](int node) { sut.univistor->FailNode(node); });
-      if (spec.ec_k > 0) WireEcHandlers(*injector, scenario, spec);
-      sut.univistor->AttachFaults(injector.get());
+      workload::WireFaults(*injector, scenario, sut.univistor.get(), spec.recovery,
+                           workload::kScrubStripeInterval);
       injector->Arm();
     }
 
     const auto names = RunWorkload(spec, scenario, sut, outcome);
     scenario.engine().Run();  // final drain (asynchronous flushes)
-    if (spec.ec_k > 0 && spec.scrub) RunFinalScrub(scenario);
+    if (spec.ec_k > 0 && spec.scrub)
+      workload::RunFinalScrub(scenario, workload::kScrubStripeInterval);
     outcome.sim_time = scenario.engine().Now();
     CollectFileSizes(names, sut, scenario, outcome);
     if (sut.univistor != nullptr) outcome.lost_bytes = sut.univistor->lost_bytes();

@@ -1,26 +1,18 @@
 #include "src/testkit/scenario_spec.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/common/parse.hpp"
 #include "src/common/rng.hpp"
 #include "src/fault/plan.hpp"
 
 namespace uvs::testkit {
 
-const char* SystemKindName(SystemKind kind) {
-  switch (kind) {
-    case SystemKind::kUniviStor: return "univistor";
-    case SystemKind::kLustre: return "lustre";
-    case SystemKind::kDataElevator: return "data_elevator";
-  }
-  return "?";
-}
+using workload::SystemKind;
 
 const char* WorkloadKindName(WorkloadKind kind) {
   switch (kind) {
@@ -169,7 +161,7 @@ std::string ScenarioSpec::ToString() const {
       << " ssd=" << (has_ssd ? 1 : 0) << " ssd_mb=" << ssd_capacity / 1_MiB
       << " dram_mb=" << dram_cache_capacity / 1_MiB << " bb_nodes=" << bb_nodes
       << " bb_mb=" << bb_capacity_per_node / 1_MiB << " osts=" << osts
-      << " system=" << SystemKindName(system) << " ia=" << (ia ? 1 : 0)
+      << " system=" << workload::SystemKindName(system) << " ia=" << (ia ? 1 : 0)
       << " coc=" << (coc ? 1 : 0) << " adpt=" << (adpt ? 1 : 0) << " la=" << (la ? 1 : 0)
       << " rep=" << (replicate_volatile ? 1 : 0) << " promo=" << (promote_hot_reads ? 1 : 0)
       << " foc=" << (flush_on_close ? 1 : 0) << " layer=" << first_layer
@@ -196,22 +188,6 @@ std::string ScenarioSpec::ReproCommand() const {
 namespace {
 
 constexpr Bytes kMaxMib = std::numeric_limits<Bytes>::max() / 1_MiB;
-
-Result<long long> ParseInt(const std::string& value) {
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0')
-    return InvalidArgumentError("not an integer: '" + value + "'");
-  return parsed;
-}
-
-Result<double> ParseDouble(const std::string& value) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0')
-    return InvalidArgumentError("not a number: '" + value + "'");
-  return parsed;
-}
 
 }  // namespace
 
@@ -257,12 +233,12 @@ Result<ScenarioSpec> ParseScenarioSpec(const std::string& text) {
       const std::size_t plus = value.find('+');
       if (plus == std::string::npos || plus == 0 || plus + 1 == value.size())
         return InvalidArgumentError("ec must be K+M, got '" + value + "'");
-      auto k = ParseInt(value.substr(0, plus));
+      auto k = ParseInt<int>(value.substr(0, plus));
       if (!k.ok()) return k.status();
-      auto m = ParseInt(value.substr(plus + 1));
+      auto m = ParseInt<int>(value.substr(plus + 1));
       if (!m.ok()) return m.status();
-      spec.ec_k = static_cast<int>(*k);
-      spec.ec_m = static_cast<int>(*m);
+      spec.ec_k = *k;
+      spec.ec_m = *m;
       continue;
     }
     if (key == "compute") {
@@ -277,24 +253,26 @@ Result<ScenarioSpec> ParseScenarioSpec(const std::string& text) {
       spec.arrival = *parsed;
       continue;
     }
-    if (key == "seed") {  // full uint64 range; must not go through strtoll
-      char* end = nullptr;
-      spec.seed = std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0')
-        return InvalidArgumentError("not a seed: '" + value + "'");
+    if (key == "seed") {  // the full uint64 range
+      auto parsed = ParseInt<std::uint64_t>(value);
+      if (!parsed.ok()) return parsed.status();
+      spec.seed = *parsed;
       continue;
     }
 
-    auto parsed = ParseInt(value);
+    auto parsed = ParseInt<long long>(value);
     if (!parsed.ok()) return parsed.status();
     const long long n = *parsed;
     // Sizes in MiB are checked before scaling to bytes so they cannot wrap.
     // Chunk and metadata-range sizes are divisors, so they must be positive.
+    // Every other key fills an int.
     const bool divisor = key == "chunk_mb" || key == "md_mb";
     if (divisor || key == "mb" || key == "dram_mb" || key == "bb_mb" || key == "ssd_mb") {
       const long long min = divisor ? 1 : 0;
       if (n < min) return InvalidArgumentError(key + " must be >= " + std::to_string(min));
       if (static_cast<Bytes>(n) > kMaxMib) return InvalidArgumentError(key + " is too large");
+    } else if (n < std::numeric_limits<int>::min() || n > std::numeric_limits<int>::max()) {
+      return InvalidArgumentError(key + " is out of range");
     }
     if (key == "procs") spec.procs = static_cast<int>(n);
     else if (key == "ppn") spec.procs_per_node = static_cast<int>(n);

@@ -13,14 +13,13 @@
 
 #include "src/common/status.hpp"
 #include "src/common/units.hpp"
+#include "src/workload/deployment.hpp"
 
 namespace uvs::testkit {
 
-enum class SystemKind : std::uint8_t { kUniviStor = 0, kLustre, kDataElevator };
 enum class WorkloadKind : std::uint8_t { kMicro = 0, kMicroReadBack, kVpic, kWorkflow };
 enum class FailureMode : std::uint8_t { kNone = 0, kAfterWrites, kDuringFlush, kPlan };
 
-const char* SystemKindName(SystemKind kind);
 const char* WorkloadKindName(WorkloadKind kind);
 const char* FailureModeName(FailureMode mode);
 
@@ -38,7 +37,7 @@ struct ScenarioSpec {
   int osts = 16;
 
   // --- System under test. ---
-  SystemKind system = SystemKind::kUniviStor;
+  workload::SystemKind system = workload::SystemKind::kUniviStor;
 
   // --- UniviStor config toggles (ignored for the baselines). ---
   bool ia = true;      // interference-aware flush + placement policy

@@ -23,7 +23,7 @@ void Normalize(ScenarioSpec& spec) {
     spec.failure = FailureMode::kNone;
   // EC only exists on the univistor path and needs k+m distinct OSTs; a
   // transform that breaks either drops erasure coding entirely.
-  if (spec.system != SystemKind::kUniviStor) spec.ec_k = 0;
+  if (spec.system != workload::SystemKind::kUniviStor) spec.ec_k = 0;
   if (spec.ec_k > 0 && spec.ec_k + spec.ec_m > spec.osts) spec.ec_k = 0;
   if (spec.ec_k == 0) {
     spec.ec_m = 0;

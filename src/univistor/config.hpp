@@ -53,10 +53,6 @@ struct Config {
   /// Adaptive striping parameters (alpha, Smax).
   placement::StripingParams striping;
 
-  /// HDF5-level metadata requests per open/close; each rank pays them
-  /// without COC, only the root with COC.
-  int md_ops_per_open = 4;
-
   // --- Future-work extensions the paper sketches in §V. ---
 
   /// Resilience for volatile layers: asynchronously replicate DRAM/SSD
@@ -72,18 +68,12 @@ struct Config {
 
   /// Active failure recovery (see docs/FAULTS.md). Off, node failure is
   /// pure loss (legacy FailNode semantics); on, the system retries flushes
-  /// through fault windows, re-stripes replica-covered extents of a dead
-  /// node to the PFS, repartitions metadata off dead servers, and can fall
-  /// back to write-through "safe mode" under replication lag.
+  /// through fault windows (with fault::BackoffPolicy's defaults),
+  /// re-stripes replica-covered extents of a dead node to the PFS,
+  /// repartitions metadata off dead servers, and can fall back to
+  /// write-through "safe mode" under replication lag.
   struct RecoveryConfig {
     bool enabled = false;
-    /// Flush transfer retries while a timeout fault window is open.
-    int max_transfer_retries = 6;
-    Time retry_initial_backoff = 1_ms;
-    double retry_backoff_factor = 2.0;
-    Time retry_max_backoff = 0.5_sec;
-    /// Full-jitter fraction applied to each backoff delay.
-    double retry_jitter = 0.1;
     /// Write-through safe mode: when more than this many bytes of dirty
     /// volatile data await replication, writes block on their replica
     /// copy instead of acknowledging early. 0 disables safe mode.
@@ -100,8 +90,6 @@ struct Config {
     bool enabled = false;
     int data_shards = 4;    // k
     int parity_shards = 2;  // m
-    /// Pacing between stripes of a background scrub pass.
-    Time scrub_stripe_interval = 0.0001;
   };
   EcConfig ec;
 };

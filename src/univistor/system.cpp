@@ -14,6 +14,10 @@ namespace uvs::univistor {
 
 namespace {
 
+/// HDF5-level metadata requests per open/close; each rank pays them
+/// without COC, only the root with COC.
+constexpr int kMdOpsPerOpen = 4;
+
 sim::Task PoolLeg(sim::FairSharePool& pool, Bytes bytes) { co_await pool.Transfer(bytes); }
 
 sim::Task BbLeg(hw::BurstBuffer& bb, int bb_node, Bytes bytes, obs::SpanRef parent = {}) {
@@ -226,9 +230,9 @@ sim::Task UniviStor::OpenMetadata(vmpi::ProgramId program, int rank, storage::Fi
   const obs::Track track = obs::Track::Rank(node, program, rank);
   if (config_.collective_open_close) {
     // Root-only metadata operation; the driver broadcasts the result.
-    if (rank == 0) co_await MetadataRpc(node, server, config_.md_ops_per_open, track, parent);
+    if (rank == 0) co_await MetadataRpc(node, server, kMdOpsPerOpen, track, parent);
   } else {
-    co_await MetadataRpc(node, server, config_.md_ops_per_open, track, parent);
+    co_await MetadataRpc(node, server, kMdOpsPerOpen, track, parent);
   }
 }
 
@@ -333,7 +337,8 @@ sim::Task UniviStor::Write(vmpi::ProgramId program, int rank, storage::FileId fi
     node_md_buffer_[static_cast<std::size_t>(node)].Insert(record);
     cursor += placement.extent.len;
   }
-  info.logical_size = std::max(info.logical_size, offset + len);
+  // A zero-length write extends nothing, as on the PFS.
+  if (len > 0) info.logical_size = std::max(info.logical_size, offset + len);
   info.bytes_written += len;
 
   // Data movement and the piggybacked metadata RPCs.
@@ -522,11 +527,7 @@ sim::Task UniviStor::RecoverNodeTask(int node) {
 }
 
 sim::Task UniviStor::AwaitTransferClearance() {
-  const fault::BackoffPolicy policy{.max_retries = config_.recovery.max_transfer_retries,
-                                    .initial = config_.recovery.retry_initial_backoff,
-                                    .factor = config_.recovery.retry_backoff_factor,
-                                    .max = config_.recovery.retry_max_backoff,
-                                    .jitter = config_.recovery.retry_jitter};
+  const fault::BackoffPolicy policy{};
   int attempt = 0;
   while (faults_->TransferFaultActive() && attempt < policy.max_retries) {
     const Time delay = fault::BackoffDelay(policy, attempt, retry_rng_);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <set>
 
+#include "src/common/parse.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/stats.hpp"
 #include "src/common/status.hpp"
@@ -190,6 +191,28 @@ TEST(Strings, HumanTime) {
   EXPECT_EQ(HumanTime(1.5), "1.50 s");
   EXPECT_EQ(HumanTime(2e-3), "2.00 ms");
   EXPECT_EQ(HumanTime(3e-6), "3.00 us");
+}
+
+TEST(Parse, IntegersMustFillTheStringAndFitTheType) {
+  EXPECT_EQ(*ParseInt<int>("42"), 42);
+  EXPECT_EQ(*ParseInt<int>("-7"), -7);
+  EXPECT_EQ(*ParseInt<int>("2147483647"), 2147483647);
+  EXPECT_EQ(*ParseInt<std::uint64_t>("18446744073709551615"), ~std::uint64_t{0});
+  for (const char* bad : {"", "abc", "3x", "1e3", "1.5", "4+1"})
+    EXPECT_EQ(ParseInt<int>(bad).status().code(), StatusCode::kInvalidArgument) << bad;
+  for (const char* big : {"2147483648", "-2147483649", "4294967300", "99999999999999999999"})
+    EXPECT_EQ(ParseInt<int>(big).status().code(), StatusCode::kOutOfRange) << big;
+  EXPECT_FALSE(ParseInt<long long>("9223372036854775808").ok());
+  EXPECT_FALSE(ParseInt<std::uint64_t>("-1").ok()) << "no wrap to 2^64 - 1";
+}
+
+TEST(Parse, DoublesMustBeFinite) {
+  EXPECT_DOUBLE_EQ(*ParseDouble("0.25"), 0.25);
+  EXPECT_DOUBLE_EQ(*ParseDouble("1e-3"), 1e-3);
+  for (const char* bad : {"", "x", "0.5s"})
+    EXPECT_EQ(ParseDouble(bad).status().code(), StatusCode::kInvalidArgument) << bad;
+  for (const char* odd : {"nan", "inf", "-inf", "1e999"})
+    EXPECT_EQ(ParseDouble(odd).status().code(), StatusCode::kOutOfRange) << odd;
 }
 
 TEST(Table, AlignsAndCounts) {

@@ -163,6 +163,11 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
       "latent@0.002",                       // missing ost=K
       "latent@0.002:node=1",                // wrong argument key
       "scrub@0.002:ost=1",                  // scrub takes no arguments
+      "crash@0.002:node=1.5",               // fractional target
+      "crash@0.002:node=1e30",              // target beyond int
+      "crash@0.002:node=4294967297",        // target beyond int
+      "crash@nan:node=1",                   // non-finite time
+      "ost@0.001+inf:ost=3,factor=0.1",     // non-finite duration
   };
   for (const char* spec : bad) {
     EXPECT_FALSE(fault::ParsePlan(spec).ok()) << "should reject: " << spec;

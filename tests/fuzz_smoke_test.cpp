@@ -52,5 +52,24 @@ TEST(FuzzSmokeTest, EcSeedsInFirstTwoFiftySixHoldErasureInvariants) {
   EXPECT_GE(ec_runs, 20) << "EC sampling rate collapsed";
 }
 
+// Hand-written specs for edges the sampler never draws. A zero-byte
+// workload writes nothing, so every file it names must stay empty: a
+// zero-length UniviStor write once extended its file to the write offset
+// while Lustre exposed 0 bytes.
+TEST(FuzzSmokeTest, HandWrittenEdgeSpecsHoldAllInvariants) {
+  for (const char* text :
+       {"procs=4 mb=0 workload=micro", "procs=4 mb=0 workload=micro_read",
+        "procs=4 mb=0 workload=vpic", "procs=4 mb=0 workload=workflow",
+        "procs=4 mb=0 workload=micro jobs=2"}) {
+    const auto spec = ParseScenarioSpec(text);
+    ASSERT_TRUE(spec.ok()) << text << ": " << spec.status().ToString();
+    const RunOutcome outcome = RunScenario(*spec);
+    EXPECT_TRUE(outcome.ok()) << text << "\n" << outcome.report.ToString();
+    EXPECT_FALSE(outcome.file_sizes.empty()) << text;
+    for (const auto& [name, size] : outcome.file_sizes)
+      EXPECT_EQ(size, 0u) << text << ": " << name;
+  }
+}
+
 }  // namespace
 }  // namespace uvs::testkit

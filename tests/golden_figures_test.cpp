@@ -27,7 +27,7 @@ const MicroParams kParams{.bytes_per_proc = 16_MiB, .file_name = "micro.h5"};
 
 double UvsWriteRate(univistor::Config config, bool cfs = false) {
   auto setup = MakeUniviStor(kProcs, config, cfs);
-  const auto t = RunHdfMicro(*setup.scenario, setup.app, *setup.driver, kParams);
+  const auto t = RunHdfMicro(*setup.scenario, setup.app, *setup.system.driver, kParams);
   return t.rate();
 }
 
@@ -55,11 +55,11 @@ TEST(GoldenFig6a, WriteRateOrderingHolds) {
 
   auto de_setup = MakeDataElevator(kProcs);
   const double de =
-      RunHdfMicro(*de_setup.scenario, de_setup.app, *de_setup.driver, kParams).rate();
+      RunHdfMicro(*de_setup.scenario, de_setup.app, *de_setup.system.driver, kParams).rate();
 
   auto lustre_setup = MakeLustre(kProcs);
   const double lustre =
-      RunHdfMicro(*lustre_setup.scenario, lustre_setup.app, *lustre_setup.driver, kParams)
+      RunHdfMicro(*lustre_setup.scenario, lustre_setup.app, *lustre_setup.system.driver, kParams)
           .rate();
 
   EXPECT_GT(dram, bb) << "DRAM tier outruns the burst buffer";
@@ -73,8 +73,8 @@ TEST(GoldenFig6c, UnivistorFlushesFasterThanDataElevator) {
     univistor::Config config;
     config.first_cache_layer = first_layer;
     auto setup = MakeUniviStor(kProcs, config);
-    RunHdfMicro(*setup.scenario, setup.app, *setup.driver, kParams);
-    const auto& stats = setup.system->flush_stats();
+    RunHdfMicro(*setup.scenario, setup.app, *setup.system.driver, kParams);
+    const auto& stats = setup.system.univistor->flush_stats();
     EXPECT_GT(stats.last_flush_duration, 0.0);
     return static_cast<double>(stats.bytes_flushed) / stats.last_flush_duration;
   };
@@ -82,8 +82,8 @@ TEST(GoldenFig6c, UnivistorFlushesFasterThanDataElevator) {
   const double bb = uvs_flush(hw::Layer::kSharedBurstBuffer);
 
   auto de_setup = MakeDataElevator(kProcs);
-  RunHdfMicro(*de_setup.scenario, de_setup.app, *de_setup.driver, kParams);
-  const auto& de_stats = de_setup.system->flush_stats();
+  RunHdfMicro(*de_setup.scenario, de_setup.app, *de_setup.system.driver, kParams);
+  const auto& de_stats = de_setup.system.data_elevator->flush_stats();
   ASSERT_GT(de_stats.last_flush_duration, 0.0);
   const double de = static_cast<double>(de_stats.bytes_flushed) / de_stats.last_flush_duration;
 
@@ -126,11 +126,11 @@ TEST(GoldenFig6aEc, WriteRateOrderingSurvivesErasureCoding) {
 
   auto de_setup = MakeDataElevator(kProcs);
   const double de =
-      RunHdfMicro(*de_setup.scenario, de_setup.app, *de_setup.driver, kParams).rate();
+      RunHdfMicro(*de_setup.scenario, de_setup.app, *de_setup.system.driver, kParams).rate();
 
   auto lustre_setup = MakeLustre(kProcs);
   const double lustre =
-      RunHdfMicro(*lustre_setup.scenario, lustre_setup.app, *lustre_setup.driver, kParams)
+      RunHdfMicro(*lustre_setup.scenario, lustre_setup.app, *lustre_setup.system.driver, kParams)
           .rate();
 
   EXPECT_GT(dram, bb) << "DRAM tier outruns the burst buffer with EC on";
@@ -143,16 +143,16 @@ TEST(GoldenFig6cEc, UnivistorStillFlushesFasterThanDataElevator) {
     univistor::Config config = WithEc();
     config.first_cache_layer = first_layer;
     auto setup = MakeUniviStor(kProcs, config);
-    RunHdfMicro(*setup.scenario, setup.app, *setup.driver, kParams);
-    const auto& stats = setup.system->flush_stats();
+    RunHdfMicro(*setup.scenario, setup.app, *setup.system.driver, kParams);
+    const auto& stats = setup.system.univistor->flush_stats();
     EXPECT_GT(stats.last_flush_duration, 0.0);
     return static_cast<double>(stats.bytes_flushed) / stats.last_flush_duration;
   };
   const double dram = uvs_flush(hw::Layer::kDram);
 
   auto de_setup = MakeDataElevator(kProcs);
-  RunHdfMicro(*de_setup.scenario, de_setup.app, *de_setup.driver, kParams);
-  const auto& de_stats = de_setup.system->flush_stats();
+  RunHdfMicro(*de_setup.scenario, de_setup.app, *de_setup.system.driver, kParams);
+  const auto& de_stats = de_setup.system.data_elevator->flush_stats();
   ASSERT_GT(de_stats.last_flush_duration, 0.0);
   const double de = static_cast<double>(de_stats.bytes_flushed) / de_stats.last_flush_duration;
 

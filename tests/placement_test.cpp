@@ -2,6 +2,8 @@
 // adaptive striping (Eqs. 2–6).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/placement/dhp.hpp"
 #include "src/placement/striping.hpp"
 #include "src/placement/virtual_address.hpp"
@@ -54,14 +56,22 @@ TEST(VirtualAddress, SameVaDifferentProducersNeedProcId) {
 
 class VaRoundTrip : public ::testing::TestWithParam<std::tuple<int, Bytes>> {};
 
+// Encode fails exactly when the address lies at or beyond its layer's log
+// capacity (the last layer, the PFS, is unbounded) and round-trips
+// through Decode otherwise.
 TEST_P(VaRoundTrip, EncodeDecodeIsIdentity) {
   const auto [layer_idx, phys] = GetParam();
-  VirtualAddressCodec codec({1000, 500, 2000, 0});
+  const std::vector<Bytes> capacities{1000, 500, 2000, 0};
+  VirtualAddressCodec codec(capacities);
   const auto layer = static_cast<Layer>(layer_idx);
   auto va = codec.Encode(layer, phys);
-  if (!va.ok()) {
-    GTEST_SKIP() << "address beyond layer capacity";
+  const bool last = layer_idx + 1 == static_cast<int>(capacities.size());
+  if (!last && phys >= capacities[static_cast<std::size_t>(layer_idx)]) {
+    ASSERT_FALSE(va.ok()) << "address beyond layer capacity must not encode";
+    EXPECT_EQ(va.status().code(), StatusCode::kOutOfRange);
+    return;
   }
+  ASSERT_TRUE(va.ok()) << va.status().ToString();
   auto back = codec.Decode(*va);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->layer, layer);

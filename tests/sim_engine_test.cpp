@@ -1,11 +1,10 @@
-// Tests for the DES engine: clocking, ordering, processes, events, channels.
+// Tests for the DES engine: clocking, ordering, processes, events.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "src/sim/channel.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/event.hpp"
 #include "src/sim/task.hpp"
@@ -175,59 +174,6 @@ TEST(Process, DoneEventJoins) {
   engine.Run();
   ASSERT_EQ(join_time.size(), 1u);
   EXPECT_DOUBLE_EQ(join_time[0], 2.0);
-}
-
-Task Producer(Engine& engine, Channel<int>& chan, int count) {
-  for (int i = 0; i < count; ++i) {
-    co_await engine.Delay(1.0);
-    chan.Send(i);
-  }
-}
-
-Task Consumer(Engine& engine, Channel<int>& chan, int count, std::vector<int>& got) {
-  (void)engine;
-  for (int i = 0; i < count; ++i) {
-    int v = co_await chan.Recv();
-    got.push_back(v);
-  }
-}
-
-TEST(Channel, DeliversInFifoOrder) {
-  Engine engine;
-  Channel<int> chan(engine);
-  std::vector<int> got;
-  engine.Spawn(Consumer(engine, chan, 5, got));
-  engine.Spawn(Producer(engine, chan, 5));
-  engine.Run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_DOUBLE_EQ(engine.Now(), 5.0);
-}
-
-TEST(Channel, BufferedSendsConsumedLater) {
-  Engine engine;
-  Channel<int> chan(engine);
-  chan.Send(7);
-  chan.Send(8);
-  EXPECT_EQ(chan.size(), 2u);
-  std::vector<int> got;
-  engine.Spawn(Consumer(engine, chan, 2, got));
-  engine.Run();
-  EXPECT_EQ(got, (std::vector<int>{7, 8}));
-}
-
-TEST(Channel, MultipleReceiversEachGetOneValue) {
-  Engine engine;
-  Channel<int> chan(engine);
-  std::vector<int> got;
-  for (int i = 0; i < 3; ++i) engine.Spawn(Consumer(engine, chan, 1, got));
-  engine.Schedule(1.0, [&] {
-    chan.Send(10);
-    chan.Send(20);
-    chan.Send(30);
-  });
-  engine.Run();
-  ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0] + got[1] + got[2], 60);
 }
 
 TEST(Engine, DelayZeroDoesNotSuspend) {

@@ -1,13 +1,12 @@
 // Property and stress tests for the simulation kernel under randomized
 // workloads: work conservation of the fair-share pool, determinism of the
-// event order, channel stress, and dynamic reconfiguration.
+// event order, and dynamic reconfiguration.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "src/common/rng.hpp"
-#include "src/sim/channel.hpp"
 #include "src/sim/combinators.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/fair_share.hpp"
@@ -203,33 +202,6 @@ TEST(CancellableTimer, RandomizedCancellationIsExact) {
     EXPECT_FALSE(handles[static_cast<std::size_t>(i)].Cancel()) << "fired or already cancelled";
   }
   EXPECT_EQ(engine.cancelled_events(), cancels);
-}
-
-TEST(ChannelStress, ManyProducersManyConsumers) {
-  Engine engine;
-  Channel<int> chan(engine);
-  int consumed = 0;
-  constexpr int kProducers = 20, kPerProducer = 50, kConsumers = 10;
-  for (int p = 0; p < kProducers; ++p) {
-    engine.Spawn([](Engine& e, Channel<int>& c, int id) -> Task {
-      for (int i = 0; i < kPerProducer; ++i) {
-        co_await e.Delay(0.01 * (id + 1));
-        c.Send(id * 1000 + i);
-      }
-    }(engine, chan, p));
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    engine.Spawn([](Channel<int>& chan_ref, int& count) -> Task {
-      for (int i = 0; i < kProducers * kPerProducer / kConsumers; ++i) {
-        (void)co_await chan_ref.Recv();
-        ++count;
-      }
-    }(chan, consumed));
-  }
-  engine.Run();
-  EXPECT_EQ(consumed, kProducers * kPerProducer);
-  EXPECT_EQ(chan.size(), 0u);
-  EXPECT_EQ(chan.waiting_receivers(), 0u);
 }
 
 TEST(EngineDeterminism, IdenticalRunsProduceIdenticalEventCounts) {

@@ -1,4 +1,4 @@
-// Tests for Mutex and Semaphore: exclusion, FIFO handover, RAII release.
+// Tests for Mutex: exclusion, FIFO handover, RAII release.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -76,40 +76,6 @@ TEST(LockGuard, MoveTransfersOwnership) {
   }(engine, mutex));
   engine.Run();
   EXPECT_FALSE(mutex.locked());
-}
-
-Task UseSemaphore(Engine& engine, Semaphore& sem, Time hold, int& concurrent,
-                  int& peak) {
-  co_await sem.Acquire();
-  ++concurrent;
-  peak = std::max(peak, concurrent);
-  co_await engine.Delay(hold);
-  --concurrent;
-  sem.Release();
-}
-
-TEST(Semaphore, LimitsConcurrency) {
-  Engine engine;
-  Semaphore sem(engine, 3);
-  int concurrent = 0, peak = 0;
-  for (int i = 0; i < 10; ++i) engine.Spawn(UseSemaphore(engine, sem, 1.0, concurrent, peak));
-  engine.Run();
-  EXPECT_EQ(peak, 3);
-  // 10 holders, 3 at a time, 1s each => ceil(10/3) * 1s = 4s.
-  EXPECT_DOUBLE_EQ(engine.Now(), 4.0);
-  EXPECT_EQ(sem.permits(), 3u);
-}
-
-TEST(Semaphore, ReleaseWithoutWaitersRestoresPermit) {
-  Engine engine;
-  Semaphore sem(engine, 1);
-  engine.Spawn([](Semaphore& s) -> Task {
-    co_await s.Acquire();
-    s.Release();
-  }(sem));
-  engine.Run();
-  EXPECT_EQ(sem.permits(), 1u);
-  EXPECT_EQ(sem.waiters(), 0u);
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 namespace uvs::testkit {
 namespace {
 
+using workload::SystemKind;
+
 // --- Scenario sampling. ---
 
 TEST(ScenarioSpecTest, SamplingIsDeterministic) {
@@ -82,6 +84,13 @@ TEST(ScenarioSpecTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(ParseScenarioSpec("procs=4 osts=0").ok());
   EXPECT_FALSE(ParseScenarioSpec("procs=4 osts=-1").ok());
   EXPECT_FALSE(ParseScenarioSpec("procs=4 bb_nodes=-1").ok());
+  // Values beyond their int field are rejected, never wrapped.
+  EXPECT_FALSE(ParseScenarioSpec("procs=4294967300 mb=1 workload=micro").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 steps=4294967297").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 ec=4294967299+1").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 mb=99999999999999999999").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 seed=-1").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 compute=nan").ok());
 }
 
 TEST(ScenarioSpecTest, SamplerCoversErasureCoding) {

@@ -138,7 +138,7 @@ double Fig5aSmokeWallSec(int procs, Bytes bytes_per_proc) {
   const auto t0 = Clock::now();
   univistor::Config config;  // IA placement + COC on, the paper's default
   auto setup = bench::MakeUniviStor(procs, config);
-  workload::RunHdfMicro(*setup.scenario, setup.app, *setup.driver,
+  workload::RunHdfMicro(*setup.scenario, setup.app, *setup.system.driver,
                         {.bytes_per_proc = bytes_per_proc, .file_name = "traj.h5"});
   const auto t1 = Clock::now();
   return Seconds(t0, t1);
@@ -149,7 +149,7 @@ double VpicSpillSmokeWallSec(int procs, int steps, Bytes bytes_per_var) {
   univistor::Config config;
   config.first_cache_layer = hw::Layer::kDram;
   auto setup = bench::MakeUniviStor(procs, config);
-  workload::RunVpic(*setup.scenario, setup.app, *setup.driver,
+  workload::RunVpic(*setup.scenario, setup.app, *setup.system.driver,
                     {.steps = steps,
                      .vars = 8,
                      .bytes_per_var = bytes_per_var,

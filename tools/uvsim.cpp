@@ -16,14 +16,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
-#include "src/baselines/data_elevator.hpp"
-#include "src/baselines/lustre_driver.hpp"
 #include "src/cluster/arrival.hpp"
 #include "src/cluster/simulation.hpp"
 #include "src/common/log.hpp"
+#include "src/common/parse.hpp"
 #include "src/common/strings.hpp"
 #include "src/fault/injector.hpp"
 #include "src/fault/plan.hpp"
@@ -34,9 +35,9 @@
 #include "src/obs/sampler.hpp"
 #include "src/storage/pfs.hpp"
 #include "src/testkit/invariants.hpp"
-#include "src/univistor/driver.hpp"
 #include "src/univistor/system.hpp"
 #include "src/workload/bdcats.hpp"
+#include "src/workload/deployment.hpp"
 #include "src/workload/hdf_micro.hpp"
 #include "src/workload/scenario.hpp"
 #include "src/workload/vpic.hpp"
@@ -45,8 +46,12 @@ using namespace uvs;
 
 namespace {
 
+/// Client ranks uvsim accepts: 8x the paper's largest run.
+constexpr int kMaxProcs = 65536;
+
 struct Args {
   std::string system = "univistor";
+  workload::SystemKind kind = workload::SystemKind::kUniviStor;
   std::string layer = "dram";
   std::string workload = "micro";
   int procs = 256;
@@ -56,9 +61,9 @@ struct Args {
   bool report = false;
   bool check = false;
   bool ia = true, coc = true, adpt = true, la = true;
-  std::string faults;   // fault::Plan spec (docs/FAULTS.md grammar)
+  fault::Plan faults;   // --faults (docs/FAULTS.md grammar); empty = none
   bool recover = false;
-  std::string ec;               // "K+M" erasure-code shard counts ("" = off)
+  int ec_k = 0, ec_m = 0;       // --ec=K+M erasure-code shard counts (0 = off)
   bool scrub = false;           // run a background scrub after the workload
   double scrub_interval = -1;   // sim seconds between scrubbed stripes; <0 = default
   std::string trace;    // Chrome trace-event JSON output path
@@ -94,7 +99,7 @@ void PrintUsage(std::FILE* out) {
                "  --system=univistor|de|lustre    storage system under test\n"
                "  --layer=dram|bb|disk            UniviStor first cache layer\n"
                "  --workload=micro|vpic|workflow  workload to run\n"
-               "  --procs=N                       client ranks (default 256)\n"
+               "  --procs=N                       client ranks (default 256, at most 65536)\n"
                "  --mb=N                          MiB written per process (default 256)\n"
                "  --steps=N                       vpic/workflow timesteps (default 5)\n"
                "  --read                          micro: read the file back after writing\n"
@@ -177,32 +182,33 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return false;
 }
 
-/// Parses the --ec "K+M" shard spec (K data, M parity, both >= 1).
-bool ParseEcSpec(const std::string& spec, int* k, int* m) {
-  const std::size_t plus = spec.find('+');
-  if (plus == std::string::npos || plus == 0 || plus + 1 >= spec.size()) return false;
-  *k = std::atoi(spec.substr(0, plus).c_str());
-  *m = std::atoi(spec.substr(plus + 1).c_str());
-  return *k >= 1 && *m >= 1;
+[[noreturn]] void BadFlag(const std::string& flag, const std::string& why) {
+  std::fprintf(stderr, "uvsim: %s: %s\n", flag.c_str(), why.c_str());
+  std::exit(2);
+}
+
+/// Strictly parses the value of `flag` and checks it lies in [min, max];
+/// exits 2 with a message otherwise.
+template <typename T>
+T Number(const char* flag, const std::string& value, T min,
+         T max = std::numeric_limits<T>::max()) {
+  const Result<T> parsed = [&value] {
+    if constexpr (std::is_floating_point_v<T>) return ParseDouble(value);
+    else return ParseInt<T>(value);
+  }();
+  if (!parsed.ok()) BadFlag(flag, parsed.status().message());
+  if (*parsed < min || *parsed > max) {
+    std::ostringstream range;
+    range << "must be ";
+    if (max == std::numeric_limits<T>::max()) range << ">= " << min;
+    else range << "in [" << min << ", " << max << "]";
+    BadFlag(flag, range.str() + ", got " + value);
+  }
+  return *parsed;
 }
 
 double ScrubInterval(const Args& args) {
-  return args.scrub_interval >= 0 ? args.scrub_interval
-                                  : univistor::Config::EcConfig{}.scrub_stripe_interval;
-}
-
-/// Routes the EC plan events (ostfail/latent/scrub) into the shared PFS.
-void WireEcFaults(fault::Injector& injector, workload::Scenario& scenario, bool recover,
-                  double interval) {
-  storage::Pfs* pfs = &scenario.pfs();
-  sim::Engine* engine = &scenario.engine();
-  injector.AddOstFailHandler([pfs, engine, recover](int ost) {
-    pfs->FailOst(ost);
-    if (recover) engine->Spawn(pfs->RebuildOst(ost), "ec-rebuild");
-  });
-  injector.AddLatentHandler([pfs](int ost) { pfs->InjectLatentError(ost); });
-  injector.AddScrubHandler(
-      [pfs, engine, interval] { engine->Spawn(pfs->ScrubPass(interval), "ec-scrub"); });
+  return args.scrub_interval >= 0 ? args.scrub_interval : workload::kScrubStripeInterval;
 }
 
 void PrintEcStats(const storage::Pfs& pfs) {
@@ -227,24 +233,34 @@ Args Parse(int argc, char** argv) {
     if (ParseFlag(arg, "--system", &value)) args.system = value;
     else if (ParseFlag(arg, "--layer", &value)) args.layer = value;
     else if (ParseFlag(arg, "--workload", &value)) args.workload = value;
-    else if (ParseFlag(arg, "--procs", &value)) args.procs = std::atoi(value.c_str());
-    else if (ParseFlag(arg, "--mb", &value)) args.mb = std::atoi(value.c_str());
-    else if (ParseFlag(arg, "--steps", &value)) args.steps = std::atoi(value.c_str());
-    else if (ParseFlag(arg, "--faults", &value)) args.faults = value;
-    else if (ParseFlag(arg, "--ec", &value)) args.ec = value;
+    else if (ParseFlag(arg, "--procs", &value)) args.procs = Number("--procs", value, 1, kMaxProcs);
+    else if (ParseFlag(arg, "--mb", &value)) args.mb = Number("--mb", value, 0);
+    else if (ParseFlag(arg, "--steps", &value)) args.steps = Number("--steps", value, 1);
+    else if (ParseFlag(arg, "--faults", &value)) {
+      auto plan = fault::ParsePlan(value);
+      if (!plan.ok()) BadFlag("--faults", plan.status().ToString());
+      args.faults = *std::move(plan);
+    }
+    else if (ParseFlag(arg, "--ec", &value)) {
+      // K data and M parity shards, both >= 1.
+      const std::size_t plus = value.find('+');
+      if (plus == std::string::npos) BadFlag("--ec", "wants K+M, got " + value);
+      args.ec_k = Number("--ec", value.substr(0, plus), 1);
+      args.ec_m = Number("--ec", value.substr(plus + 1), 1);
+    }
     else if (std::strcmp(arg, "--scrub") == 0) args.scrub = true;
     else if (ParseFlag(arg, "--scrub", &value)) {
       args.scrub = true;
-      args.scrub_interval = std::atof(value.c_str());
+      args.scrub_interval = Number("--scrub", value, 0.0);
     }
     else if (std::strcmp(arg, "--recover") == 0) args.recover = true;
     else if (ParseFlag(arg, "--trace", &value)) args.trace = value;
     else if (ParseFlag(arg, "--metrics", &value)) args.metrics = value;
     else if (ParseFlag(arg, "--sample-interval", &value))
-      args.sample_interval = std::atof(value.c_str());
+      args.sample_interval = Number("--sample-interval", value, 0.0);
     else if (std::strcmp(arg, "--attribution") == 0) args.attribution = true;
     else if (ParseFlag(arg, "--span-limit", &value))
-      args.span_limit = std::atoll(value.c_str());
+      args.span_limit = Number("--span-limit", value, 0LL);
     else if (std::strcmp(arg, "--slo") == 0) args.slo = true;
     else if (ParseFlag(arg, "--slo", &value)) {
       args.slo = true;
@@ -254,18 +270,22 @@ Args Parse(int argc, char** argv) {
     else if (ParseFlag(arg, "--flight-recorder", &value)) args.flight = value;
     else if (std::strcmp(arg, "--live") == 0) args.live = true;
     else if (std::strcmp(arg, "--cluster") == 0) args.cluster = true;
-    else if (ParseFlag(arg, "--jobs", &value)) args.jobs = std::atoi(value.c_str());
+    else if (ParseFlag(arg, "--jobs", &value)) args.jobs = Number("--jobs", value, 1);
     else if (ParseFlag(arg, "--csched", &value)) args.csched = value;
     else if (ParseFlag(arg, "--interarrival", &value))
-      args.interarrival = std::atof(value.c_str());
-    else if (ParseFlag(arg, "--seed", &value)) args.seed = std::strtoull(value.c_str(), nullptr, 10);
+      args.interarrival = Number("--interarrival", value, 0.0);
+    else if (ParseFlag(arg, "--seed", &value))
+      args.seed = Number("--seed", value, 0ULL);
     else if (std::strcmp(arg, "--bb-bound") == 0) args.bb_bound = true;
-    else if (ParseFlag(arg, "--lustre-frac", &value)) args.lustre_frac = std::atof(value.c_str());
-    else if (ParseFlag(arg, "--ec-frac", &value)) args.ec_frac = std::atof(value.c_str());
-    else if (ParseFlag(arg, "--bb-mb", &value)) args.bb_mb = std::atoi(value.c_str());
-    else if (ParseFlag(arg, "--osts", &value)) args.osts = std::atoi(value.c_str());
-    else if (ParseFlag(arg, "--ppn", &value)) args.ppn = std::atoi(value.c_str());
-    else if (ParseFlag(arg, "--solo-jobs", &value)) args.solo_jobs = std::atoi(value.c_str());
+    else if (ParseFlag(arg, "--lustre-frac", &value))
+      args.lustre_frac = Number("--lustre-frac", value, 0.0, 1.0);
+    else if (ParseFlag(arg, "--ec-frac", &value))
+      args.ec_frac = Number("--ec-frac", value, 0.0, 1.0);
+    else if (ParseFlag(arg, "--bb-mb", &value)) args.bb_mb = Number("--bb-mb", value, 0);
+    else if (ParseFlag(arg, "--osts", &value)) args.osts = Number("--osts", value, 1);
+    else if (ParseFlag(arg, "--ppn", &value)) args.ppn = Number("--ppn", value, 1);
+    else if (ParseFlag(arg, "--solo-jobs", &value))
+      args.solo_jobs = Number("--solo-jobs", value, 0);
     else if (ParseFlag(arg, "--job-file", &value)) args.job_file = value;
     else if (ParseFlag(arg, "--job-trace", &value)) args.job_trace = value;
     else if (std::strcmp(arg, "--read") == 0) args.read = true;
@@ -284,7 +304,65 @@ Args Parse(int argc, char** argv) {
       std::exit(2);
     }
   }
+
+  if (args.system == "univistor") args.kind = workload::SystemKind::kUniviStor;
+  else if (args.system == "de") args.kind = workload::SystemKind::kDataElevator;
+  else if (args.system == "lustre") args.kind = workload::SystemKind::kLustre;
+  else BadFlag("--system", "unknown system '" + args.system + "'");
+  if (args.workload != "micro" && args.workload != "vpic" && args.workload != "workflow")
+    BadFlag("--workload", "unknown workload '" + args.workload + "'");
+  if (!args.cluster && args.workload == "workflow" && args.procs < 2)
+    BadFlag("--procs", "workflow needs >= 2 ranks (writers and readers)");
+  if (!args.cluster && args.ec_k > 0 && args.kind != workload::SystemKind::kUniviStor)
+    BadFlag("--ec", "needs --system=univistor");
   return args;
+}
+
+/// --check verdict: prints it, and on violations notes each in the flight
+/// recorder and dumps it. Returns false when an invariant failed.
+bool ReportCheck(const testkit::InvariantReport& report, Time now) {
+  if (!report.ok()) {
+    std::fprintf(stderr, "uvsim: invariant violations:\n%s", report.ToString().c_str());
+    for (const auto& v : report.violations)
+      obs::FlightNote(now, "invariant", v.invariant, 0, v.detail);
+    if (Status fs = obs::FlightDump("invariant-failure"); !fs.ok())
+      std::fprintf(stderr, "uvsim: flight dump failed: %s\n", fs.ToString().c_str());
+    return false;
+  }
+  std::printf("check: all invariants hold\n");
+  return true;
+}
+
+/// Writes --trace and --metrics (a .csv path writes the sampled series);
+/// the JSON blocks are embedded in the metrics report when non-empty.
+/// Returns false when a file could not be written.
+bool WriteObservability(const Args& args, const obs::Recorder& recorder, Time now,
+                        const std::string& attribution_json,
+                        const std::string& telemetry_json = "",
+                        const std::string& slo_json = "") {
+  if (!args.trace.empty()) {
+    if (Status s = recorder.WriteChromeTrace(args.trace); !s.ok()) {
+      std::fprintf(stderr, "uvsim: writing %s: %s\n", args.trace.c_str(),
+                   s.ToString().c_str());
+      return false;
+    }
+    std::printf("trace: %s (%zu spans, %zu samples)\n", args.trace.c_str(),
+                recorder.span_count(), recorder.sample_count());
+  }
+  if (!args.metrics.empty()) {
+    const bool csv = args.metrics.size() >= 4 &&
+                     args.metrics.compare(args.metrics.size() - 4, 4, ".csv") == 0;
+    Status s = csv ? recorder.WriteSeriesCsv(args.metrics)
+                   : recorder.WriteMetricsJson(args.metrics, now, attribution_json,
+                                               telemetry_json, slo_json);
+    if (!s.ok()) {
+      std::fprintf(stderr, "uvsim: writing %s: %s\n", args.metrics.c_str(),
+                   s.ToString().c_str());
+      return false;
+    }
+    std::printf("metrics: %s\n", args.metrics.c_str());
+  }
+  return true;
 }
 
 /// Multi-tenant mode: sample (or read) a job mix, run it through
@@ -362,17 +440,12 @@ int RunCluster(const Args& args) {
   // default chunk would make every per-rank BB log come out below one
   // chunk and silently drop the BB layer even under a full reservation.
   cluster_options.base_config.chunk_size = 1_MiB;
-  if (!args.ec.empty()) {
-    int k = 0, m = 0;
-    if (!ParseEcSpec(args.ec, &k, &m)) {
-      std::fprintf(stderr, "uvsim: --ec wants K+M with K,M >= 1, got %s\n", args.ec.c_str());
-      return 2;
-    }
+  if (args.ec_k > 0) {
     // Every UniviStor job in the mix erasure-codes its PFS files; --ec-frac
     // instead marks a sampled subset (with the 4+2 default shard counts).
     cluster_options.base_config.ec.enabled = true;
-    cluster_options.base_config.ec.data_shards = k;
-    cluster_options.base_config.ec.parity_shards = m;
+    cluster_options.base_config.ec.data_shards = args.ec_k;
+    cluster_options.base_config.ec.parity_shards = args.ec_m;
   }
   // Telemetry is always-on whenever anything observes the run: --slo asks
   // for it explicitly, and a trace/metrics export should carry the
@@ -399,16 +472,11 @@ int RunCluster(const Args& args) {
 
   std::unique_ptr<fault::Injector> injector;
   if (!args.faults.empty()) {
-    auto plan = fault::ParsePlan(args.faults);
-    if (!plan.ok()) {
-      std::fprintf(stderr, "uvsim: --faults: %s\n", plan.status().ToString().c_str());
-      return 2;
-    }
-    injector = std::make_unique<fault::Injector>(scenario.engine(), *plan);
+    injector = std::make_unique<fault::Injector>(scenario.engine(), args.faults);
     sim.AttachInjector(*injector);
-    WireEcFaults(*injector, scenario, args.recover, ScrubInterval(args));
+    workload::WireFaults(*injector, scenario, nullptr, args.recover, ScrubInterval(args));
     injector->Arm();
-    std::printf("faults: %s\n", plan->ToString().c_str());
+    std::printf("faults: %s\n", args.faults.ToString().c_str());
   }
 
   std::printf("uvsim cluster: policy=%s jobs=%d seed=%llu nodes=%d bb=%s\n",
@@ -418,17 +486,15 @@ int RunCluster(const Args& args) {
 
   sampler.Kick();
   sim.Run();
-  if (args.scrub && (!args.ec.empty() || args.ec_frac > 0)) {
-    scenario.engine().Spawn(scenario.pfs().ScrubPass(ScrubInterval(args)), "ec-scrub-final");
-    scenario.engine().Run();
-  }
+  const bool ec = args.ec_k > 0 || args.ec_frac > 0;
+  if (args.scrub && ec) workload::RunFinalScrub(scenario, ScrubInterval(args));
 
   std::printf("%4s %-10s %-9s %5s %8s %9s %9s %8s %9s %10s\n", "job", "kind", "system",
               "procs", "arrival", "wait", "stretch", "bb", "drain-if", "lost");
   for (const auto& q : sim.qos()) {
     const cluster::JobSpec& spec = sim.spec(q.id);
     std::printf("%4d %-10s %-9s %5d %8.3f %9.3f %9.2f %8s %9.3f %10s\n", q.id,
-                cluster::JobKindName(spec.kind), cluster::JobSystemName(spec.system),
+                cluster::JobKindName(spec.kind), workload::SystemKindName(spec.system),
                 spec.procs, q.arrival, q.wait(), q.stretch(),
                 HumanBytes(q.bb_granted).c_str(), q.drain_interference,
                 HumanBytes(q.lost_bytes).c_str());
@@ -441,7 +507,7 @@ int RunCluster(const Args& args) {
               HumanTime(summary.total_drain_interference).c_str(),
               HumanBytes(sim.peak_bb_reserved()).c_str(),
               HumanBytes(sim.bb_capacity()).c_str());
-  if (!args.ec.empty() || args.ec_frac > 0) PrintEcStats(scenario.pfs());
+  if (ec) PrintEcStats(scenario.pfs());
   if (args.slo && sim.telemetry_enabled()) {
     std::printf("%-16s %8s %9s %10s %10s %7s %9s\n", "slo (cluster)", "budget", "consumed",
                 "burn-fast", "burn-slow", "alerts", "verdict");
@@ -478,16 +544,7 @@ int RunCluster(const Args& args) {
                        "peak BB reservation " + std::to_string(sim.peak_bb_reserved()) +
                            " exceeds capacity " + std::to_string(sim.bb_capacity()));
     }
-    if (!check_report.ok()) {
-      std::fprintf(stderr, "uvsim: invariant violations:\n%s",
-                   check_report.ToString().c_str());
-      for (const auto& v : check_report.violations)
-        obs::FlightNote(scenario.engine().Now(), "invariant", v.invariant, 0, v.detail);
-      if (Status fs = obs::FlightDump("invariant-failure"); !fs.ok())
-        std::fprintf(stderr, "uvsim: flight dump failed: %s\n", fs.ToString().c_str());
-      return 1;
-    }
-    std::printf("check: all invariants hold\n");
+    if (!ReportCheck(check_report, scenario.engine().Now())) return 1;
   }
 
   if (!args.job_trace.empty()) {
@@ -499,34 +556,14 @@ int RunCluster(const Args& args) {
     out << sim.JobTraceJson();
     std::printf("job trace: %s\n", args.job_trace.c_str());
   }
-  if (!args.trace.empty()) {
-    if (Status s = recorder.WriteChromeTrace(args.trace); !s.ok()) {
-      std::fprintf(stderr, "uvsim: writing %s: %s\n", args.trace.c_str(),
-                   s.ToString().c_str());
-      return 1;
-    }
-    std::printf("trace: %s (%zu spans, %zu samples)\n", args.trace.c_str(),
-                recorder.span_count(), recorder.sample_count());
+  std::string telemetry_json;
+  std::string slo_json;
+  if (sim.telemetry_enabled() && !args.metrics.empty()) {
+    telemetry_json = sim.TelemetryJson();
+    slo_json = sim.SloJson();
   }
-  if (!args.metrics.empty()) {
-    const bool csv = args.metrics.size() >= 4 &&
-                     args.metrics.compare(args.metrics.size() - 4, 4, ".csv") == 0;
-    std::string telemetry_json;
-    std::string slo_json;
-    if (sim.telemetry_enabled()) {
-      telemetry_json = sim.TelemetryJson();
-      slo_json = sim.SloJson();
-    }
-    Status s = csv ? recorder.WriteSeriesCsv(args.metrics)
-                   : recorder.WriteMetricsJson(args.metrics, scenario.engine().Now(), "",
-                                               telemetry_json, slo_json);
-    if (!s.ok()) {
-      std::fprintf(stderr, "uvsim: writing %s: %s\n", args.metrics.c_str(),
-                   s.ToString().c_str());
-      return 1;
-    }
-    std::printf("metrics: %s\n", args.metrics.c_str());
-  }
+  if (!WriteObservability(args, recorder, scenario.engine().Now(), "", telemetry_json, slo_json))
+    return 1;
   if (recorder.spans_dropped() > 0)
     std::fprintf(stderr,
                  "uvsim: warning: %llu spans dropped at span cap %zu (%llu pruned "
@@ -539,10 +576,6 @@ int RunCluster(const Args& args) {
 
 int Run(const Args& args) {
   if (args.cluster) return RunCluster(args);
-  if (!args.ec.empty() && args.system != "univistor") {
-    std::fprintf(stderr, "uvsim: --ec needs --system=univistor\n");
-    return 2;
-  }
   // The recorder outlives the scenario (spans are emitted from coroutine
   // frames destroyed during engine teardown).
   obs::Recorder recorder;
@@ -553,7 +586,7 @@ int Run(const Args& args) {
   workload::ScenarioOptions options;
   options.procs = args.procs;
   options.workflow_enabled = args.workload == "workflow";
-  options.policy = (args.system == "univistor" && args.ia)
+  options.policy = (args.kind == workload::SystemKind::kUniviStor && args.ia)
                        ? sched::PlacementPolicy::kInterferenceAware
                        : sched::PlacementPolicy::kCfs;
   workload::Scenario scenario(options);
@@ -563,53 +596,26 @@ int Run(const Args& args) {
   obs::Sampler sampler(scenario.engine(), recorder, interval);
   if (obs_on) hw::RegisterClusterGauges(sampler, scenario.cluster());
 
-  // Assemble the system under test behind the common ADIO interface.
-  std::unique_ptr<univistor::UniviStor> uvs_system;
-  std::unique_ptr<univistor::UniviStorDriver> uvs_driver;
-  std::unique_ptr<baselines::DataElevator> de_system;
-  std::unique_ptr<baselines::DataElevatorDriver> de_driver;
-  std::unique_ptr<baselines::LustreDriver> lustre_driver;
-  vmpi::AdioDriver* driver = nullptr;
-
-  if (args.system == "univistor") {
-    univistor::Config config;
-    config.collective_open_close = args.coc;
-    config.adaptive_striping = args.adpt;
-    config.location_aware_reads = args.la;
-    config.interference_aware_flush = args.ia;
-    config.first_cache_layer = args.layer == "bb"     ? hw::Layer::kSharedBurstBuffer
-                               : args.layer == "disk" ? hw::Layer::kPfs
-                                                      : hw::Layer::kDram;
-    config.recovery.enabled = args.recover;
-    if (args.recover) config.replicate_volatile = true;
-    if (!args.ec.empty()) {
-      int k = 0, m = 0;
-      if (!ParseEcSpec(args.ec, &k, &m)) {
-        std::fprintf(stderr, "uvsim: --ec wants K+M with K,M >= 1, got %s\n", args.ec.c_str());
-        return 2;
-      }
-      config.ec.enabled = true;
-      config.ec.data_shards = k;
-      config.ec.parity_shards = m;
-    }
-    uvs_system = std::make_unique<univistor::UniviStor>(
-        scenario.runtime(), scenario.pfs(), scenario.workflow(), config);
-    uvs_driver = std::make_unique<univistor::UniviStorDriver>(*uvs_system);
-    driver = uvs_driver.get();
-    if (obs_on) uvs_system->RegisterGauges(sampler);
-  } else if (args.system == "de") {
-    de_system =
-        std::make_unique<baselines::DataElevator>(scenario.runtime(), scenario.pfs());
-    de_driver = std::make_unique<baselines::DataElevatorDriver>(*de_system);
-    driver = de_driver.get();
-  } else if (args.system == "lustre") {
-    lustre_driver =
-        std::make_unique<baselines::LustreDriver>(scenario.runtime(), scenario.pfs());
-    driver = lustre_driver.get();
-  } else {
-    std::fprintf(stderr, "unknown --system=%s\n", args.system.c_str());
-    return 2;
+  // The system under test behind the common ADIO interface.
+  univistor::Config config;
+  config.collective_open_close = args.coc;
+  config.adaptive_striping = args.adpt;
+  config.location_aware_reads = args.la;
+  config.interference_aware_flush = args.ia;
+  config.first_cache_layer = args.layer == "bb"     ? hw::Layer::kSharedBurstBuffer
+                             : args.layer == "disk" ? hw::Layer::kPfs
+                                                    : hw::Layer::kDram;
+  config.recovery.enabled = args.recover;
+  if (args.recover) config.replicate_volatile = true;
+  if (args.ec_k > 0) {
+    config.ec.enabled = true;
+    config.ec.data_shards = args.ec_k;
+    config.ec.parity_shards = args.ec_m;
   }
+  workload::SystemUnderTest sut = workload::BuildSystem(scenario, args.kind, config);
+  univistor::UniviStor* uvs_system = sut.univistor.get();
+  vmpi::AdioDriver& driver = *sut.driver;
+  if (obs_on && uvs_system != nullptr) uvs_system->RegisterGauges(sampler);
 
   std::printf("uvsim: system=%s layer=%s workload=%s procs=%d\n", args.system.c_str(),
               args.layer.c_str(), args.workload.c_str(), args.procs);
@@ -618,21 +624,10 @@ int Run(const Args& args) {
   // with writes, flushes, and reads (docs/FAULTS.md).
   std::unique_ptr<fault::Injector> injector;
   if (!args.faults.empty()) {
-    auto plan = fault::ParsePlan(args.faults);
-    if (!plan.ok()) {
-      std::fprintf(stderr, "uvsim: --faults: %s\n", plan.status().ToString().c_str());
-      return 2;
-    }
-    injector = std::make_unique<fault::Injector>(scenario.engine(), *plan);
-    injector->set_cluster(&scenario.cluster());
-    if (uvs_system != nullptr) {
-      univistor::UniviStor* sys = uvs_system.get();
-      injector->SetCrashHandler([sys](int node) { sys->FailNode(node); });
-      uvs_system->AttachFaults(injector.get());
-    }
-    WireEcFaults(*injector, scenario, args.recover, ScrubInterval(args));
+    injector = std::make_unique<fault::Injector>(scenario.engine(), args.faults);
+    workload::WireFaults(*injector, scenario, uvs_system, args.recover, ScrubInterval(args));
     injector->Arm();
-    std::printf("faults: %s\n", plan->ToString().c_str());
+    std::printf("faults: %s\n", args.faults.ToString().c_str());
   }
 
   if (args.workload == "micro") {
@@ -641,11 +636,11 @@ int Run(const Args& args) {
                                  .file_name = "uvsim.h5"};
     if (args.read) {
       sampler.Kick();
-      workload::RunHdfMicro(scenario, app, *driver, params);
+      workload::RunHdfMicro(scenario, app, driver, params);
       params.read = true;
     }
     sampler.Kick();
-    const auto t = workload::RunHdfMicro(scenario, app, *driver, params);
+    const auto t = workload::RunHdfMicro(scenario, app, driver, params);
     std::printf("open %s | io %s | close %s | elapsed %s | rate %s\n",
                 HumanTime(t.open).c_str(), HumanTime(t.io).c_str(),
                 HumanTime(t.close).c_str(), HumanTime(t.elapsed).c_str(),
@@ -657,19 +652,19 @@ int Run(const Args& args) {
                                       .bytes_per_var = static_cast<Bytes>(args.mb) * 1_MiB / 8,
                                       .compute_time = 60.0};
     sampler.Kick();
-    const auto r = workload::RunVpic(scenario, app, *driver, params);
+    const auto r = workload::RunVpic(scenario, app, driver, params);
     std::printf("write %s | final flush wait %s | total I/O %s | elapsed %s\n",
                 HumanTime(r.write_time).c_str(), HumanTime(r.final_flush_wait).c_str(),
                 HumanTime(r.total_io_time).c_str(), HumanTime(r.elapsed).c_str());
-  } else if (args.workload == "workflow") {
+  } else {  // workflow
     const auto writer = scenario.runtime().LaunchProgram("vpic", args.procs / 2);
     const auto reader = scenario.runtime().LaunchProgram("bdcats", args.procs / 2);
     const workload::VpicParams params{.steps = args.steps,
                                       .vars = 8,
                                       .bytes_per_var = static_cast<Bytes>(args.mb) * 1_MiB / 8,
                                       .compute_time = 0.0};
-    workload::VpicRun vpic(scenario, writer, *driver, params);
-    workload::BdcatsRun bdcats(scenario, reader, *driver,
+    workload::VpicRun vpic(scenario, writer, driver, params);
+    workload::BdcatsRun bdcats(scenario, reader, driver,
                                workload::BdcatsParams{.producer = params,
                                                       .producer_ranks = args.procs / 2});
     vpic.Start();
@@ -680,15 +675,9 @@ int Run(const Args& args) {
                 HumanTime(vpic.result().write_time).c_str(),
                 HumanTime(bdcats.result().read_time).c_str(),
                 HumanTime(scenario.engine().Now()).c_str());
-  } else {
-    std::fprintf(stderr, "unknown --workload=%s\n", args.workload.c_str());
-    return 2;
   }
 
-  if (args.scrub && !args.ec.empty()) {
-    scenario.engine().Spawn(scenario.pfs().ScrubPass(ScrubInterval(args)), "ec-scrub-final");
-    scenario.engine().Run();
-  }
+  if (args.scrub && args.ec_k > 0) workload::RunFinalScrub(scenario, ScrubInterval(args));
 
   if (uvs_system != nullptr && uvs_system->flush_stats().flushes > 0) {
     const auto& f = uvs_system->flush_stats();
@@ -717,7 +706,7 @@ int Run(const Args& args) {
                 HumanBytes(uvs_system->safe_mode_bytes()).c_str(),
                 HumanBytes(uvs_system->lost_bytes()).c_str());
   }
-  if (!args.ec.empty()) PrintEcStats(scenario.pfs());
+  if (args.ec_k > 0) PrintEcStats(scenario.pfs());
   std::printf("simulated %s in %llu events\n", HumanTime(scenario.engine().Now()).c_str(),
               static_cast<unsigned long long>(scenario.engine().processed_events()));
 
@@ -736,16 +725,7 @@ int Run(const Args& args) {
     testkit::CheckQuiescence(scenario.engine(), check_report);
     testkit::CheckPoolConservation(scenario, check_report);
     if (uvs_system != nullptr) testkit::CheckUniviStor(*uvs_system, check_report);
-    if (!check_report.ok()) {
-      std::fprintf(stderr, "uvsim: invariant violations:\n%s",
-                   check_report.ToString().c_str());
-      for (const auto& v : check_report.violations)
-        obs::FlightNote(scenario.engine().Now(), "invariant", v.invariant, 0, v.detail);
-      if (Status fs = obs::FlightDump("invariant-failure"); !fs.ok())
-        std::fprintf(stderr, "uvsim: flight dump failed: %s\n", fs.ToString().c_str());
-      return 1;
-    }
-    std::printf("check: all invariants hold\n");
+    if (!ReportCheck(check_report, scenario.engine().Now())) return 1;
   }
   if (args.report)
     std::printf("%s", hw::CollectUtilization(scenario.cluster()).ToString().c_str());
@@ -774,28 +754,7 @@ int Run(const Args& args) {
     attribution_json = obs::AttributionJson(attribution);
   }
 
-  if (!args.trace.empty()) {
-    if (Status s = recorder.WriteChromeTrace(args.trace); !s.ok()) {
-      std::fprintf(stderr, "uvsim: writing %s: %s\n", args.trace.c_str(),
-                   s.ToString().c_str());
-      return 1;
-    }
-    std::printf("trace: %s (%zu spans, %zu samples)\n", args.trace.c_str(),
-                recorder.span_count(), recorder.sample_count());
-  }
-  if (!args.metrics.empty()) {
-    const bool csv = args.metrics.size() >= 4 &&
-                     args.metrics.compare(args.metrics.size() - 4, 4, ".csv") == 0;
-    Status s = csv ? recorder.WriteSeriesCsv(args.metrics)
-                   : recorder.WriteMetricsJson(args.metrics, scenario.engine().Now(),
-                                               attribution_json);
-    if (!s.ok()) {
-      std::fprintf(stderr, "uvsim: writing %s: %s\n", args.metrics.c_str(),
-                   s.ToString().c_str());
-      return 1;
-    }
-    std::printf("metrics: %s\n", args.metrics.c_str());
-  }
+  if (!WriteObservability(args, recorder, scenario.engine().Now(), attribution_json)) return 1;
   if (recorder.spans_dropped() > 0)
     std::fprintf(stderr,
                  "uvsim: warning: %llu spans dropped at span cap %zu — trace "
