@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "src/common/log.hpp"
+#include "src/common/parse.hpp"
 #include "src/hw/probes.hpp"
 
 namespace uvs::bench {
@@ -28,8 +29,8 @@ void ObsHook::Attach(workload::Scenario& scenario, univistor::UniviStor* system)
   if (dir == nullptr || obs::Enabled()) return;
   recorder_ = std::make_unique<obs::Recorder>();
   recorder_->Install();
-  double interval = 1.0;
-  if (const char* env = std::getenv("UVS_SAMPLE_INTERVAL")) interval = std::atof(env);
+  const char* env = std::getenv("UVS_SAMPLE_INTERVAL");
+  const double interval = env ? FlagNumber("bench", "UVS_SAMPLE_INTERVAL", env, 0.0) : 1.0;
   engine_ = &scenario.engine();
   sampler_ = std::make_unique<obs::Sampler>(*engine_, *recorder_, interval);
   hw::RegisterClusterGauges(*sampler_, scenario.cluster());
@@ -55,11 +56,11 @@ ObsHook::~ObsHook() {
 }
 
 std::vector<int> ScaleSweep() {
-  int max_procs = 8192;
-  if (const char* env = std::getenv("UVS_MAX_PROCS")) max_procs = std::atoi(env);
+  const char* env = std::getenv("UVS_MAX_PROCS");
+  const int max_procs =
+      env ? FlagNumber("bench", "UVS_MAX_PROCS", env, 64, workload::kMaxProcs) : 8192;
   std::vector<int> scales;
   for (int p = 64; p <= max_procs; p *= 2) scales.push_back(p);
-  if (scales.empty()) scales.push_back(64);
   return scales;
 }
 

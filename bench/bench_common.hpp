@@ -3,16 +3,18 @@
 // process-count sweep used throughout the paper's evaluation (64 to 8192
 // ranks in 2x increments).
 //
-// Environment knobs:
-//   UVS_MAX_PROCS        — cap the sweep (default 8192; set e.g. 1024 for
-//                          a quick pass).
+// Environment knobs (a malformed or out-of-range number exits 2 with a
+// message naming the variable):
+//   UVS_MAX_PROCS        — cap the sweep, an integer in [64, 65536]
+//                          (default 8192; set e.g. 1024 for a quick pass).
 //   UVS_CSV              — also print tables as CSV.
 //   UVS_LOG_LEVEL        — logger threshold (trace..off).
 //   UVS_OBS_DIR          — record a Chrome trace + metrics report per
 //                          machine setup into this directory (see
 //                          docs/OBSERVABILITY.md).
-//   UVS_SAMPLE_INTERVAL  — gauge sampling period in simulated seconds
-//                          (default 1; used with UVS_OBS_DIR).
+//   UVS_SAMPLE_INTERVAL  — gauge sampling period in simulated seconds, a
+//                          finite number >= 0 (default 1; 0 disables
+//                          sampling; used with UVS_OBS_DIR).
 #pragma once
 
 #include <memory>

@@ -5,9 +5,10 @@
 // the virtual addresses of Eq. 1.
 //
 //   $ ./build/examples/tier_planner [file_GiB] [servers] [osts]
+// (positive integers; servers and OSTs at most 65536).
 #include <cstdio>
-#include <cstdlib>
 
+#include "src/common/parse.hpp"
 #include "src/common/strings.hpp"
 #include "src/placement/dhp.hpp"
 #include "src/placement/striping.hpp"
@@ -59,9 +60,11 @@ void PrintPlan(const char* name, const StripePlan& plan, Bytes file_size) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Bytes file_size = (argc > 1 ? static_cast<Bytes>(std::atoll(argv[1])) : 64) * 1_GiB;
-  const int servers = argc > 2 ? std::atoi(argv[2]) : 512;
-  const int osts = argc > 3 ? std::atoi(argv[3]) : 248;
+  constexpr const char* kTool = "tier_planner";
+  const Bytes file_size =
+      static_cast<Bytes>(argc > 1 ? FlagNumber(kTool, "file_GiB", argv[1], 1) : 64) * 1_GiB;
+  const int servers = argc > 2 ? FlagNumber(kTool, "servers", argv[2], 1, 65536) : 512;
+  const int osts = argc > 3 ? FlagNumber(kTool, "osts", argv[3], 1, 65536) : 248;
 
   std::printf("== Adaptive striping (Eqs. 2-6): %s over %d servers, %d OSTs ==\n",
               HumanBytes(file_size).c_str(), servers, osts);

@@ -1,6 +1,6 @@
 // VPIC-style checkpointing across the storage hierarchy.
 //
-//   $ ./build/examples/vpic_checkpoint [steps]
+//   $ ./build/examples/vpic_checkpoint [steps]   (1 to 1000)
 //
 // Runs a multi-time-step VPIC-IO simulation (256 MB per rank per step with
 // compute intervals between checkpoints) and reports, per step, how the
@@ -9,8 +9,8 @@
 // the DRAM tier fills and checkpoints spill to the burst buffer, exactly
 // the scenario of the paper's Fig. 8.
 #include <cstdio>
-#include <cstdlib>
 
+#include "src/common/parse.hpp"
 #include "src/common/strings.hpp"
 #include "src/univistor/driver.hpp"
 #include "src/univistor/system.hpp"
@@ -33,7 +33,7 @@ void Check(bool ok, const char* what) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int steps = argc > 1 ? std::atoi(argv[1]) : 10;
+  const int steps = argc > 1 ? FlagNumber("vpic_checkpoint", "steps", argv[1], 1, 1000) : 10;
   constexpr int kProcs = 128;
 
   workload::Scenario scenario(workload::ScenarioOptions{.procs = kProcs});

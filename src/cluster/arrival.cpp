@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+
+#include "src/common/key_values.hpp"
 
 namespace uvs::cluster {
 
@@ -65,67 +66,33 @@ std::vector<JobSpec> SampleJobMix(std::uint64_t seed, const MixParams& params) {
 
 Result<JobSpec> ParseJobLine(const std::string& line) {
   JobSpec job;
-  bool have_at = false;
-  bool have_procs = false;
-  std::istringstream in(line);
-  std::string token;
-  while (in >> token) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos)
-      return InvalidArgumentError("job token without '=': " + token);
-    const std::string key = token.substr(0, eq);
-    const std::string val = token.substr(eq + 1);
-    try {
-      if (key == "at") {
-        job.arrival = std::stod(val);
-        have_at = true;
-      } else if (key == "kind") {
-        if (val == "micro") job.kind = JobKind::kMicroWrite;
-        else if (val == "micro_read") job.kind = JobKind::kMicroReadBack;
-        else if (val == "vpic") job.kind = JobKind::kVpic;
-        else return InvalidArgumentError("unknown job kind: " + val);
-      } else if (key == "system") {
-        if (val == "univistor") job.system = workload::SystemKind::kUniviStor;
-        else if (val == "lustre") job.system = workload::SystemKind::kLustre;
-        else return InvalidArgumentError("unknown job system: " + val);
-      } else if (key == "procs") {
-        job.procs = std::stoi(val);
-        have_procs = true;
-      } else if (key == "mb") {
-        job.bytes_per_rank = static_cast<Bytes>(std::stoull(val)) * 1_MiB;
-      } else if (key == "steps") {
-        job.steps = std::stoi(val);
-      } else if (key == "compute") {
-        job.compute_time = std::stod(val);
-      } else if (key == "layer") {
-        job.first_layer = std::stoi(val);
-      } else if (key == "ec") {
-        job.ec = std::stoi(val) != 0;
-      } else {
-        return InvalidArgumentError("unknown job key: " + key);
-      }
-    } catch (const std::exception&) {
-      return InvalidArgumentError("bad value for " + key + ": " + val);
-    }
-  }
-  if (!have_at || !have_procs)
-    return InvalidArgumentError("job line needs at= and procs=: " + line);
-  if (job.arrival < 0 || job.procs < 1 || job.steps < 1 || job.bytes_per_rank < 1 ||
-      job.first_layer < 0 || job.first_layer > 3)
-    return InvalidArgumentError("job values out of range: " + line);
+  KeyValues kv(line);
+  kv.Require("at");
+  kv.Require("procs");
+  kv.Number("at", &job.arrival, 0.0);
+  kv.Choice("kind", &job.kind, JobKindName, 3);
+  kv.Choice("system", &job.system, workload::SystemKindName, 2);  // no Data Elevator tenants
+  kv.Number("procs", &job.procs, 1);
+  kv.MiB("mb", &job.bytes_per_rank, 1);
+  kv.Number("steps", &job.steps, 1);
+  kv.Number("compute", &job.compute_time, 0.0);
+  kv.Number("layer", &job.first_layer, 0, 3);
+  kv.Bool("ec", &job.ec);
+  UVS_RETURN_IF_ERROR(kv.Finish());
+  if (job.first_layer == 1)
+    return InvalidArgumentError("layer must be 0 (DRAM), 2 (BB), or 3 (PFS)");
   return job;
 }
 
 Result<std::vector<JobSpec>> ParseJobTrace(const std::string& text) {
   std::vector<JobSpec> jobs;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+  const std::vector<std::string> lines = SplitOn(text, '\n');
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string line = lines[i].substr(0, lines[i].find('#'));
+    if (Trim(line).empty()) continue;
     Result<JobSpec> job = ParseJobLine(line);
-    if (!job.ok()) return job.status();
+    if (!job.ok())
+      return InvalidArgumentError("line " + std::to_string(i + 1) + ": " + job.status().message());
     job->id = static_cast<int>(jobs.size());
     jobs.push_back(*std::move(job));
   }

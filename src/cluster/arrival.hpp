@@ -36,11 +36,14 @@ std::vector<JobSpec> SampleJobMix(std::uint64_t seed, const MixParams& params);
 ///   `at=0.25 kind=vpic system=univistor procs=8 mb=4 steps=2 layer=0 ec=1`
 /// (any order; `at` and `procs` required, the rest defaulted). `compute`
 /// gives the inter-step compute seconds for vpic jobs; `ec` erasure-codes
-/// the job's PFS files (UniviStor jobs only).
+/// the job's PFS files (UniviStor jobs only). The src/common/key_values.hpp
+/// rules apply: each key once, strict numbers, `ec` 0 or 1; times are
+/// finite and >= 0, `procs`, `mb` and `steps` >= 1, `layer` 0, 2 or 3.
 Result<JobSpec> ParseJobLine(const std::string& line);
 
 /// Parses a whole trace (one job per non-empty line; '#' comments),
-/// assigning ids in file order and sorting by arrival time (stable).
+/// assigning ids in file order and sorting by arrival time (stable). An
+/// error names the line and the key.
 Result<std::vector<JobSpec>> ParseJobTrace(const std::string& text);
 
 }  // namespace uvs::cluster

@@ -36,8 +36,9 @@ struct JobSpec {
   Bytes bytes_per_rank = 4_MiB;  // per step for kVpic
   int steps = 1;                 // kVpic checkpoint steps
   Time compute_time = 0;         // kVpic inter-step compute
-  /// First cache layer of the job's UniviStor instance: 0 = DRAM cascade,
-  /// 2 = burst buffer first (BB-bound), 3 = straight to PFS.
+  /// First cache layer of the job's UniviStor instance, an hw::Layer
+  /// value: 0 = DRAM cascade, 2 = burst buffer first (BB-bound), 3 =
+  /// straight to PFS.
   int first_layer = 0;
   /// Erasure-code this job's PFS files (UniviStor only): the job's config
   /// enables Config::ec so its flushes stripe k data + m parity shards.

@@ -12,14 +12,6 @@ namespace uvs::cluster {
 
 namespace {
 
-hw::Layer FirstLayer(int layer) {
-  switch (layer) {
-    case 2: return hw::Layer::kSharedBurstBuffer;
-    case 3: return hw::Layer::kPfs;
-    default: return hw::Layer::kDram;
-  }
-}
-
 std::string FmtDouble(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
@@ -257,7 +249,7 @@ sim::Task ClusterSim::JobLifecycle(int idx) {
 sim::Task ClusterSim::ExecuteJob(workload::Scenario& sc, JobState& job, bool live) {
   const JobSpec& spec = job.spec;
   univistor::Config cfg = options_.base_config;
-  cfg.first_cache_layer = FirstLayer(spec.first_layer);
+  cfg.first_cache_layer = static_cast<hw::Layer>(spec.first_layer);
   // A zero grant must mean "no BB layer", but bb_capacity_limit == 0
   // means "the whole BB" — 1 byte is below any chunk size, so the
   // cascade drops the BB log and spills to the PFS instead.

@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "src/common/parse.hpp"
+#include "src/common/key_values.hpp"
 
 namespace uvs::fault {
 namespace {
@@ -15,54 +15,20 @@ std::string Num(double v) {
   return buf;
 }
 
-std::vector<std::string> Split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t pos = s.find(sep, start);
-    out.push_back(s.substr(start, pos - start));
-    if (pos == std::string::npos) return out;
-    start = pos + 1;
-  }
-}
-
-// Strict parses (src/common/parse.hpp) into an out-parameter, for the
-// bool-returning key=value callbacks below.
-bool ParseDouble(const std::string& s, double* out) {
-  const Result<double> parsed = uvs::ParseDouble(s);
-  if (parsed.ok()) *out = *parsed;
-  return parsed.ok();
-}
-
-bool ParseInt(const std::string& s, int* out) {
-  const Result<int> parsed = uvs::ParseInt<int>(s);
-  if (parsed.ok()) *out = *parsed;
-  return parsed.ok();
-}
-
-// "T" or "T+D" after the '@'.
-bool ParseWindow(const std::string& s, Time* at, Time* duration) {
+// "T" or "T+D" after the '@': finite times >= 0.
+Status ParseWindow(const std::string& s, FaultEvent* ev) {
   const std::size_t plus = s.find('+');
-  if (plus == std::string::npos) {
-    *duration = 0.0;
-    return ParseDouble(s, at);
-  }
-  return ParseDouble(s.substr(0, plus), at) && ParseDouble(s.substr(plus + 1), duration);
+  const Result<double> at = ParseNumber(s.substr(0, plus), 0.0);
+  if (!at.ok()) return at.status();
+  ev->at = *at;
+  if (plus == std::string::npos) return Status::Ok();
+  const Result<double> duration = ParseNumber(s.substr(plus + 1), 0.0);
+  if (!duration.ok()) return duration.status();
+  ev->duration = *duration;
+  return Status::Ok();
 }
 
-// "k1=v1,k2=v2" -> callback per pair; returns false on malformed input.
-template <typename Fn>
-bool ForEachKv(const std::string& s, Fn&& fn) {
-  if (s.empty()) return true;
-  for (const std::string& pair : Split(s, ',')) {
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string::npos || eq == 0) return false;
-    if (!fn(pair.substr(0, eq), pair.substr(eq + 1))) return false;
-  }
-  return true;
-}
-
-Status BadEvent(const std::string& token, const char* why) {
+Status BadEvent(const std::string& token, const std::string& why) {
   return InvalidArgumentError("bad fault event '" + token + "': " + why);
 }
 
@@ -130,75 +96,47 @@ std::string Plan::ToString() const {
 Result<Plan> ParsePlan(const std::string& spec) {
   Plan plan;
   if (spec.empty()) return plan;
-  for (const std::string& token : Split(spec, ';')) {
+  for (const std::string& token : SplitOn(spec, ';')) {
     const std::size_t at_pos = token.find('@');
     if (at_pos == std::string::npos) return BadEvent(token, "missing '@time'");
     const std::string kind = token.substr(0, at_pos);
     const std::size_t colon = token.find(':', at_pos);
     const std::string window =
         token.substr(at_pos + 1, (colon == std::string::npos ? token.size() : colon) - at_pos - 1);
-    const std::string kvs = colon == std::string::npos ? "" : token.substr(colon + 1);
+    KeyValues options(colon == std::string::npos ? "" : token.substr(colon + 1), ',');
 
     FaultEvent ev;
-    if (!ParseWindow(window, &ev.at, &ev.duration)) return BadEvent(token, "bad time window");
-    if (ev.at < 0.0 || ev.duration < 0.0) return BadEvent(token, "negative time");
-
+    if (Status s = ParseWindow(window, &ev); !s.ok())
+      return BadEvent(token, "bad time window: " + s.message());
     if (kind == "crash") {
       ev.kind = EventKind::kNodeCrash;
-      ev.duration = 0.0;
-      bool have_node = false;
-      if (!ForEachKv(kvs, [&](const std::string& k, const std::string& v) {
-            if (k != "node") return false;
-            have_node = true;
-            return ParseInt(v, &ev.target);
-          }))
-        return BadEvent(token, "expected node=N");
-      if (!have_node || ev.target < 0) return BadEvent(token, "expected node=N");
+      options.Require("node");
+      options.Number("node", &ev.target, 0);
     } else if (kind == "ost") {
       ev.kind = EventKind::kOstDegrade;
-      bool have_ost = false;
-      if (!ForEachKv(kvs, [&](const std::string& k, const std::string& v) {
-            if (k == "ost") {
-              have_ost = true;
-              return ParseInt(v, &ev.target);
-            }
-            if (k == "factor") return ParseDouble(v, &ev.factor);
-            return false;
-          }))
-        return BadEvent(token, "expected ost=K,factor=F");
-      if (!have_ost || ev.target < 0) return BadEvent(token, "expected ost=K");
+      options.Require("ost");
+      options.Number("ost", &ev.target, 0);
+      options.Number("factor", &ev.factor, 0.0, 1.0);
     } else if (kind == "bb") {
       ev.kind = EventKind::kBbStall;
-      if (!ForEachKv(kvs, [&](const std::string& k, const std::string& v) {
-            if (k == "bb") return ParseInt(v, &ev.target);
-            if (k == "factor") return ParseDouble(v, &ev.factor);
-            return false;
-          }))
-        return BadEvent(token, "expected [bb=K,]factor=F");
+      options.Number("bb", &ev.target, 0);
+      options.Number("factor", &ev.factor, 0.0, 1.0);
     } else if (kind == "timeout") {
       ev.kind = EventKind::kTransferTimeout;
-      if (!kvs.empty()) return BadEvent(token, "timeout takes no arguments");
     } else if (kind == "ostfail" || kind == "latent") {
       ev.kind = kind[0] == 'o' ? EventKind::kOstFail : EventKind::kLatentError;
-      ev.duration = 0.0;
-      bool have_ost = false;
-      if (!ForEachKv(kvs, [&](const std::string& k, const std::string& v) {
-            if (k != "ost") return false;
-            have_ost = true;
-            return ParseInt(v, &ev.target);
-          }))
-        return BadEvent(token, "expected ost=K");
-      if (!have_ost || ev.target < 0) return BadEvent(token, "expected ost=K");
+      options.Require("ost");
+      options.Number("ost", &ev.target, 0);
     } else if (kind == "scrub") {
       ev.kind = EventKind::kScrub;
-      ev.duration = 0.0;
-      if (!kvs.empty()) return BadEvent(token, "scrub takes no arguments");
     } else {
       return BadEvent(token, "unknown event kind");
     }
+    if (Status s = options.Finish(); !s.ok()) return BadEvent(token, s.message());
 
+    if (DurationLess(ev.kind)) ev.duration = 0.0;
     if (ev.kind == EventKind::kOstDegrade || ev.kind == EventKind::kBbStall) {
-      if (!(ev.factor > 0.0) || ev.factor > 1.0) return BadEvent(token, "factor must be in (0,1]");
+      if (ev.factor == 0.0) return BadEvent(token, "factor must be in (0,1]");
       if (ev.duration <= 0.0) return BadEvent(token, "window needs a +duration");
     }
     plan.events.push_back(ev);

@@ -5,7 +5,8 @@
 // testkit scenario specs); both directions round-trip through ToString so
 // a failing fuzz case can be replayed verbatim.
 //
-// Grammar (events joined by ';', no whitespace anywhere):
+// Grammar (events joined by ';'; options joined by ',', each key at most
+// once, blanks around option keys and values ignored):
 //   crash@T:node=N            permanent loss of compute node N at time T
 //   ost@T+D:ost=K,factor=F    OST K runs at F x bandwidth for D seconds
 //   bb@T+D:factor=F           every BB node drains at F x bandwidth

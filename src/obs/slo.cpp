@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+
+#include "src/common/key_values.hpp"
 
 namespace uvs::obs {
 
@@ -28,28 +29,6 @@ std::string FmtShort(double v) {
   return buf;
 }
 
-std::vector<std::string> SplitOn(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t end = text.find(sep, start);
-    if (end == std::string::npos) {
-      parts.push_back(text.substr(start));
-      break;
-    }
-    parts.push_back(text.substr(start, end - start));
-    start = end + 1;
-  }
-  return parts;
-}
-
-std::string Trim(const std::string& s) {
-  std::size_t b = s.find_first_not_of(" \t");
-  std::size_t e = s.find_last_not_of(" \t");
-  if (b == std::string::npos) return "";
-  return s.substr(b, e - b + 1);
-}
-
 }  // namespace
 
 std::string SloSpec::Label() const { return metric + "<=" + FmtShort(threshold); }
@@ -66,49 +45,31 @@ Result<std::vector<SloSpec>> ParseSloSpecs(const std::string& text) {
     if (entry.empty()) continue;
     const std::size_t op = entry.find("<=");
     if (op == std::string::npos)
-      return Result<std::vector<SloSpec>>(
-          InvalidArgumentError("slo: '" + entry + "' has no '<=' threshold"));
+      return InvalidArgumentError("slo: '" + entry + "' has no '<=' threshold");
     SloSpec spec;
     spec.metric = Trim(entry.substr(0, op));
     if (spec.metric != "stretch" && spec.metric != "wait" && spec.metric != "lost")
-      return Result<std::vector<SloSpec>>(InvalidArgumentError(
-          "slo: unknown metric '" + spec.metric + "' (want stretch|wait|lost)"));
-    std::string rest = entry.substr(op + 2);
-    std::string opts;
-    if (const std::size_t colon = rest.find(':'); colon != std::string::npos) {
-      opts = rest.substr(colon + 1);
-      rest = rest.substr(0, colon);
-    }
-    spec.threshold = std::atof(Trim(rest).c_str());
-    for (const std::string& kv_raw : SplitOn(opts, ',')) {
-      const std::string kv = Trim(kv_raw);
-      if (kv.empty()) continue;
-      const std::size_t eq = kv.find('=');
-      if (eq == std::string::npos)
-        return Result<std::vector<SloSpec>>(
-            InvalidArgumentError("slo: bad option '" + kv + "' (want k=v)"));
-      const std::string key = Trim(kv.substr(0, eq));
-      const double val = std::atof(Trim(kv.substr(eq + 1)).c_str());
-      if (key == "budget") spec.budget = val;
-      else if (key == "fast") spec.fast_window = val;
-      else if (key == "slow") spec.slow_window = val;
-      else if (key == "burn") spec.alert_burn = val;
-      else
-        return Result<std::vector<SloSpec>>(
-            InvalidArgumentError("slo: unknown option '" + key + "'"));
-    }
-    if (spec.budget <= 0.0 || spec.budget > 1.0)
-      return Result<std::vector<SloSpec>>(
-          InvalidArgumentError("slo: budget must be in (0, 1]"));
-    if (spec.fast_window <= 0.0 || spec.slow_window < spec.fast_window)
-      return Result<std::vector<SloSpec>>(
-          InvalidArgumentError("slo: want 0 < fast <= slow window"));
-    if (spec.alert_burn <= 0.0)
-      return Result<std::vector<SloSpec>>(InvalidArgumentError("slo: burn must be > 0"));
+      return InvalidArgumentError("slo: unknown metric '" + spec.metric +
+                                  "' (want stretch|wait|lost)");
+    const std::string rest = entry.substr(op + 2);
+    const std::size_t colon = rest.find(':');
+    const Result<double> threshold = ParseNumber(Trim(rest.substr(0, colon)), 0.0);
+    if (!threshold.ok())
+      return InvalidArgumentError("slo: threshold: " + threshold.status().message());
+    spec.threshold = *threshold;
+    KeyValues options(colon == std::string::npos ? "" : rest.substr(colon + 1), ',');
+    options.Number("budget", &spec.budget, 0.0, 1.0);
+    options.Number("fast", &spec.fast_window, 0.0);
+    options.Number("slow", &spec.slow_window, 0.0);
+    options.Number("burn", &spec.alert_burn, 0.0);
+    if (Status s = options.Finish(); !s.ok()) return InvalidArgumentError("slo: " + s.message());
+    if (spec.budget == 0.0) return InvalidArgumentError("slo: budget must be in (0, 1]");
+    if (spec.fast_window == 0.0 || spec.slow_window < spec.fast_window)
+      return InvalidArgumentError("slo: want 0 < fast <= slow window");
+    if (spec.alert_burn == 0.0) return InvalidArgumentError("slo: burn must be > 0");
     specs.push_back(std::move(spec));
   }
-  if (specs.empty())
-    return Result<std::vector<SloSpec>>(InvalidArgumentError("slo: empty spec list"));
+  if (specs.empty()) return InvalidArgumentError("slo: empty spec list");
   return specs;
 }
 

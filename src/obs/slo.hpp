@@ -49,7 +49,9 @@ struct SloSpec {
 };
 
 /// Parses a ';'-separated spec list: each entry is
-/// `metric<=threshold[:k=v[,k=v...]]` with keys budget, fast, slow, burn.
+/// `metric<=threshold[:k=v[,k=v...]]` with keys budget, fast, slow, burn,
+/// each at most once. Values are finite numbers: threshold >= 0, budget in
+/// (0, 1], 0 < fast <= slow, burn > 0.
 Result<std::vector<SloSpec>> ParseSloSpecs(const std::string& text);
 
 /// The battery `uvsim --cluster --slo` evaluates when no spec is given:

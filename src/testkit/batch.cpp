@@ -46,7 +46,7 @@ BatchResult RunSeedBatch(std::uint64_t base_seed, std::uint64_t n, const BatchOp
       SeedRun& run = result.runs[i];
       run.spec = SampleScenario(run.seed);
       Fill(run, RunScenario(run.spec, options.run));
-      if (!run.ok && options.stop_on_failure) break;
+      if (!run.ok) break;
     }
     return result;
   }
@@ -59,7 +59,7 @@ BatchResult RunSeedBatch(std::uint64_t base_seed, std::uint64_t n, const BatchOp
   std::atomic<bool> deadline_hit{false};
   sim::WorkerPool pool(std::min<std::uint64_t>(static_cast<std::uint64_t>(requested), n));
   sim::ParallelFor(pool, static_cast<std::size_t>(n), [&](std::size_t i) {
-    if (options.stop_on_failure && i > first_fail.load(std::memory_order_acquire)) return;
+    if (i > first_fail.load(std::memory_order_acquire)) return;
     if (bounded && Clock::now() >= deadline) {
       deadline_hit.store(true, std::memory_order_relaxed);
       return;

@@ -30,15 +30,15 @@ namespace uvs::testkit {
 
 struct BatchOptions {
   RunOptions run;
-  /// Worker threads. <= 1 runs inline on the calling thread with exact
-  /// classic serial semantics (stop at first failure, nothing beyond it
-  /// ever sampled); 0 means hardware concurrency.
+  /// Worker threads; 0 means the hardware thread count. When that count is
+  /// at most 1, or the batch has one seed, the sweep runs inline on the
+  /// calling thread with exact classic serial semantics (nothing beyond the
+  /// first failure is ever sampled). A parallel sweep stops dispatching
+  /// seeds beyond the lowest failing one it has seen.
   int workers = 1;
   /// Shared wall-clock budget in seconds for the whole sweep (0 =
   /// unlimited). Honored across workers as one deadline.
   double time_budget = 0.0;
-  /// Stop dispatching seeds beyond the first (lowest) failing one.
-  bool stop_on_failure = true;
 };
 
 /// One seed's outcome within a batch.
@@ -46,7 +46,7 @@ struct SeedRun {
   std::uint64_t seed = 0;
   ScenarioSpec spec;
   /// False when the run never happened: the shared deadline expired first,
-  /// or a lower seed had already failed (stop_on_failure).
+  /// or a lower seed had already failed.
   bool ran = false;
   bool ok = false;
   InvariantReport report;

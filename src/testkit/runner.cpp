@@ -247,7 +247,7 @@ std::vector<cluster::JobSpec> BuildJobMix(const ScenarioSpec& spec) {
 /// instances contending through it. Cluster-level invariants (starvation
 /// horizon, BB reservation conservation, per-job lost-byte accounting)
 /// ride on top of the per-system checks.
-RunOutcome RunClusterScenario(const ScenarioSpec& spec, const RunOptions& options) {
+RunOutcome RunClusterScenario(const ScenarioSpec& spec) {
   RunOutcome outcome;
   outcome.spec = spec;
   try {
@@ -293,53 +293,51 @@ RunOutcome RunClusterScenario(const ScenarioSpec& spec, const RunOptions& option
       }
     }
 
-    if (options.check_invariants) {
-      CheckQuiescence(scenario.engine(), outcome.report);
-      CheckPoolConservation(scenario, outcome.report);
-      if (sim.arrived_jobs() != sim.job_count()) {
-        outcome.report.Add("cluster-conservation",
-                           std::to_string(sim.arrived_jobs()) + " of " +
-                               std::to_string(sim.job_count()) + " jobs arrived");
-      }
-      if (sim.completed_jobs() != sim.arrived_jobs()) {
-        outcome.report.Add("cluster-starvation",
-                           std::to_string(sim.arrived_jobs() - sim.completed_jobs()) +
-                               " arrived jobs never completed (queued or stranded)");
-      }
-      if (outcome.sim_time > sim.StarvationHorizon()) {
-        outcome.report.Add("cluster-starvation",
-                           "mix drained at t=" + std::to_string(outcome.sim_time) +
-                               ", past the bounded horizon " +
-                               std::to_string(sim.StarvationHorizon()));
-      }
-      if (sim.peak_bb_reserved() > sim.bb_capacity()) {
-        outcome.report.Add("cluster-bb-capacity",
-                           "peak BB reservation " + std::to_string(sim.peak_bb_reserved()) +
-                               " exceeds capacity " + std::to_string(sim.bb_capacity()));
-      }
-      if (spec.ec_k > 0) CheckErasure(scenario.pfs(), outcome.report);
-      for (int j = 0; j < sim.job_count(); ++j) {
-        const univistor::UniviStor* sys = sim.system(j);
-        if (sys == nullptr) continue;
-        CheckUniviStor(*sys, outcome.report);
-        const std::string label = "job " + std::to_string(j);
-        const Bytes lost = sys->lost_bytes();
-        if (spec.failure == FailureMode::kPlan) {
-          // Plan crashes land at arbitrary points, so the metadata-derived
-          // expectation is an upper bound per tenant (see ExpectedLostBytes).
-          const Bytes bound = ExpectedLostBytes(*sys, scenario.runtime());
-          outcome.expected_lost_bytes += bound;
-          if (lost > bound) {
-            outcome.report.Add("cluster-lost-bound",
-                               label + " reports " + std::to_string(lost) +
-                                   " lost bytes, above its metadata-derived bound of " +
-                                   std::to_string(bound));
-          }
-        } else if (lost != 0) {
-          outcome.report.Add("cluster-lost-accounting",
+    CheckQuiescence(scenario.engine(), outcome.report);
+    CheckPoolConservation(scenario, outcome.report);
+    if (sim.arrived_jobs() != sim.job_count()) {
+      outcome.report.Add("cluster-conservation",
+                         std::to_string(sim.arrived_jobs()) + " of " +
+                             std::to_string(sim.job_count()) + " jobs arrived");
+    }
+    if (sim.completed_jobs() != sim.arrived_jobs()) {
+      outcome.report.Add("cluster-starvation",
+                         std::to_string(sim.arrived_jobs() - sim.completed_jobs()) +
+                             " arrived jobs never completed (queued or stranded)");
+    }
+    if (outcome.sim_time > sim.StarvationHorizon()) {
+      outcome.report.Add("cluster-starvation",
+                         "mix drained at t=" + std::to_string(outcome.sim_time) +
+                             ", past the bounded horizon " +
+                             std::to_string(sim.StarvationHorizon()));
+    }
+    if (sim.peak_bb_reserved() > sim.bb_capacity()) {
+      outcome.report.Add("cluster-bb-capacity",
+                         "peak BB reservation " + std::to_string(sim.peak_bb_reserved()) +
+                             " exceeds capacity " + std::to_string(sim.bb_capacity()));
+    }
+    if (spec.ec_k > 0) CheckErasure(scenario.pfs(), outcome.report);
+    for (int j = 0; j < sim.job_count(); ++j) {
+      const univistor::UniviStor* sys = sim.system(j);
+      if (sys == nullptr) continue;
+      CheckUniviStor(*sys, outcome.report);
+      const std::string label = "job " + std::to_string(j);
+      const Bytes lost = sys->lost_bytes();
+      if (spec.failure == FailureMode::kPlan) {
+        // Plan crashes land at arbitrary points, so the metadata-derived
+        // expectation is an upper bound per tenant (see ExpectedLostBytes).
+        const Bytes bound = ExpectedLostBytes(*sys, scenario.runtime());
+        outcome.expected_lost_bytes += bound;
+        if (lost > bound) {
+          outcome.report.Add("cluster-lost-bound",
                              label + " reports " + std::to_string(lost) +
-                                 " lost bytes with no fault injected");
+                                 " lost bytes, above its metadata-derived bound of " +
+                                 std::to_string(bound));
         }
+      } else if (lost != 0) {
+        outcome.report.Add("cluster-lost-accounting",
+                           label + " reports " + std::to_string(lost) +
+                               " lost bytes with no fault injected");
       }
     }
   } catch (const std::exception& e) {
@@ -389,28 +387,26 @@ RunOutcome RunSingleScenario(const ScenarioSpec& spec, const RunOptions& options
       outcome.expected_lost_bytes = ExpectedLostBytes(*sut.univistor, scenario.runtime());
     }
 
-    if (options.check_invariants) {
-      CheckQuiescence(scenario.engine(), outcome.report);
-      CheckPoolConservation(scenario, outcome.report);
-      if (sut.univistor != nullptr) CheckUniviStor(*sut.univistor, outcome.report);
-      if (spec.ec_k > 0) CheckErasure(scenario.pfs(), outcome.report);
-      if (spec.failure == FailureMode::kPlan) {
-        // Plan crashes land at arbitrary points relative to the reads, so
-        // reads that beat the crash legitimately succeed; the watermark
-        // expectation is an upper bound ("bytes lost never exceed the
-        // un-replicated, un-flushed dirty window of the dead nodes").
-        if (outcome.lost_bytes > outcome.expected_lost_bytes) {
-          outcome.report.Add("lost-bound",
-                             "system reports " + std::to_string(outcome.lost_bytes) +
-                                 " lost bytes, above the metadata-derived bound of " +
-                                 std::to_string(outcome.expected_lost_bytes));
-        }
-      } else if (outcome.lost_bytes != outcome.expected_lost_bytes) {
-        outcome.report.Add("lost-accounting",
+    CheckQuiescence(scenario.engine(), outcome.report);
+    CheckPoolConservation(scenario, outcome.report);
+    if (sut.univistor != nullptr) CheckUniviStor(*sut.univistor, outcome.report);
+    if (spec.ec_k > 0) CheckErasure(scenario.pfs(), outcome.report);
+    if (spec.failure == FailureMode::kPlan) {
+      // Plan crashes land at arbitrary points relative to the reads, so
+      // reads that beat the crash legitimately succeed; the watermark
+      // expectation is an upper bound ("bytes lost never exceed the
+      // un-replicated, un-flushed dirty window of the dead nodes").
+      if (outcome.lost_bytes > outcome.expected_lost_bytes) {
+        outcome.report.Add("lost-bound",
                            "system reports " + std::to_string(outcome.lost_bytes) +
-                               " lost bytes, metadata-derived expectation is " +
+                               " lost bytes, above the metadata-derived bound of " +
                                std::to_string(outcome.expected_lost_bytes));
       }
+    } else if (outcome.lost_bytes != outcome.expected_lost_bytes) {
+      outcome.report.Add("lost-accounting",
+                         "system reports " + std::to_string(outcome.lost_bytes) +
+                             " lost bytes, metadata-derived expectation is " +
+                             std::to_string(outcome.expected_lost_bytes));
     }
     if (options.differential && spec.system == SystemKind::kUniviStor &&
         spec.failure == FailureMode::kNone) {
@@ -429,7 +425,7 @@ RunOutcome RunSingleScenario(const ScenarioSpec& spec, const RunOptions& options
 RunOutcome RunScenario(const ScenarioSpec& spec, const RunOptions& options) {
   obs::Recorder* recorder = obs::Recorder::Current();
   const std::uint64_t dropped_before = recorder != nullptr ? recorder->spans_dropped() : 0;
-  RunOutcome outcome = spec.jobs > 1 ? RunClusterScenario(spec, options)
+  RunOutcome outcome = spec.jobs > 1 ? RunClusterScenario(spec)
                                      : RunSingleScenario(spec, options);
   if (recorder != nullptr)
     outcome.spans_dropped = recorder->spans_dropped() - dropped_before;

@@ -42,7 +42,6 @@ struct RunOptions {
   /// Replay UniviStor no-failure specs through LustreDriver and compare
   /// per-file sizes.
   bool differential = true;
-  bool check_invariants = true;
 };
 
 /// Never throws: an escaped exception becomes an "exception" violation.

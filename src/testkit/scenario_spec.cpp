@@ -1,12 +1,11 @@
 #include "src/testkit/scenario_spec.hpp"
 
 #include <iterator>
-#include <limits>
 #include <sstream>
 #include <string>
-#include <vector>
+#include <utility>
 
-#include "src/common/parse.hpp"
+#include "src/common/key_values.hpp"
 #include "src/common/rng.hpp"
 #include "src/fault/plan.hpp"
 
@@ -185,152 +184,63 @@ std::string ScenarioSpec::ReproCommand() const {
   return "uvfuzz --spec='" + ToString() + "'";
 }
 
-namespace {
-
-constexpr Bytes kMaxMib = std::numeric_limits<Bytes>::max() / 1_MiB;
-
-}  // namespace
-
 Result<ScenarioSpec> ParseScenarioSpec(const std::string& text) {
   ScenarioSpec spec;
-  std::istringstream in(text);
-  std::string token;
-  while (in >> token) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos)
-      return InvalidArgumentError("expected key=value, got '" + token + "'");
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
+  KeyValues kv(text);
+  std::pair<int, int> ec{0, 0};
+  kv.Number("seed", &spec.seed, 0);
+  kv.Number("procs", &spec.procs, 1);
+  kv.Number("ppn", &spec.procs_per_node, 1);
+  kv.Bool("ssd", &spec.has_ssd);
+  kv.MiB("ssd_mb", &spec.ssd_capacity, 0);
+  kv.MiB("dram_mb", &spec.dram_cache_capacity, 0);
+  kv.Number("bb_nodes", &spec.bb_nodes, 0);
+  kv.MiB("bb_mb", &spec.bb_capacity_per_node, 0);
+  kv.Number("osts", &spec.osts, 1);
+  kv.Choice("system", &spec.system, workload::SystemKindName, 3);
+  kv.Bool("ia", &spec.ia);
+  kv.Bool("coc", &spec.coc);
+  kv.Bool("adpt", &spec.adpt);
+  kv.Bool("la", &spec.la);
+  kv.Bool("rep", &spec.replicate_volatile);
+  kv.Bool("promo", &spec.promote_hot_reads);
+  kv.Bool("foc", &spec.flush_on_close);
+  kv.Number("layer", &spec.first_layer, 0, 3);
+  // Chunk and metadata-range sizes divide offsets, so they must be positive.
+  kv.MiB("chunk_mb", &spec.chunk_size, 1);
+  kv.MiB("md_mb", &spec.metadata_range_size, 1);
+  kv.Choice("workload", &spec.workload, WorkloadKindName, 4);
+  kv.MiB("mb", &spec.bytes_per_rank, 0);
+  kv.Number("steps", &spec.steps, 1);
+  kv.Number("compute", &spec.compute_time, 0.0);
+  kv.Choice("fail", &spec.failure, FailureModeName, 4);
+  kv.Number("fail_node", &spec.failed_node, 0);
+  kv.Read("fplan", &spec.fault_plan, [](const std::string& v) -> Result<std::string> {
+    UVS_RETURN_IF_ERROR(fault::ParsePlan(v).status());
+    return v;
+  });
+  kv.Bool("recov", &spec.recovery);
+  kv.Number("jobs", &spec.jobs, 1);
+  kv.Number("arrival", &spec.arrival, 0.0);
+  kv.Number("csched", &spec.csched, 0, 2);
+  kv.Read("ec", &ec, ParseEcShards);
+  kv.Bool("scrub", &spec.scrub);
+  UVS_RETURN_IF_ERROR(kv.Finish());
+  spec.ec_k = ec.first;
+  spec.ec_m = ec.second;
 
-    if (key == "system") {
-      if (value == "univistor") spec.system = SystemKind::kUniviStor;
-      else if (value == "lustre") spec.system = SystemKind::kLustre;
-      else if (value == "data_elevator") spec.system = SystemKind::kDataElevator;
-      else return InvalidArgumentError("unknown system '" + value + "'");
-      continue;
-    }
-    if (key == "workload") {
-      if (value == "micro") spec.workload = WorkloadKind::kMicro;
-      else if (value == "micro_read") spec.workload = WorkloadKind::kMicroReadBack;
-      else if (value == "vpic") spec.workload = WorkloadKind::kVpic;
-      else if (value == "workflow") spec.workload = WorkloadKind::kWorkflow;
-      else return InvalidArgumentError("unknown workload '" + value + "'");
-      continue;
-    }
-    if (key == "fail") {
-      if (value == "none") spec.failure = FailureMode::kNone;
-      else if (value == "after_writes") spec.failure = FailureMode::kAfterWrites;
-      else if (value == "during_flush") spec.failure = FailureMode::kDuringFlush;
-      else if (value == "plan") spec.failure = FailureMode::kPlan;
-      else return InvalidArgumentError("unknown failure mode '" + value + "'");
-      continue;
-    }
-    if (key == "fplan") {
-      spec.fault_plan = value;
-      continue;
-    }
-    if (key == "ec") {
-      const std::size_t plus = value.find('+');
-      if (plus == std::string::npos || plus == 0 || plus + 1 == value.size())
-        return InvalidArgumentError("ec must be K+M, got '" + value + "'");
-      auto k = ParseInt<int>(value.substr(0, plus));
-      if (!k.ok()) return k.status();
-      auto m = ParseInt<int>(value.substr(plus + 1));
-      if (!m.ok()) return m.status();
-      spec.ec_k = *k;
-      spec.ec_m = *m;
-      continue;
-    }
-    if (key == "compute") {
-      auto parsed = ParseDouble(value);
-      if (!parsed.ok()) return parsed.status();
-      spec.compute_time = *parsed;
-      continue;
-    }
-    if (key == "arrival") {
-      auto parsed = ParseDouble(value);
-      if (!parsed.ok()) return parsed.status();
-      spec.arrival = *parsed;
-      continue;
-    }
-    if (key == "seed") {  // the full uint64 range
-      auto parsed = ParseInt<std::uint64_t>(value);
-      if (!parsed.ok()) return parsed.status();
-      spec.seed = *parsed;
-      continue;
-    }
-
-    auto parsed = ParseInt<long long>(value);
-    if (!parsed.ok()) return parsed.status();
-    const long long n = *parsed;
-    // Sizes in MiB are checked before scaling to bytes so they cannot wrap.
-    // Chunk and metadata-range sizes are divisors, so they must be positive.
-    // Every other key fills an int.
-    const bool divisor = key == "chunk_mb" || key == "md_mb";
-    if (divisor || key == "mb" || key == "dram_mb" || key == "bb_mb" || key == "ssd_mb") {
-      const long long min = divisor ? 1 : 0;
-      if (n < min) return InvalidArgumentError(key + " must be >= " + std::to_string(min));
-      if (static_cast<Bytes>(n) > kMaxMib) return InvalidArgumentError(key + " is too large");
-    } else if (n < std::numeric_limits<int>::min() || n > std::numeric_limits<int>::max()) {
-      return InvalidArgumentError(key + " is out of range");
-    }
-    if (key == "procs") spec.procs = static_cast<int>(n);
-    else if (key == "ppn") spec.procs_per_node = static_cast<int>(n);
-    else if (key == "ssd") spec.has_ssd = n != 0;
-    else if (key == "ssd_mb") spec.ssd_capacity = n * 1_MiB;
-    else if (key == "dram_mb") spec.dram_cache_capacity = n * 1_MiB;
-    else if (key == "bb_nodes") spec.bb_nodes = static_cast<int>(n);
-    else if (key == "bb_mb") spec.bb_capacity_per_node = n * 1_MiB;
-    else if (key == "osts") spec.osts = static_cast<int>(n);
-    else if (key == "ia") spec.ia = n != 0;
-    else if (key == "coc") spec.coc = n != 0;
-    else if (key == "adpt") spec.adpt = n != 0;
-    else if (key == "la") spec.la = n != 0;
-    else if (key == "rep") spec.replicate_volatile = n != 0;
-    else if (key == "promo") spec.promote_hot_reads = n != 0;
-    else if (key == "foc") spec.flush_on_close = n != 0;
-    else if (key == "layer") spec.first_layer = static_cast<int>(n);
-    else if (key == "chunk_mb") spec.chunk_size = n * 1_MiB;
-    else if (key == "md_mb") spec.metadata_range_size = n * 1_MiB;
-    else if (key == "mb") spec.bytes_per_rank = n * 1_MiB;
-    else if (key == "steps") spec.steps = static_cast<int>(n);
-    else if (key == "fail_node") spec.failed_node = static_cast<int>(n);
-    else if (key == "recov") spec.recovery = n != 0;
-    else if (key == "jobs") spec.jobs = static_cast<int>(n);
-    else if (key == "csched") spec.csched = static_cast<int>(n);
-    else if (key == "scrub") spec.scrub = n != 0;
-    else return InvalidArgumentError("unknown key '" + key + "'");
-  }
-
-  if (spec.procs < 1 || spec.procs_per_node < 1)
-    return InvalidArgumentError("procs and ppn must be >= 1");
-  if (spec.steps < 1) return InvalidArgumentError("steps must be >= 1");
-  if (spec.osts < 1) return InvalidArgumentError("osts must be >= 1");
-  if (spec.bb_nodes < 0) return InvalidArgumentError("bb_nodes must be >= 0");
-  if (spec.first_layer != 0 && spec.first_layer != 2 && spec.first_layer != 3)
+  if (spec.first_layer == 1)
     return InvalidArgumentError("layer must be 0 (DRAM), 2 (BB), or 3 (PFS)");
-  if (spec.failed_node < 0 || spec.failed_node >= spec.Nodes())
-    return InvalidArgumentError("fail_node out of range");
+  if (spec.failed_node >= spec.Nodes()) return InvalidArgumentError("fail_node out of range");
   if ((spec.failure == FailureMode::kPlan) != !spec.fault_plan.empty())
     return InvalidArgumentError("fplan must be set exactly when fail=plan");
-  if (!spec.fault_plan.empty()) {
-    auto plan = fault::ParsePlan(spec.fault_plan);
-    if (!plan.ok()) return plan.status();
-  }
-  if (spec.jobs < 1) return InvalidArgumentError("jobs must be >= 1");
-  if (spec.arrival < 0) return InvalidArgumentError("arrival must be >= 0");
-  if (spec.csched < 0 || spec.csched > 2)
-    return InvalidArgumentError("csched must be 0 (fcfs), 1 (easy), or 2 (bb)");
-  if (spec.ec_k < 0 || spec.ec_m < 0)
-    return InvalidArgumentError("ec shard counts must be >= 0");
   if (spec.ec_k > 0) {
     if (spec.system != SystemKind::kUniviStor)
       return InvalidArgumentError("ec requires system=univistor");
-    if (spec.ec_m < 1) return InvalidArgumentError("ec needs at least one parity shard");
     if (spec.ec_k + spec.ec_m > spec.osts)
       return InvalidArgumentError("ec needs k+m <= osts");
-  } else if (spec.ec_m > 0 || spec.scrub) {
-    return InvalidArgumentError("ec_m/scrub require ec=K+M");
+  } else if (spec.scrub) {
+    return InvalidArgumentError("scrub requires ec=K+M");
   }
   if (spec.jobs > 1) {
     if (spec.system != SystemKind::kUniviStor)

@@ -22,6 +22,10 @@ inline hw::ClusterParams UnsetClusterParams() {
 }
 }  // namespace internal
 
+/// Client ranks the front ends accept (uvsim --procs, the benches'
+/// UVS_MAX_PROCS): 8x the paper's largest run.
+inline constexpr int kMaxProcs = 65536;
+
 struct ScenarioOptions {
   int procs = 64;
   sched::PlacementPolicy policy = sched::PlacementPolicy::kInterferenceAware;

@@ -199,10 +199,19 @@ TEST(Arrival, ParseJobLineRejectsGarbage) {
   EXPECT_FALSE(ParseJobLine("at=0 procs=4 kind=mpi").ok());     // unknown kind
   EXPECT_FALSE(ParseJobLine("at=0 procs=4 quantum=9").ok());    // unknown key
   EXPECT_FALSE(ParseJobLine("at=-1 procs=4").ok());             // negative arrival
+  EXPECT_FALSE(ParseJobLine("at=0 procs=8abc").ok());           // trailing garbage
+  EXPECT_FALSE(ParseJobLine("at=0.5xyz procs=4").ok());
+  EXPECT_FALSE(ParseJobLine("at=nan procs=4").ok());            // non-finite arrival
+  EXPECT_FALSE(ParseJobLine("at=inf procs=4").ok());
+  EXPECT_FALSE(ParseJobLine("at=0 procs=4 procs=2").ok());      // duplicate key
+  EXPECT_FALSE(ParseJobLine("at=0 procs=4 mb=17592186044417").ok());  // wraps in bytes
+  EXPECT_FALSE(ParseJobLine("at=0 procs=4 ec=7").ok());         // boolean is 0 or 1
+  EXPECT_FALSE(ParseJobLine("at=0 procs=4 layer=1").ok());      // SSD is never first
+  EXPECT_FALSE(ParseJobLine("at=0 procs=4 kind=vpic compute=-1").ok());
 }
 
 TEST(Arrival, ParseJobTraceSortsAndComments) {
-  const auto jobs = ParseJobTrace("# a mix\nat=0.2 procs=4\n  \nat=0.1 procs=2 # tail\n");
+  const auto jobs = ParseJobTrace("# a mix\r\nat=0.2 procs=4\r\n  \nat=0.1 procs=2 # tail\n");
   ASSERT_TRUE(jobs.ok());
   ASSERT_EQ(jobs->size(), 2u);
   EXPECT_EQ((*jobs)[0].arrival, 0.1);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <set>
 
+#include "src/common/key_values.hpp"
 #include "src/common/parse.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/stats.hpp"
@@ -213,6 +214,66 @@ TEST(Parse, DoublesMustBeFinite) {
     EXPECT_EQ(ParseDouble(bad).status().code(), StatusCode::kInvalidArgument) << bad;
   for (const char* odd : {"nan", "inf", "-inf", "1e999"})
     EXPECT_EQ(ParseDouble(odd).status().code(), StatusCode::kOutOfRange) << odd;
+}
+
+TEST(KeyValues, OneRuleSetForBlankAndCommaLists) {
+  // A CRLF job-trace line; a token splits at its first '='.
+  KeyValues line("at=0.5\tprocs=8  plan=crash@1:node=2,x=y\r\n");
+  double at = 0;
+  int procs = 0;
+  std::string plan;
+  line.Number("at", &at, 0.0);
+  line.Number("procs", &procs, 1);
+  line.Read("plan", &plan, [](const std::string& v) { return Result<std::string>(v); });
+  ASSERT_TRUE(line.Finish().ok()) << line.Finish().ToString();
+  EXPECT_EQ(at, 0.5);
+  EXPECT_EQ(procs, 8);
+  EXPECT_EQ(plan, "crash@1:node=2,x=y");
+
+  // Blanks around keys and values of a ',' list are ignored, empty items
+  // skipped; booleans are exactly 0 or 1; MiB sizes scale to bytes.
+  KeyValues list(" budget = 0.25 ,, on=1 , mb= 3 ", ',');
+  double budget = 0;
+  bool on = false;
+  Bytes size = 0;
+  list.Number("budget", &budget, 0.0, 1.0);
+  list.Bool("on", &on);
+  list.MiB("mb", &size, 1);
+  ASSERT_TRUE(list.Finish().ok()) << list.Finish().ToString();
+  EXPECT_EQ(budget, 0.25);
+  EXPECT_TRUE(on);
+  EXPECT_EQ(size, 3_MiB);
+
+  // Every error names its key; the first one sticks.
+  const auto error = [](const std::string& text, char sep = ' ') {
+    KeyValues kv(text, sep);
+    int n = 0;
+    bool flag = false;
+    Bytes mib = 0;
+    kv.Number("n", &n, 1, 10);
+    kv.Bool("flag", &flag);
+    kv.MiB("mb", &mib, 0);
+    kv.Require("n");
+    return kv.Finish().message();
+  };
+  EXPECT_EQ(error("n=8abc"), "n: not an integer: '8abc'");
+  EXPECT_EQ(error("n=1 n=2"), "n: duplicate key");
+  EXPECT_EQ(error("n=1, n =2", ','), "n: duplicate key");
+  EXPECT_EQ(error("n=1 quantum=9"), "unknown key 'quantum'");
+  EXPECT_EQ(error("n=11"), "n: must be in [1, 10], got 11");
+  EXPECT_EQ(error("n=1 flag=2"), "flag: unknown value '2' (want 0|1)");
+  EXPECT_EQ(error("n=1 mb=17592186044416"),
+            "mb: must be in [0, 17592186044415], got 17592186044416");
+  EXPECT_EQ(error("flag=1"), "n: required");
+  EXPECT_EQ(error("n"), "expected key=value, got 'n'");
+  EXPECT_EQ(error("=1"), "expected key=value, got '=1'");
+}
+
+TEST(Parse, EcShardsAreBoundedSoTheirSumFitsAnInt) {
+  EXPECT_EQ(*ParseEcShards("4+2"), std::make_pair(4, 2));
+  EXPECT_EQ(*ParseEcShards("1073741823+1073741823"), std::make_pair(kMaxEcShards, kMaxEcShards));
+  for (const char* bad : {"", "4", "4+", "+2", "0+0", "0+1", "1+0", "2147483647+1", "3x+1"})
+    EXPECT_FALSE(ParseEcShards(bad).ok()) << bad;
 }
 
 TEST(Table, AlignsAndCounts) {

@@ -168,6 +168,9 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
       "crash@0.002:node=4294967297",        // target beyond int
       "crash@nan:node=1",                   // non-finite time
       "ost@0.001+inf:ost=3,factor=0.1",     // non-finite duration
+      "crash@0.002:node=1,node=0",          // duplicate key
+      "ost@0.001+0.05:ost=3,factor=nan",    // non-finite factor
+      "bb@0.001+0.05:bb=-1,factor=0.5",     // omit bb= to stall every node
   };
   for (const char* spec : bad) {
     EXPECT_FALSE(fault::ParsePlan(spec).ok()) << "should reject: " << spec;

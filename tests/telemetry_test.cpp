@@ -223,6 +223,14 @@ TEST(SloSpec, ParsesAndRoundTrips) {
   EXPECT_FALSE(obs::ParseSloSpecs("iops<=5").ok()) << "unknown metric";
   EXPECT_FALSE(obs::ParseSloSpecs("stretch<=4:budget=2").ok()) << "budget > 1";
   EXPECT_FALSE(obs::ParseSloSpecs("stretch<=4:fast=5,slow=1").ok()) << "slow < fast";
+  for (const char* bad : {"stretch<=abc", "stretch<=nan", "stretch<=-1", "stretch<=4:fast=nan",
+                          "stretch<=4:slow=inf", "stretch<=4:burn=1e999", "stretch<=4:budget=xyz",
+                          "stretch<=4:budget=0.5,budget=0.1", "stretch<=4:budget=0"})
+    EXPECT_FALSE(obs::ParseSloSpecs(bad).ok()) << bad;
+  // Blanks around entries, keys and values are ignored.
+  auto spaced = obs::ParseSloSpecs(" wait <= 2 : budget = 0.5 , burn = 3 ;");
+  ASSERT_TRUE(spaced.ok()) << spaced.status().ToString();
+  EXPECT_EQ((*spaced)[0].ToString(), "wait<=2:budget=0.5,fast=1,slow=10,burn=3");
 }
 
 // --- flight recorder ----------------------------------------------------

@@ -91,6 +91,16 @@ TEST(ScenarioSpecTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(ParseScenarioSpec("procs=4 mb=99999999999999999999").ok());
   EXPECT_FALSE(ParseScenarioSpec("procs=4 seed=-1").ok());
   EXPECT_FALSE(ParseScenarioSpec("procs=4 compute=nan").ok());
+  // One strict grammar: each key once, booleans 0 or 1, times finite and
+  // >= 0, EC shard counts >= 1 and small enough that k + m fits an int.
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 procs=8 mb=1").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 ia=2 mb=1").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 foc=5 mb=1").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 compute=-1 workload=vpic mb=1").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 compute=inf workload=vpic mb=1").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 jobs=2 arrival=nan").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 osts=16 ec=2147483647+1").ok());
+  EXPECT_FALSE(ParseScenarioSpec("procs=4 ec=0+0 mb=1").ok());
 }
 
 TEST(ScenarioSpecTest, SamplerCoversErasureCoding) {

@@ -11,8 +11,8 @@
 //   --smoke   smaller event counts / payloads (CI-friendly, seconds)
 //   --label   entry label (default "run")
 //   --out     output JSON path (default BENCH_sim.json in the CWD)
-//   -j N      workers for the parallel-runner metrics (0 = all hardware
-//             threads; default 0)
+//   -j N      workers for the parallel-runner metrics, N >= 0 (0 = all
+//             hardware threads; default 0)
 //
 // Besides the kernel microbenchmarks and figure smokes, the entry carries
 // parallel-runner metrics: the same fuzz seed sweep and cluster
@@ -36,6 +36,7 @@
 #include "bench/bench_common.hpp"
 #include "src/cluster/arrival.hpp"
 #include "src/cluster/simulation.hpp"
+#include "src/common/parse.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/fair_share.hpp"
 #include "src/sim/task.hpp"
@@ -288,9 +289,10 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
     } else if ((std::strcmp(argv[i], "-j") == 0 || std::strcmp(argv[i], "--jobs") == 0) &&
                i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
+      jobs = FlagNumber("bench_trajectory", argv[i], argv[i + 1], 0);
+      ++i;
     } else if (std::strncmp(argv[i], "-j", 2) == 0 && argv[i][2] != '\0') {
-      jobs = std::atoi(argv[i] + 2);
+      jobs = FlagNumber("bench_trajectory", "-j", argv[i] + 2, 0);
     } else {
       std::fprintf(stderr, "usage: %s [--smoke] [--label NAME] [--out PATH] [-j N]\n",
                    argv[0]);

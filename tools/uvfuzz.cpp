@@ -33,6 +33,7 @@
 #include <string>
 
 #include "src/common/log.hpp"
+#include "src/common/parse.hpp"
 #include "src/obs/flight_recorder.hpp"
 #include "src/testkit/batch.hpp"
 #include "src/testkit/runner.hpp"
@@ -42,6 +43,10 @@
 using namespace uvs;
 
 namespace {
+
+constexpr const char* kTool = "uvfuzz";
+constexpr std::uint64_t kMaxSeeds = 1000000;  // the sweep holds one result per seed
+constexpr double kMaxTimeBudget = 1e6;        // seconds; the deadline must fit the clock
 
 struct Args {
   std::uint64_t seeds = 64;
@@ -60,15 +65,17 @@ struct Args {
 void PrintUsage(std::FILE* out) {
   std::fprintf(out,
                "usage: uvfuzz [flags]\n"
-               "  --seeds=N          scenarios to run (default 64)\n"
-               "  --base-seed=S      first seed (default 1)\n"
-               "  --seed=S           run exactly one seed\n"
-               "  --spec='k=v ...'   replay one explicit scenario spec\n"
-               "  --time-budget=S    stop fuzzing after S wall-clock seconds (one\n"
-               "                     shared deadline — -j does not multiply it)\n"
-               "  -j N, --jobs=N     fan the sweep across N worker threads with\n"
-               "                     output identical to the serial sweep (0 = all\n"
-               "                     hardware threads; default 1)\n"
+               "  --seeds=N          scenarios to run, 1 to 1000000 (default 64)\n"
+               "  --base-seed=S      first seed, any uint64 (default 1)\n"
+               "  --seed=S           run exactly one seed, any uint64\n"
+               "  --spec='k=v ...'   replay one explicit scenario spec: each key at\n"
+               "                     most once, booleans 0 or 1 (docs/TESTING.md)\n"
+               "  --time-budget=S    stop fuzzing after S wall-clock seconds, 0 to\n"
+               "                     1e6 (0 = no budget; one shared deadline — -j\n"
+               "                     does not multiply it)\n"
+               "  -j N, --jobs=N     fan the sweep across N >= 0 worker threads\n"
+               "                     with output identical to the serial sweep (0 =\n"
+               "                     all hardware threads; default 1)\n"
                "  --no-shrink        do not shrink a failing scenario\n"
                "  --no-differential  skip the Lustre differential read-back\n"
                "  --flight-recorder[=FILE]\n"
@@ -78,33 +85,25 @@ void PrintUsage(std::FILE* out) {
                "  --help             show this message\n");
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
 int Parse(int argc, char** argv, Args& args) {
   std::string value;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (ParseFlag(arg, "--seeds", &value)) args.seeds = std::strtoull(value.c_str(), nullptr, 10);
+    if (ParseFlag(arg, "--seeds", &value))
+      args.seeds = FlagNumber(kTool, "--seeds", value, std::uint64_t{1}, kMaxSeeds);
     else if (ParseFlag(arg, "--base-seed", &value))
-      args.base_seed = std::strtoull(value.c_str(), nullptr, 10);
+      args.base_seed = FlagNumber(kTool, "--base-seed", value, std::uint64_t{0});
     else if (ParseFlag(arg, "--seed", &value)) {
       args.single_seed = true;
-      args.seed = std::strtoull(value.c_str(), nullptr, 10);
+      args.seed = FlagNumber(kTool, "--seed", value, std::uint64_t{0});
     } else if (ParseFlag(arg, "--spec", &value)) args.spec = value;
     else if (ParseFlag(arg, "--time-budget", &value))
-      args.time_budget = std::atof(value.c_str());
-    else if (ParseFlag(arg, "--jobs", &value)) args.jobs = std::atoi(value.c_str());
+      args.time_budget = FlagNumber(kTool, "--time-budget", value, 0.0, kMaxTimeBudget);
+    else if (ParseFlag(arg, "--jobs", &value)) args.jobs = FlagNumber(kTool, "--jobs", value, 0);
     else if (std::strcmp(arg, "-j") == 0 && i + 1 < argc)
-      args.jobs = std::atoi(argv[++i]);
+      args.jobs = FlagNumber(kTool, "-j", argv[++i], 0);
     else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0')
-      args.jobs = std::atoi(arg + 2);
+      args.jobs = FlagNumber(kTool, "-j", arg + 2, 0);
     else if (std::strcmp(arg, "--no-shrink") == 0) args.shrink = false;
     else if (std::strcmp(arg, "--no-differential") == 0) args.differential = false;
     else if (std::strcmp(arg, "--flight-recorder") == 0) args.flight = "flight-recorder.json";
@@ -185,10 +184,7 @@ int main(int argc, char** argv) {
   try {
     if (!args.spec.empty()) {
       const auto spec = testkit::ParseScenarioSpec(args.spec);
-      if (!spec.ok()) {
-        std::fprintf(stderr, "uvfuzz: bad --spec: %s\n", spec.status().ToString().c_str());
-        return 2;
-      }
+      if (!spec.ok()) BadFlag(kTool, "--spec", spec.status().ToString());
       return RunOne(*spec, args, options) ? 0 : 1;
     }
     if (args.single_seed) {

@@ -8,7 +8,8 @@
 // Diff mode exits 0 when the reports agree within tolerance, 1 when a
 // statistically meaningful shift is found (for CI gating against a golden
 // report), and 2 on usage or parse errors. SLO verdict flips are always
-// meaningful shifts regardless of tolerance. Tolerances:
+// meaningful shifts regardless of tolerance. Tolerances, each a finite
+// number >= 0:
 //
 //   --rel-tol=F      relative change on elapsed / critical path / saturation
 //                    (default 0.10)
@@ -17,11 +18,11 @@
 //   --min-seconds=F  ignore categories smaller than this in both reports
 //                    (default 0.05)
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "src/common/parse.hpp"
 #include "src/obs/report.hpp"
 
 using namespace uvs;
@@ -35,13 +36,6 @@ void PrintUsage(std::FILE* out) {
                "       uvreport --diff [tolerance flags] old.json new.json\n");
 }
 
-bool ParseDouble(const char* arg, const char* name, double* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = std::atof(arg + len + 1);
-  return true;
-}
-
 int Fail(const std::string& what) {
   std::fprintf(stderr, "uvreport: %s\n", what.c_str());
   return 2;
@@ -53,13 +47,17 @@ int main(int argc, char** argv) {
   bool diff = false;
   obs::DiffOptions options;
   std::vector<std::string> files;
+  std::string value;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--diff") == 0) diff = true;
-    else if (ParseDouble(arg, "--rel-tol", &options.rel_tol)) {
-    } else if (ParseDouble(arg, "--share-tol", &options.share_tol)) {
-    } else if (ParseDouble(arg, "--min-seconds", &options.min_seconds)) {
-    } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
+    else if (ParseFlag(arg, "--rel-tol", &value))
+      options.rel_tol = FlagNumber("uvreport", "--rel-tol", value, 0.0);
+    else if (ParseFlag(arg, "--share-tol", &value))
+      options.share_tol = FlagNumber("uvreport", "--share-tol", value, 0.0);
+    else if (ParseFlag(arg, "--min-seconds", &value))
+      options.min_seconds = FlagNumber("uvreport", "--min-seconds", value, 0.0);
+    else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       PrintUsage(stdout);
       return 0;
     } else if (arg[0] == '-') {

@@ -16,10 +16,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
-#include <type_traits>
 
 #include "src/cluster/arrival.hpp"
 #include "src/cluster/simulation.hpp"
@@ -46,8 +44,7 @@ using namespace uvs;
 
 namespace {
 
-/// Client ranks uvsim accepts: 8x the paper's largest run.
-constexpr int kMaxProcs = 65536;
+constexpr const char* kTool = "uvsim";
 
 struct Args {
   std::string system = "univistor";
@@ -173,40 +170,6 @@ void PrintUsage(std::FILE* out) {
                "Environment: UVS_LOG_LEVEL=trace|debug|info|warn|error|off\n");
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-[[noreturn]] void BadFlag(const std::string& flag, const std::string& why) {
-  std::fprintf(stderr, "uvsim: %s: %s\n", flag.c_str(), why.c_str());
-  std::exit(2);
-}
-
-/// Strictly parses the value of `flag` and checks it lies in [min, max];
-/// exits 2 with a message otherwise.
-template <typename T>
-T Number(const char* flag, const std::string& value, T min,
-         T max = std::numeric_limits<T>::max()) {
-  const Result<T> parsed = [&value] {
-    if constexpr (std::is_floating_point_v<T>) return ParseDouble(value);
-    else return ParseInt<T>(value);
-  }();
-  if (!parsed.ok()) BadFlag(flag, parsed.status().message());
-  if (*parsed < min || *parsed > max) {
-    std::ostringstream range;
-    range << "must be ";
-    if (max == std::numeric_limits<T>::max()) range << ">= " << min;
-    else range << "in [" << min << ", " << max << "]";
-    BadFlag(flag, range.str() + ", got " + value);
-  }
-  return *parsed;
-}
-
 double ScrubInterval(const Args& args) {
   return args.scrub_interval >= 0 ? args.scrub_interval : workload::kScrubStripeInterval;
 }
@@ -233,34 +196,35 @@ Args Parse(int argc, char** argv) {
     if (ParseFlag(arg, "--system", &value)) args.system = value;
     else if (ParseFlag(arg, "--layer", &value)) args.layer = value;
     else if (ParseFlag(arg, "--workload", &value)) args.workload = value;
-    else if (ParseFlag(arg, "--procs", &value)) args.procs = Number("--procs", value, 1, kMaxProcs);
-    else if (ParseFlag(arg, "--mb", &value)) args.mb = Number("--mb", value, 0);
-    else if (ParseFlag(arg, "--steps", &value)) args.steps = Number("--steps", value, 1);
+    else if (ParseFlag(arg, "--procs", &value))
+      args.procs = FlagNumber(kTool, "--procs", value, 1, workload::kMaxProcs);
+    else if (ParseFlag(arg, "--mb", &value)) args.mb = FlagNumber(kTool, "--mb", value, 0);
+    else if (ParseFlag(arg, "--steps", &value))
+      args.steps = FlagNumber(kTool, "--steps", value, 1);
     else if (ParseFlag(arg, "--faults", &value)) {
       auto plan = fault::ParsePlan(value);
-      if (!plan.ok()) BadFlag("--faults", plan.status().ToString());
+      if (!plan.ok()) BadFlag(kTool, "--faults", plan.status().ToString());
       args.faults = *std::move(plan);
     }
     else if (ParseFlag(arg, "--ec", &value)) {
-      // K data and M parity shards, both >= 1.
-      const std::size_t plus = value.find('+');
-      if (plus == std::string::npos) BadFlag("--ec", "wants K+M, got " + value);
-      args.ec_k = Number("--ec", value.substr(0, plus), 1);
-      args.ec_m = Number("--ec", value.substr(plus + 1), 1);
+      const auto shards = ParseEcShards(value);
+      if (!shards.ok()) BadFlag(kTool, "--ec", shards.status().message());
+      args.ec_k = shards->first;
+      args.ec_m = shards->second;
     }
     else if (std::strcmp(arg, "--scrub") == 0) args.scrub = true;
     else if (ParseFlag(arg, "--scrub", &value)) {
       args.scrub = true;
-      args.scrub_interval = Number("--scrub", value, 0.0);
+      args.scrub_interval = FlagNumber(kTool, "--scrub", value, 0.0);
     }
     else if (std::strcmp(arg, "--recover") == 0) args.recover = true;
     else if (ParseFlag(arg, "--trace", &value)) args.trace = value;
     else if (ParseFlag(arg, "--metrics", &value)) args.metrics = value;
     else if (ParseFlag(arg, "--sample-interval", &value))
-      args.sample_interval = Number("--sample-interval", value, 0.0);
+      args.sample_interval = FlagNumber(kTool, "--sample-interval", value, 0.0);
     else if (std::strcmp(arg, "--attribution") == 0) args.attribution = true;
     else if (ParseFlag(arg, "--span-limit", &value))
-      args.span_limit = Number("--span-limit", value, 0LL);
+      args.span_limit = FlagNumber(kTool, "--span-limit", value, 0LL);
     else if (std::strcmp(arg, "--slo") == 0) args.slo = true;
     else if (ParseFlag(arg, "--slo", &value)) {
       args.slo = true;
@@ -270,22 +234,25 @@ Args Parse(int argc, char** argv) {
     else if (ParseFlag(arg, "--flight-recorder", &value)) args.flight = value;
     else if (std::strcmp(arg, "--live") == 0) args.live = true;
     else if (std::strcmp(arg, "--cluster") == 0) args.cluster = true;
-    else if (ParseFlag(arg, "--jobs", &value)) args.jobs = Number("--jobs", value, 1);
+    else if (ParseFlag(arg, "--jobs", &value))
+      args.jobs = FlagNumber(kTool, "--jobs", value, 1);
     else if (ParseFlag(arg, "--csched", &value)) args.csched = value;
     else if (ParseFlag(arg, "--interarrival", &value))
-      args.interarrival = Number("--interarrival", value, 0.0);
+      args.interarrival = FlagNumber(kTool, "--interarrival", value, 0.0);
     else if (ParseFlag(arg, "--seed", &value))
-      args.seed = Number("--seed", value, 0ULL);
+      args.seed = FlagNumber(kTool, "--seed", value, 0ULL);
     else if (std::strcmp(arg, "--bb-bound") == 0) args.bb_bound = true;
     else if (ParseFlag(arg, "--lustre-frac", &value))
-      args.lustre_frac = Number("--lustre-frac", value, 0.0, 1.0);
+      args.lustre_frac = FlagNumber(kTool, "--lustre-frac", value, 0.0, 1.0);
     else if (ParseFlag(arg, "--ec-frac", &value))
-      args.ec_frac = Number("--ec-frac", value, 0.0, 1.0);
-    else if (ParseFlag(arg, "--bb-mb", &value)) args.bb_mb = Number("--bb-mb", value, 0);
-    else if (ParseFlag(arg, "--osts", &value)) args.osts = Number("--osts", value, 1);
-    else if (ParseFlag(arg, "--ppn", &value)) args.ppn = Number("--ppn", value, 1);
+      args.ec_frac = FlagNumber(kTool, "--ec-frac", value, 0.0, 1.0);
+    else if (ParseFlag(arg, "--bb-mb", &value))
+      args.bb_mb = FlagNumber(kTool, "--bb-mb", value, 0);
+    else if (ParseFlag(arg, "--osts", &value))
+      args.osts = FlagNumber(kTool, "--osts", value, 1);
+    else if (ParseFlag(arg, "--ppn", &value)) args.ppn = FlagNumber(kTool, "--ppn", value, 1);
     else if (ParseFlag(arg, "--solo-jobs", &value))
-      args.solo_jobs = Number("--solo-jobs", value, 0);
+      args.solo_jobs = FlagNumber(kTool, "--solo-jobs", value, 0);
     else if (ParseFlag(arg, "--job-file", &value)) args.job_file = value;
     else if (ParseFlag(arg, "--job-trace", &value)) args.job_trace = value;
     else if (std::strcmp(arg, "--read") == 0) args.read = true;
@@ -308,13 +275,13 @@ Args Parse(int argc, char** argv) {
   if (args.system == "univistor") args.kind = workload::SystemKind::kUniviStor;
   else if (args.system == "de") args.kind = workload::SystemKind::kDataElevator;
   else if (args.system == "lustre") args.kind = workload::SystemKind::kLustre;
-  else BadFlag("--system", "unknown system '" + args.system + "'");
+  else BadFlag(kTool, "--system", "unknown system '" + args.system + "'");
   if (args.workload != "micro" && args.workload != "vpic" && args.workload != "workflow")
-    BadFlag("--workload", "unknown workload '" + args.workload + "'");
+    BadFlag(kTool, "--workload", "unknown workload '" + args.workload + "'");
   if (!args.cluster && args.workload == "workflow" && args.procs < 2)
-    BadFlag("--procs", "workflow needs >= 2 ranks (writers and readers)");
+    BadFlag(kTool, "--procs", "workflow needs >= 2 ranks (writers and readers)");
   if (!args.cluster && args.ec_k > 0 && args.kind != workload::SystemKind::kUniviStor)
-    BadFlag("--ec", "needs --system=univistor");
+    BadFlag(kTool, "--ec", "needs --system=univistor");
   return args;
 }
 
