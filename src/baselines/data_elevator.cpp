@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/rng.hpp"
+#include "src/obs/legs.hpp"
 #include "src/obs/recorder.hpp"
 #include "src/placement/striping.hpp"
 #include "src/sim/combinators.hpp"
@@ -16,19 +17,6 @@ constexpr int kServersPerNode = 2;
 constexpr int kMdOpsPerOpen = 4;
 /// BB-node streams one rank's access fans out to.
 constexpr int kBbStreamsPerAccess = 4;
-
-sim::Task PoolLeg(sim::FairSharePool& pool, Bytes bytes) { co_await pool.Transfer(bytes); }
-sim::Task BbLeg(hw::BurstBuffer& bb, int node, Bytes bytes, double inflation,
-                obs::SpanRef parent = {}) {
-  co_await bb.Access(node, bytes, inflation, parent);
-}
-
-/// Category-tagging leg wrapper (tracing on only); see univistor/system.cpp.
-sim::Task TaggedLeg(sim::Engine& engine, const char* name, obs::Track track, Bytes bytes,
-                    obs::SpanTag tag, sim::Task inner) {
-  obs::SpanTimer span(engine, "baselines", name, track, bytes, tag);
-  co_await std::move(inner);
-}
 }  // namespace
 
 DataElevator::DataElevator(vmpi::Runtime& runtime, storage::Pfs& pfs)
@@ -57,7 +45,7 @@ sim::Task DataElevator::OpenMetadata(vmpi::ProgramId program, int rank, obs::Spa
   const obs::Track track =
       obs::Track::Rank(runtime_->Rank(program, rank).node, program, rank);
   const Time start = engine.Now();
-  co_await engine.Delay(runtime_->cluster().burst_buffer().params().latency);
+  co_await engine.Delay(runtime_->cluster().burst_buffer().latency());
   const Time queued = engine.Now();
   auto guard = co_await mds_->Lock();
   const Time serviced = engine.Now();
@@ -78,7 +66,7 @@ sim::Task DataElevator::OpenMetadata(vmpi::ProgramId program, int rank, obs::Spa
 double DataElevator::BbInflation(const FileInfo& info, bool read) const {
   const int peers = read ? info.active_readers : info.active_writers;
   if (peers <= 1) return 1.0;
-  double penalty = runtime_->cluster().burst_buffer().params().shared_file_lock_penalty;
+  double penalty = runtime_->cluster().params().bb.shared_file_lock_penalty;
   if (read) penalty *= 0.5;
   return 1.0 + penalty * std::log2(static_cast<double>(peers));
 }
@@ -86,32 +74,20 @@ double DataElevator::BbInflation(const FileInfo& info, bool read) const {
 sim::Task DataElevator::BbAccess(vmpi::ProgramId program, int rank, FileInfo& info,
                                  Bytes offset, Bytes len, bool read, obs::SpanRef parent) {
   hw::Cluster& cluster = runtime_->cluster();
-  sim::Engine& engine = cluster.engine();
+  hw::DeviceArray& bb = cluster.burst_buffer();
   const int node = runtime_->Rank(program, rank).node;
-  const bool traced = obs::Enabled();
-  const obs::Track track = obs::Track::Rank(node, program, rank);
-  auto leg = [&](const char* name, obs::Category cat, Time ideal, Bytes bytes,
-                 sim::Task inner) {
-    return traced ? TaggedLeg(engine, name, track, bytes,
-                              {.cat = cat, .parent = parent, .ideal = ideal},
-                              std::move(inner))
-                  : std::move(inner);
-  };
+  obs::Legs legs(cluster.engine(), "baselines", obs::Track::Rank(node, program, rank), parent);
   int& active = read ? info.active_readers : info.active_writers;
   ++active;
   const double inflation = BbInflation(info, read);
 
-  const int bb_nodes = cluster.burst_buffer().node_count();
+  const int bb_nodes = bb.size();
   const int streams = std::min(kBbStreamsPerAccess, bb_nodes);
   const Bytes base = len / static_cast<Bytes>(streams);
 
-  std::vector<sim::Task> legs;
-  legs.push_back(leg("cpu.copy", obs::Category::kNet,
-                     runtime_->RankCpu(program, rank).SoloTime(len), len,
-                     PoolLeg(runtime_->RankCpu(program, rank), len)));
-  auto& nic = read ? cluster.node(node).nic_rx() : cluster.node(node).nic_tx();
-  legs.push_back(leg(read ? "nic.rx" : "nic.tx", obs::Category::kNet, nic.SoloTime(len), len,
-                     PoolLeg(nic, len)));
+  legs.Pool("cpu.copy", obs::Category::kNet, runtime_->RankCpu(program, rank), len);
+  legs.Pool(read ? "nic.rx" : "nic.tx", obs::Category::kNet,
+            read ? cluster.node(node).nic_rx() : cluster.node(node).nic_tx(), len);
   // DataWarp stripes the shared file across BB nodes; the rank's range
   // maps onto `streams` of them. Mix the stripe index so power-of-two
   // offsets do not all alias onto the same BB nodes.
@@ -122,14 +98,11 @@ sim::Task DataElevator::BbAccess(vmpi::ProgramId program, int rank, FileInfo& in
     const Bytes piece = s + 1 == streams ? len - base * static_cast<Bytes>(streams - 1) : base;
     const int bb_node = (first + s) % bb_nodes;
     if (piece > 0) {
-      legs.push_back(leg(read ? "bb.read" : "bb.write", obs::Category::kBb,
-                         cluster.burst_buffer().params().latency +
-                             cluster.burst_buffer().pool(bb_node).SoloTime(piece),
-                         piece, BbLeg(cluster.burst_buffer(), bb_node, piece, inflation,
-                                      parent)));
+      legs.Add(read ? "bb.read" : "bb.write", obs::Category::kBb, bb.SoloTime(bb_node, piece),
+               piece, bb.Access(bb_node, piece, inflation, parent));
     }
   }
-  co_await sim::WhenAll(engine, std::move(legs));
+  co_await legs.Join();
   --active;
 }
 
@@ -149,17 +122,12 @@ sim::Task DataElevator::Read(vmpi::ProgramId program, int rank, storage::FileId 
     // Not cached: fall through to Lustre.
     if (info.pfs_file < 0) co_return;
     const int node = runtime_->Rank(program, rank).node;
-    if (obs::Enabled()) {
-      co_await TaggedLeg(runtime_->engine(), "pfs.read.wait",
-                         obs::Track::Rank(node, program, rank), len,
-                         {.cat = obs::Category::kPfs, .parent = parent},
-                         pfs_->Read(info.pfs_file, offset, len, node,
-                                    {.layout = storage::AccessLayout::kSharedInterleaved,
-                                     .parent = parent}));
-    } else {
-      co_await pfs_->Read(info.pfs_file, offset, len, node,
-                          {.layout = storage::AccessLayout::kSharedInterleaved});
-    }
+    const obs::Legs lustre(runtime_->engine(), "baselines",
+                           obs::Track::Rank(node, program, rank), parent);
+    co_await lustre.Tag("pfs.read.wait", obs::Category::kPfs, 0.0, len,
+                        pfs_->Read(info.pfs_file, offset, len, node,
+                                   {.layout = storage::AccessLayout::kSharedInterleaved,
+                                    .parent = parent}));
   }
 }
 
@@ -167,39 +135,29 @@ sim::Task DataElevator::ServerFlushShare(FileInfo& info, int server_idx, Bytes r
                                          Bytes bytes) {
   hw::Cluster& cluster = runtime_->cluster();
   sim::Engine& engine = cluster.engine();
+  hw::DeviceArray& bb = cluster.burst_buffer();
   const int node = server_idx / kServersPerNode;
-  const bool traced = obs::Enabled();
   const obs::Track track = obs::Track::Rank(node, server_program_, server_idx);
   const obs::SpanRef self = obs::NewSpanRef();
-  auto leg = [&](const char* name, obs::Category cat, Time ideal, sim::Task inner) {
-    return traced ? TaggedLeg(engine, name, track, bytes,
-                              {.cat = cat, .parent = self, .ideal = ideal}, std::move(inner))
-                  : std::move(inner);
-  };
+  obs::Legs legs(engine, "baselines", track, self);
   runtime_->SetRankBusy(server_program_, server_idx, true);
   obs::SpanTimer span(engine, "baselines", "de.flush.share", track, bytes, {.self = self});
   // Data Elevator is a staged copier: it reads a region from the BB, then
   // writes it to Lustre (no read/write pipelining, unlike UniviStor's
   // flush whose legs overlap).
-  const int bb_node = server_idx % cluster.burst_buffer().node_count();
-  std::vector<sim::Task> read_legs;
-  read_legs.push_back(leg("bb.read", obs::Category::kBb,
-                          cluster.burst_buffer().params().latency +
-                              cluster.burst_buffer().pool(bb_node).SoloTime(bytes),
-                          BbLeg(cluster.burst_buffer(), bb_node, bytes, 1.0, self)));
-  read_legs.push_back(leg("nic.rx", obs::Category::kNet,
-                          cluster.node(node).nic_rx().SoloTime(bytes),
-                          PoolLeg(cluster.node(node).nic_rx(), bytes)));
-  read_legs.push_back(leg("cpu.copy", obs::Category::kNet,
-                          runtime_->RankCpu(server_program_, server_idx).SoloTime(bytes),
-                          PoolLeg(runtime_->RankCpu(server_program_, server_idx), bytes)));
-  co_await sim::WhenAll(engine, std::move(read_legs));
+  const int bb_node = server_idx % bb.size();
+  legs.Add("bb.read", obs::Category::kBb, bb.SoloTime(bb_node, bytes), bytes,
+           bb.Access(bb_node, bytes, 1.0, self));
+  legs.Pool("nic.rx", obs::Category::kNet, cluster.node(node).nic_rx(), bytes);
+  legs.Pool("cpu.copy", obs::Category::kNet, runtime_->RankCpu(server_program_, server_idx),
+            bytes);
+  co_await legs.Join();
   // Write to Lustre with the non-adaptive default striping.
-  co_await leg("pfs.write.wait", obs::Category::kPfs, 0.0,
-               pfs_->Write(info.pfs_file, range_offset, bytes, node,
-                           {.layout = storage::AccessLayout::kAlignedRanges,
-                            .coordinated = false,
-                            .parent = self}));
+  co_await legs.Tag("pfs.write.wait", obs::Category::kPfs, 0.0, bytes,
+                    pfs_->Write(info.pfs_file, range_offset, bytes, node,
+                                {.layout = storage::AccessLayout::kAlignedRanges,
+                                 .coordinated = false,
+                                 .parent = self}));
   runtime_->SetRankBusy(server_program_, server_idx, false);
 }
 

@@ -1,21 +1,11 @@
 #include "src/baselines/lustre_driver.hpp"
 
+#include "src/obs/legs.hpp"
 #include "src/obs/recorder.hpp"
-#include "src/sim/combinators.hpp"
 
 namespace uvs::baselines {
 
 namespace {
-sim::Task PoolLeg(sim::FairSharePool& pool, Bytes bytes) { co_await pool.Transfer(bytes); }
-
-/// Category-tagging leg wrapper (see univistor/system.cpp); instantiated
-/// only when tracing is on.
-sim::Task Tagged(sim::Engine& engine, const char* name, obs::Track track, Bytes bytes,
-                 obs::SpanTag tag, sim::Task inner) {
-  obs::SpanTimer span(engine, "baselines", name, track, bytes, tag);
-  co_await std::move(inner);
-}
-
 /// HDF5 metadata requests per open; every rank pays them (no collective
 /// optimization in the baseline).
 constexpr int kMdOpsPerOpen = 4;
@@ -73,46 +63,24 @@ sim::Task LustreDriver::WriteAt(vmpi::File& file, int rank, Bytes offset, Bytes 
                                 obs::SpanRef op) {
   State& state = StateOf(file);
   const int node = runtime_->Rank(file.program(), rank).node;
-  const bool traced = obs::Enabled();
-  const obs::Track track = RankTrack(*runtime_, file, rank);
-  sim::Engine& engine = runtime_->engine();
-  auto leg = [&](const char* name, obs::Category cat, Time ideal, sim::Task inner) {
-    return traced ? Tagged(engine, name, track, len,
-                           {.cat = cat, .parent = op, .ideal = ideal}, std::move(inner))
-                  : std::move(inner);
-  };
-  std::vector<sim::Task> legs;
-  legs.push_back(leg("cpu.copy", obs::Category::kNet,
-                     runtime_->RankCpu(file.program(), rank).SoloTime(len),
-                     PoolLeg(runtime_->RankCpu(file.program(), rank), len)));
-  legs.push_back(leg("pfs.write.wait", obs::Category::kPfs, 0.0,
-                     pfs_->Write(state.handle, offset, len, node,
-                                 {.layout = storage::AccessLayout::kSharedInterleaved,
-                                  .parent = op})));
-  co_await sim::WhenAll(engine, std::move(legs));
+  obs::Legs legs(runtime_->engine(), "baselines", RankTrack(*runtime_, file, rank), op);
+  legs.Pool("cpu.copy", obs::Category::kNet, runtime_->RankCpu(file.program(), rank), len);
+  legs.Add("pfs.write.wait", obs::Category::kPfs, 0.0, len,
+           pfs_->Write(state.handle, offset, len, node,
+                       {.layout = storage::AccessLayout::kSharedInterleaved, .parent = op}));
+  co_await legs.Join();
 }
 
 sim::Task LustreDriver::ReadAt(vmpi::File& file, int rank, Bytes offset, Bytes len,
                                obs::SpanRef op) {
   State& state = StateOf(file);
   const int node = runtime_->Rank(file.program(), rank).node;
-  const bool traced = obs::Enabled();
-  const obs::Track track = RankTrack(*runtime_, file, rank);
-  sim::Engine& engine = runtime_->engine();
-  auto leg = [&](const char* name, obs::Category cat, Time ideal, sim::Task inner) {
-    return traced ? Tagged(engine, name, track, len,
-                           {.cat = cat, .parent = op, .ideal = ideal}, std::move(inner))
-                  : std::move(inner);
-  };
-  std::vector<sim::Task> legs;
-  legs.push_back(leg("cpu.copy", obs::Category::kNet,
-                     runtime_->RankCpu(file.program(), rank).SoloTime(len),
-                     PoolLeg(runtime_->RankCpu(file.program(), rank), len)));
-  legs.push_back(leg("pfs.read.wait", obs::Category::kPfs, 0.0,
-                     pfs_->Read(state.handle, offset, len, node,
-                                {.layout = storage::AccessLayout::kSharedInterleaved,
-                                 .parent = op})));
-  co_await sim::WhenAll(engine, std::move(legs));
+  obs::Legs legs(runtime_->engine(), "baselines", RankTrack(*runtime_, file, rank), op);
+  legs.Pool("cpu.copy", obs::Category::kNet, runtime_->RankCpu(file.program(), rank), len);
+  legs.Add("pfs.read.wait", obs::Category::kPfs, 0.0, len,
+           pfs_->Read(state.handle, offset, len, node,
+                      {.layout = storage::AccessLayout::kSharedInterleaved, .parent = op}));
+  co_await legs.Join();
 }
 
 sim::Task LustreDriver::Close(vmpi::File& file, int rank, obs::SpanRef op) {

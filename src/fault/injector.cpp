@@ -39,19 +39,19 @@ void Injector::Apply(const FaultEvent& ev) {
       break;
     }
     case EventKind::kOstDegrade:
-      if (cluster_ == nullptr || ev.target >= cluster_->pfs().ost_count()) break;
+      if (cluster_ == nullptr || ev.target >= cluster_->pfs().size()) break;
       ++stats_.ost_windows;
       obs::FlightNote(now, "fault", "ost-degrade", static_cast<double>(ev.target));
       cluster_->pfs().Degrade(ev.target, ev.factor);
       break;
     case EventKind::kBbStall: {
       if (cluster_ == nullptr) break;
-      hw::BurstBuffer& bb = cluster_->burst_buffer();
-      if (ev.target >= bb.node_count()) break;
+      hw::DeviceArray& bb = cluster_->burst_buffer();
+      if (ev.target >= bb.size()) break;
       ++stats_.bb_windows;
       obs::FlightNote(now, "fault", "bb-stall", static_cast<double>(ev.target));
       if (ev.target < 0) {
-        for (int i = 0; i < bb.node_count(); ++i) bb.Degrade(i, ev.factor);
+        for (int i = 0; i < bb.size(); ++i) bb.Degrade(i, ev.factor);
       } else {
         bb.Degrade(ev.target, ev.factor);
       }
@@ -64,7 +64,7 @@ void Injector::Apply(const FaultEvent& ev) {
       obs::FlightNote(now, "fault", "transfer-timeout", static_cast<double>(ev.target));
       break;
     case EventKind::kOstFail:
-      if (cluster_ != nullptr && ev.target >= cluster_->pfs().ost_count()) break;
+      if (cluster_ != nullptr && ev.target >= cluster_->pfs().size()) break;
       ++stats_.ost_failures;
       obs::Count("fault.ost_failures");
       obs::FlightNote(now, "fault", "ost-fail", static_cast<double>(ev.target));
@@ -72,7 +72,7 @@ void Injector::Apply(const FaultEvent& ev) {
         if (handler) handler(ev.target);
       break;
     case EventKind::kLatentError:
-      if (cluster_ != nullptr && ev.target >= cluster_->pfs().ost_count()) break;
+      if (cluster_ != nullptr && ev.target >= cluster_->pfs().size()) break;
       ++stats_.latent_errors;
       obs::Count("fault.latent_errors");
       obs::FlightNote(now, "fault", "latent-error", static_cast<double>(ev.target));
@@ -92,15 +92,15 @@ void Injector::Apply(const FaultEvent& ev) {
 void Injector::EndWindow(const FaultEvent& ev) {
   switch (ev.kind) {
     case EventKind::kOstDegrade:
-      if (cluster_ == nullptr || ev.target >= cluster_->pfs().ost_count()) break;
+      if (cluster_ == nullptr || ev.target >= cluster_->pfs().size()) break;
       cluster_->pfs().Restore(ev.target);
       break;
     case EventKind::kBbStall: {
       if (cluster_ == nullptr) break;
-      hw::BurstBuffer& bb = cluster_->burst_buffer();
-      if (ev.target >= bb.node_count()) break;
+      hw::DeviceArray& bb = cluster_->burst_buffer();
+      if (ev.target >= bb.size()) break;
       if (ev.target < 0) {
-        for (int i = 0; i < bb.node_count(); ++i) bb.Restore(i);
+        for (int i = 0; i < bb.size(); ++i) bb.Restore(i);
       } else {
         bb.Restore(ev.target);
       }

@@ -24,13 +24,15 @@ ClusterParams CoriPreset(int procs, int procs_per_node) {
 }
 
 Cluster::Cluster(sim::Engine& engine, ClusterParams params)
-    : engine_(&engine), params_(params), rng_(params.seed) {
+    : engine_(&engine),
+      params_(params),
+      bb_(engine, params.bb),
+      pfs_(engine, params.pfs),
+      rng_(params.seed) {
   nodes_.reserve(static_cast<std::size_t>(params.nodes));
   for (int i = 0; i < params.nodes; ++i)
     nodes_.push_back(std::make_unique<Node>(engine, i, params.node));
   network_ = std::make_unique<Network>(*this, params.rpc_latency, params.node.nic_latency);
-  bb_ = std::make_unique<BurstBuffer>(engine, params.bb);
-  pfs_ = std::make_unique<PfsDevice>(engine, params.pfs);
 }
 
 }  // namespace uvs::hw

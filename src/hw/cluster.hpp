@@ -6,11 +6,10 @@
 #include <vector>
 
 #include "src/common/rng.hpp"
-#include "src/hw/burst_buffer.hpp"
+#include "src/hw/device_array.hpp"
 #include "src/hw/network.hpp"
 #include "src/hw/node.hpp"
 #include "src/hw/params.hpp"
-#include "src/hw/pfs_device.hpp"
 #include "src/sim/engine.hpp"
 
 namespace uvs::hw {
@@ -28,8 +27,9 @@ class Cluster {
   Node& node(int i) { return *nodes_.at(static_cast<std::size_t>(i)); }
 
   Network& network() { return *network_; }
-  BurstBuffer& burst_buffer() { return *bb_; }
-  PfsDevice& pfs() { return *pfs_; }
+  /// The shared burst buffer and the PFS's OSTs.
+  DeviceArray& burst_buffer() { return bb_; }
+  DeviceArray& pfs() { return pfs_; }
 
   /// Deterministic per-cluster RNG (seeded from params.seed).
   Rng& rng() { return rng_; }
@@ -39,8 +39,8 @@ class Cluster {
   ClusterParams params_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unique_ptr<Network> network_;
-  std::unique_ptr<BurstBuffer> bb_;
-  std::unique_ptr<PfsDevice> pfs_;
+  DeviceArray bb_;
+  DeviceArray pfs_;
   Rng rng_;
 };
 

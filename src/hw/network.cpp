@@ -7,10 +7,6 @@
 
 namespace uvs::hw {
 
-namespace {
-sim::Task PoolLeg(sim::FairSharePool& pool, Bytes bytes) { co_await pool.Transfer(bytes); }
-}  // namespace
-
 Network::Network(Cluster& cluster, Time rpc_latency, Time nic_latency)
     : cluster_(&cluster), rpc_latency_(rpc_latency), nic_latency_(nic_latency) {}
 
@@ -19,8 +15,8 @@ sim::Task Network::Transfer(int src_node, int dst_node, Bytes bytes) {
   if (src_node == dst_node || bytes == 0) co_return;
   co_await engine.Delay(nic_latency_);
   std::vector<sim::Task> legs;
-  legs.push_back(PoolLeg(cluster_->node(src_node).nic_tx(), bytes));
-  legs.push_back(PoolLeg(cluster_->node(dst_node).nic_rx(), bytes));
+  legs.push_back(sim::Transfer(cluster_->node(src_node).nic_tx(), bytes));
+  legs.push_back(sim::Transfer(cluster_->node(dst_node).nic_rx(), bytes));
   co_await sim::WhenAll(engine, std::move(legs));
 }
 

@@ -26,15 +26,15 @@ void RegisterClusterGauges(obs::Sampler& sampler, Cluster& cluster) {
     // Instantaneous queue depths: how many flows each device class is
     // serving right now (the PFS-contention signal in §II-D).
     std::size_t ost_flows = 0, ost_peak = 0;
-    for (int o = 0; o < cluster.pfs().ost_count(); ++o) {
-      const std::size_t flows = cluster.pfs().ost(o).active_flows();
+    for (int o = 0; o < cluster.pfs().size(); ++o) {
+      const std::size_t flows = cluster.pfs().pool(o).active_flows();
       ost_flows += flows;
       ost_peak = std::max(ost_peak, flows);
     }
     obs::SetGauge("hw.ost.active_flows", static_cast<double>(ost_flows));
     obs::SetGauge("hw.ost.max_queue_depth", static_cast<double>(ost_peak));
     std::size_t bb_flows = 0;
-    for (int b = 0; b < cluster.burst_buffer().node_count(); ++b)
+    for (int b = 0; b < cluster.burst_buffer().size(); ++b)
       bb_flows += cluster.burst_buffer().pool(b).active_flows();
     obs::SetGauge("hw.bb.active_flows", static_cast<double>(bb_flows));
   });

@@ -25,10 +25,10 @@ UtilizationReport CollectUtilization(Cluster& cluster) {
     for (int s = 0; s < node.sockets(); ++s)
       Accumulate(report.dram, node.socket(s).dram(), report.elapsed);
   }
-  for (int b = 0; b < cluster.burst_buffer().node_count(); ++b)
+  for (int b = 0; b < cluster.burst_buffer().size(); ++b)
     Accumulate(report.bb, cluster.burst_buffer().pool(b), report.elapsed);
-  for (int o = 0; o < cluster.pfs().ost_count(); ++o)
-    Accumulate(report.ost, cluster.pfs().ost(o), report.elapsed);
+  for (int o = 0; o < cluster.pfs().size(); ++o)
+    Accumulate(report.ost, cluster.pfs().pool(o), report.elapsed);
   return report;
 }
 

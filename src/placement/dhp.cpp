@@ -85,8 +85,10 @@ std::vector<Placement> DhpWriterChain::Append(Bytes len) {
     for (const auto& placement : out)
       obs::Count(LayerBytesCounter(placement.layer), placement.extent.len);
     // A chain hop = the append could not be satisfied by the first layer
-    // alone (DHP spilled down the hierarchy, §II-B1).
-    if (out.size() > 1 || (!out.empty() && out.front().layer != stores_.front()->layer()))
+    // alone (DHP spilled down the hierarchy, §II-B1). A chain with no cache
+    // layer starts at the PFS, so landing there is not a spill.
+    const hw::Layer first = stores_.empty() ? hw::Layer::kPfs : stores_.front()->layer();
+    if (out.size() > 1 || (!out.empty() && out.front().layer != first))
       obs::Count("placement.spills");
   }
   return out;

@@ -14,11 +14,11 @@ Pfs::Pfs(hw::Cluster& cluster) : Pfs(cluster, Options{}) {}
 
 Pfs::Pfs(hw::Cluster& cluster, Options options) : cluster_(&cluster), options_(options) {
   assert(options_.max_streams_per_access > 0);
-  ost_failed_.assign(static_cast<std::size_t>(cluster_->pfs().ost_count()), false);
+  ost_failed_.assign(static_cast<std::size_t>(cluster_->pfs().size()), false);
 }
 
 Pfs::FileHandle Pfs::Create(std::string name, StripeConfig stripe) {
-  const int osts = cluster_->pfs().ost_count();
+  const int osts = cluster_->pfs().size();
   stripe.stripe_count = std::clamp(stripe.stripe_count, 1, osts);
   if (stripe.ost_offset < 0)
     stripe.ost_offset = static_cast<int>(cluster_->rng().NextBelow(static_cast<std::uint64_t>(osts)));
@@ -51,7 +51,7 @@ const StripeConfig& Pfs::Stripe(FileHandle file) const {
   return files_.at(static_cast<std::size_t>(file))->stripe;
 }
 
-int Pfs::ost_count() const { return cluster_->pfs().ost_count(); }
+int Pfs::ost_count() const { return cluster_->pfs().size(); }
 
 int Pfs::ActiveWriters(FileHandle file) const {
   return files_.at(static_cast<std::size_t>(file))->active_writers;
@@ -75,7 +75,7 @@ double Pfs::LockInflation(AccessLayout layout, int writers, bool read) const {
 
 Pfs::StreamPlan Pfs::PlanStreams(const FileInfo& info, Bytes offset, Bytes len,
                                  const AccessOptions& options) {
-  const int osts = cluster_->pfs().ost_count();
+  const int osts = cluster_->pfs().size();
   // Target set: explicit list, or the stripe layout's OSTs.
   std::vector<int> targets = options.target_osts;
   if (targets.empty()) {
@@ -120,14 +120,6 @@ Pfs::StreamPlan Pfs::PlanStreams(const FileInfo& info, Bytes offset, Bytes len,
   }
   return plan;
 }
-
-namespace {
-sim::Task NicLeg(sim::FairSharePool& pool, Bytes bytes) { co_await pool.Transfer(bytes); }
-sim::Task OstLeg(hw::PfsDevice& dev, int ost, Bytes bytes, double inflation,
-                 obs::SpanRef parent) {
-  co_await dev.Access(ost, bytes, inflation, parent);
-}
-}  // namespace
 
 sim::Task Pfs::Access(FileHandle file, Bytes offset, Bytes len, int node,
                       AccessOptions options, bool read) {
@@ -178,9 +170,9 @@ sim::Task Pfs::PlainAccess(FileHandle file, Bytes offset, Bytes len, int node,
   std::vector<sim::Task> legs;
   legs.reserve(plan.streams.size() + 1);
   auto& nic = read ? cluster_->node(node).nic_rx() : cluster_->node(node).nic_tx();
-  legs.push_back(NicLeg(nic, len));
+  legs.push_back(sim::Transfer(nic, len));
   for (const auto& [ost, bytes] : plan.streams)
-    legs.push_back(OstLeg(cluster_->pfs(), ost, bytes, inflation, self));
+    legs.push_back(cluster_->pfs().Access(ost, bytes, inflation, self));
   co_await sim::WhenAll(engine, std::move(legs));
 
   --active;
@@ -513,9 +505,9 @@ sim::Task Pfs::EcAccess(FileHandle file, Bytes offset, Bytes len, int node,
     co_await engine.Delay(sync * static_cast<double>(plan.read.sync_targets));
     std::vector<sim::Task> legs;
     legs.reserve(plan.read.streams.size() + 1);
-    legs.push_back(NicLeg(cluster_->node(node).nic_rx(), plan.read.bytes));
+    legs.push_back(sim::Transfer(cluster_->node(node).nic_rx(), plan.read.bytes));
     for (const auto& [ost, bytes] : plan.read.streams)
-      legs.push_back(OstLeg(cluster_->pfs(), ost, bytes, inflation, self));
+      legs.push_back(cluster_->pfs().Access(ost, bytes, inflation, self));
     co_await sim::WhenAll(engine, std::move(legs));
     --active;
     co_return;
@@ -537,16 +529,16 @@ sim::Task Pfs::EcAccess(FileHandle file, Bytes offset, Bytes len, int node,
     co_await engine.Delay(sync * static_cast<double>(plan.read.sync_targets));
     std::vector<sim::Task> legs;
     legs.reserve(plan.read.streams.size() + 1);
-    legs.push_back(NicLeg(cluster_->node(node).nic_rx(), plan.read.bytes));
+    legs.push_back(sim::Transfer(cluster_->node(node).nic_rx(), plan.read.bytes));
     for (const auto& [ost, bytes] : plan.read.streams)
-      legs.push_back(OstLeg(cluster_->pfs(), ost, bytes, inflation, self));
+      legs.push_back(cluster_->pfs().Access(ost, bytes, inflation, self));
     co_await sim::WhenAll(engine, std::move(legs));
   }  // lock released: the write-back phase proceeds concurrently
 
   co_await engine.Delay(sync * static_cast<double>(plan.write.sync_targets));
   std::vector<sim::Task> legs;
   legs.reserve(plan.write.streams.size() + 1);
-  legs.push_back(NicLeg(cluster_->node(node).nic_tx(), plan.write.bytes));
+  legs.push_back(sim::Transfer(cluster_->node(node).nic_tx(), plan.write.bytes));
   for (std::size_t i = 0; i < plan.write.streams.size(); ++i)
     legs.push_back(EcWriteLeg(plan.write.streams[i].first, plan.write.streams[i].second,
                               inflation, self, std::move(plan.write.applies[i])));
@@ -654,10 +646,9 @@ sim::Task Pfs::RebuildOst(int ost) {
       std::vector<sim::Task> legs;
       legs.reserve(sources.size() + 1);
       for (int src : sources)
-        legs.push_back(OstLeg(cluster_->pfs(), st.home[static_cast<std::size_t>(src)],
-                              info.stripe.stripe_size, 1.0, obs::SpanRef{}));
-      legs.push_back(
-          OstLeg(cluster_->pfs(), new_home, info.stripe.stripe_size, 1.0, obs::SpanRef{}));
+        legs.push_back(cluster_->pfs().Access(st.home[static_cast<std::size_t>(src)],
+                                              info.stripe.stripe_size));
+      legs.push_back(cluster_->pfs().Access(new_home, info.stripe.stripe_size));
       co_await sim::WhenAll(engine, std::move(legs));
       st.home[static_cast<std::size_t>(shard)] = new_home;
       st.latent[static_cast<std::size_t>(shard)] = false;
@@ -692,8 +683,7 @@ sim::Task Pfs::ScrubPass(Time stripe_interval) {
         for (int sh = 0; sh < k + m; ++sh) {
           const int home = st.home[static_cast<std::size_t>(sh)];
           if (!ost_failed_[static_cast<std::size_t>(home)])
-            legs.push_back(
-                OstLeg(cluster_->pfs(), home, info.stripe.stripe_size, 1.0, obs::SpanRef{}));
+            legs.push_back(cluster_->pfs().Access(home, info.stripe.stripe_size));
         }
         if (!legs.empty()) co_await sim::WhenAll(engine, std::move(legs));
       }
@@ -735,14 +725,12 @@ sim::Task Pfs::ScrubPass(Time stripe_interval) {
           for (int p = 0; p < m; ++p) {
             const int home = st.home[static_cast<std::size_t>(k + p)];
             if (!ost_failed_[static_cast<std::size_t>(home)])
-              legs.push_back(
-                  OstLeg(cluster_->pfs(), home, info.stripe.stripe_size, 1.0, obs::SpanRef{}));
+              legs.push_back(cluster_->pfs().Access(home, info.stripe.stripe_size));
           }
         for (int sh = 0; sh < k + m; ++sh) {
           const auto idx = static_cast<std::size_t>(sh);
           if (st.latent[idx] && !ost_failed_[static_cast<std::size_t>(st.home[idx])])
-            legs.push_back(OstLeg(cluster_->pfs(), st.home[idx], info.stripe.stripe_size, 1.0,
-                                  obs::SpanRef{}));
+            legs.push_back(cluster_->pfs().Access(st.home[idx], info.stripe.stripe_size));
         }
         if (!legs.empty()) co_await sim::WhenAll(engine, std::move(legs));
         // Re-check: a write that started during the repair owns the stripe

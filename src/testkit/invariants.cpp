@@ -174,9 +174,9 @@ void CheckPoolConservation(workload::Scenario& scenario, InvariantReport& report
     sched::NodeScheduler& sched = scenario.runtime().Scheduler(n);
     for (int p = 0; p < sched.process_count(); ++p) CheckPool(sched.cpu(p), report);
   }
-  for (int b = 0; b < cluster.burst_buffer().node_count(); ++b)
+  for (int b = 0; b < cluster.burst_buffer().size(); ++b)
     CheckPool(cluster.burst_buffer().pool(b), report);
-  for (int o = 0; o < cluster.pfs().ost_count(); ++o) CheckPool(cluster.pfs().ost(o), report);
+  for (int o = 0; o < cluster.pfs().size(); ++o) CheckPool(cluster.pfs().pool(o), report);
 }
 
 Bytes ExpectedLostBytes(const univistor::UniviStor& system, vmpi::Runtime& runtime) {

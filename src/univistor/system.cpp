@@ -6,6 +6,7 @@
 
 #include "src/fault/injector.hpp"
 #include "src/fault/retry.hpp"
+#include "src/obs/legs.hpp"
 #include "src/obs/recorder.hpp"
 #include "src/obs/sampler.hpp"
 #include "src/sim/combinators.hpp"
@@ -17,28 +18,6 @@ namespace {
 /// HDF5-level metadata requests per open/close; each rank pays them
 /// without COC, only the root with COC.
 constexpr int kMdOpsPerOpen = 4;
-
-sim::Task PoolLeg(sim::FairSharePool& pool, Bytes bytes) { co_await pool.Transfer(bytes); }
-
-sim::Task BbLeg(hw::BurstBuffer& bb, int bb_node, Bytes bytes, obs::SpanRef parent = {}) {
-  co_await bb.Access(bb_node, bytes, 1.0, parent);
-}
-
-/// Category-tagging wrapper for one concurrent leg: records a span on the
-/// issuing rank's track covering the leg's lifetime. Only instantiated when
-/// tracing is on (call sites pass the inner task straight through
-/// otherwise); awaiting `inner` is a symmetric transfer, so the wrapper
-/// adds no engine events either way.
-sim::Task Tagged(sim::Engine& engine, const char* name, obs::Track track, Bytes bytes,
-                 obs::SpanTag tag, sim::Task inner) {
-  obs::SpanTimer span(engine, "univistor", name, track, bytes, tag);
-  co_await std::move(inner);
-}
-
-/// Ideal (contention-free) duration of a pool transfer: what the leg would
-/// take alone on the device. The attribution pass splits the excess over
-/// this into fair-share queuing.
-Time SoloOf(const sim::FairSharePool& pool, Bytes bytes) { return pool.SoloTime(bytes); }
 
 }  // namespace
 
@@ -242,7 +221,7 @@ sim::Task UniviStor::CloseMetadata(vmpi::ProgramId program, int rank, storage::F
 }
 
 int UniviStor::BbNodeOf(ProducerId producer) const {
-  const int bb_nodes = runtime_->cluster().burst_buffer().node_count();
+  const int bb_nodes = runtime_->cluster().burst_buffer().size();
   return static_cast<int>(static_cast<std::uint64_t>(producer) * 0x9e3779b97f4a7c15ull %
                           static_cast<std::uint64_t>(bb_nodes));
 }
@@ -265,55 +244,37 @@ sim::Task UniviStor::ChargeWrite(vmpi::ProgramId program, int rank, FileInfo& in
                                  placement::Placement placement, Bytes logical_offset,
                                  obs::SpanRef parent) {
   hw::Cluster& cluster = runtime_->cluster();
-  sim::Engine& engine = cluster.engine();
   const int node = runtime_->Rank(program, rank).node;
   const Bytes len = placement.extent.len;
-  const bool traced = obs::Enabled();
-  const obs::Track track = obs::Track::Rank(node, program, rank);
-  // Wraps one leg with a rank-track category span (tracing on only).
-  auto leg = [&](const char* name, obs::Category cat, Time ideal, sim::Task inner) {
-    return traced ? Tagged(engine, name, track, len,
-                           {.cat = cat, .parent = parent, .ideal = ideal}, std::move(inner))
-                  : std::move(inner);
-  };
-  std::vector<sim::Task> legs;
-  legs.push_back(leg("cpu.copy", obs::Category::kNet,
-                     SoloOf(runtime_->RankCpu(program, rank), len),
-                     PoolLeg(runtime_->RankCpu(program, rank), len)));
+  obs::Legs legs(cluster.engine(), "univistor", obs::Track::Rank(node, program, rank), parent);
+  legs.Pool("cpu.copy", obs::Category::kNet, runtime_->RankCpu(program, rank), len);
   switch (placement.layer) {
     case hw::Layer::kDram:
-      legs.push_back(leg("dram.write", obs::Category::kDram,
-                         SoloOf(runtime_->RankDram(program, rank), len),
-                         PoolLeg(runtime_->RankDram(program, rank), len)));
+      legs.Pool("dram.write", obs::Category::kDram, runtime_->RankDram(program, rank), len);
       break;
     case hw::Layer::kNodeLocalSsd:
-      legs.push_back(leg("ssd.write", obs::Category::kDram,
-                         SoloOf(cluster.node(node).local_ssd(), len),
-                         PoolLeg(cluster.node(node).local_ssd(), len)));
+      legs.Pool("ssd.write", obs::Category::kDram, cluster.node(node).local_ssd(), len);
       break;
     case hw::Layer::kSharedBurstBuffer: {
+      hw::DeviceArray& bb = cluster.burst_buffer();
       const int bb_node = BbNodeOf(MakeProducer(program, rank));
-      legs.push_back(leg("nic.tx", obs::Category::kNet,
-                         SoloOf(cluster.node(node).nic_tx(), len),
-                         PoolLeg(cluster.node(node).nic_tx(), len)));
-      legs.push_back(leg("bb.write", obs::Category::kBb,
-                         cluster.burst_buffer().params().latency +
-                             SoloOf(cluster.burst_buffer().pool(bb_node), len),
-                         BbLeg(cluster.burst_buffer(), bb_node, len, parent)));
+      legs.Pool("nic.tx", obs::Category::kNet, cluster.node(node).nic_tx(), len);
+      legs.Add("bb.write", obs::Category::kBb, bb.SoloTime(bb_node, len), len,
+               bb.Access(bb_node, len, 1.0, parent));
       break;
     }
     case hw::Layer::kPfs: {
       // Spill tail / UniviStor-on-Disk: the bytes go straight into the
       // shared destination file on the PFS, paying the shared-file costs
       // the cache layers exist to avoid.
-      legs.push_back(leg("pfs.spill", obs::Category::kPfs, 0.0,
-                         pfs_->Write(PfsDestination(info), logical_offset, len, node,
-                                     {.layout = storage::AccessLayout::kSharedInterleaved,
-                                      .parent = parent})));
+      legs.Add("pfs.spill", obs::Category::kPfs, 0.0, len,
+               pfs_->Write(PfsDestination(info), logical_offset, len, node,
+                           {.layout = storage::AccessLayout::kSharedInterleaved,
+                            .parent = parent}));
       break;
     }
   }
-  co_await sim::WhenAll(engine, std::move(legs));
+  co_await legs.Join();
 }
 
 sim::Task UniviStor::Write(vmpi::ProgramId program, int rank, storage::FileId fid,
@@ -368,15 +329,10 @@ sim::Task UniviStor::Write(vmpi::ProgramId program, int rank, storage::FileId fi
           obs::Count("fault.safe_mode_bytes", placement.extent.len);
           // Safe mode: the write ack waits for the replica copy; account
           // the stall as BB transfer time on the issuing rank.
-          if (obs::Enabled()) {
-            co_await Tagged(runtime_->engine(), "replica.wait", track, placement.extent.len,
-                            {.cat = obs::Category::kBb, .parent = parent},
-                            ReplicateTask(node, fid, producer, placement.layer,
-                                          placement.extent.addr, placement.extent.len));
-          } else {
-            co_await ReplicateTask(node, fid, producer, placement.layer, placement.extent.addr,
-                                   placement.extent.len);
-          }
+          const obs::Legs ack(runtime_->engine(), "univistor", track, parent);
+          co_await ack.Tag("replica.wait", obs::Category::kBb, 0.0, placement.extent.len,
+                           ReplicateTask(node, fid, producer, placement.layer,
+                                         placement.extent.addr, placement.extent.len));
         } else {
           runtime_->engine().Spawn(ReplicateTask(node, fid, producer, placement.layer,
                                                  placement.extent.addr, placement.extent.len),
@@ -391,8 +347,8 @@ sim::Task UniviStor::ReplicateTask(int node, storage::FileId fid, ProducerId pro
                                    hw::Layer layer, Bytes physical, Bytes len) {
   hw::Cluster& cluster = runtime_->cluster();
   std::vector<sim::Task> legs;
-  legs.push_back(PoolLeg(cluster.node(node).nic_tx(), len));
-  legs.push_back(BbLeg(cluster.burst_buffer(), BbNodeOf(producer), len));
+  legs.push_back(sim::Transfer(cluster.node(node).nic_tx(), len));
+  legs.push_back(cluster.burst_buffer().Access(BbNodeOf(producer), len));
   co_await sim::WhenAll(cluster.engine(), std::move(legs));
   replicated_bytes_ += len;
   replication_backlog_ -= std::min(replication_backlog_, len);
@@ -511,8 +467,8 @@ sim::Task UniviStor::RecoverNodeTask(int node) {
     const placement::StripePlan plan = placement::PlanAdaptiveStriping(
         item.todo, /*servers=*/1, pfs_->ost_count(), config_.striping);
     std::vector<sim::Task> legs;
-    legs.push_back(BbLeg(cluster.burst_buffer(), BbNodeOf(item.producer), item.todo));
-    legs.push_back(PoolLeg(cluster.node(home).nic_rx(), item.todo));
+    legs.push_back(cluster.burst_buffer().Access(BbNodeOf(item.producer), item.todo));
+    legs.push_back(sim::Transfer(cluster.node(home).nic_rx(), item.todo));
     legs.push_back(pfs_->Write(item.info->pfs_file, 0, item.todo, home,
                                {.layout = storage::AccessLayout::kAlignedRanges,
                                 .target_osts = plan.TargetsFor(0),
@@ -559,26 +515,20 @@ sim::Task UniviStor::ReadRecord(vmpi::ProgramId program, int rank, FileInfo& inf
                                 const meta::MetadataRecord& record, obs::SpanRef parent) {
   hw::Cluster& cluster = runtime_->cluster();
   sim::Engine& engine = cluster.engine();
+  hw::DeviceArray& bb = cluster.burst_buffer();
   const int reader_node = runtime_->Rank(program, rank).node;
   const Bytes len = record.len;
-  const bool traced = obs::Enabled();
   const obs::Track track = obs::Track::Rank(reader_node, program, rank);
-  // Wraps one leg with a rank-track category span (tracing on only).
-  auto leg = [&](const char* name, obs::Category cat, Time ideal, Bytes bytes,
-                 sim::Task inner) {
-    return traced ? Tagged(engine, name, track, bytes,
-                           {.cat = cat, .parent = parent, .ideal = ideal}, std::move(inner))
-                  : std::move(inner);
-  };
+  obs::Legs legs(engine, "univistor", track, parent);
 
   auto chain_it = info.chains.find(record.producer);
   if (chain_it == info.chains.end()) {
     // No cached copy (e.g. data only exists as the flushed PFS file).
     if (info.pfs_file >= 0) {
-      co_await leg("pfs.read.wait", obs::Category::kPfs, 0.0, len,
-                   pfs_->Read(info.pfs_file, record.offset, len, reader_node,
-                              {.layout = storage::AccessLayout::kAlignedRanges,
-                               .parent = parent}));
+      co_await legs.Tag("pfs.read.wait", obs::Category::kPfs, 0.0, len,
+                        pfs_->Read(info.pfs_file, record.offset, len, reader_node,
+                                   {.layout = storage::AccessLayout::kAlignedRanges,
+                                    .parent = parent}));
     }
     co_return;
   }
@@ -599,24 +549,17 @@ sim::Task UniviStor::ReadRecord(vmpi::ProgramId program, int rank, FileInfo& inf
     if (config_.replicate_volatile &&
         ReplicaCovers(record.fid, record.producer, decoded->layer, decoded->physical, len)) {
       const int bb_node = BbNodeOf(record.producer);
-      std::vector<sim::Task> replica_legs;
-      replica_legs.push_back(leg("bb.read", obs::Category::kBb,
-                                 cluster.burst_buffer().params().latency +
-                                     SoloOf(cluster.burst_buffer().pool(bb_node), len),
-                                 len, BbLeg(cluster.burst_buffer(), bb_node, len, parent)));
-      replica_legs.push_back(leg("nic.rx", obs::Category::kNet,
-                                 SoloOf(cluster.node(reader_node).nic_rx(), len), len,
-                                 PoolLeg(cluster.node(reader_node).nic_rx(), len)));
-      replica_legs.push_back(leg("cpu.copy", obs::Category::kNet,
-                                 SoloOf(runtime_->RankCpu(program, rank), len), len,
-                                 PoolLeg(runtime_->RankCpu(program, rank), len)));
-      co_await sim::WhenAll(cluster.engine(), std::move(replica_legs));
+      legs.Add("bb.read", obs::Category::kBb, bb.SoloTime(bb_node, len), len,
+               bb.Access(bb_node, len, 1.0, parent));
+      legs.Pool("nic.rx", obs::Category::kNet, cluster.node(reader_node).nic_rx(), len);
+      legs.Pool("cpu.copy", obs::Category::kNet, runtime_->RankCpu(program, rank), len);
+      co_await legs.Join();
     } else if (info.pfs_file >= 0 && DurableCovers(record.fid, record.producer, decoded->layer,
                                                    decoded->physical, len)) {
-      co_await leg("pfs.read.wait", obs::Category::kPfs, 0.0, len,
-                   pfs_->Read(info.pfs_file, record.offset, len, reader_node,
-                              {.layout = storage::AccessLayout::kAlignedRanges,
-                               .parent = parent}));
+      co_await legs.Tag("pfs.read.wait", obs::Category::kPfs, 0.0, len,
+                        pfs_->Read(info.pfs_file, record.offset, len, reader_node,
+                                   {.layout = storage::AccessLayout::kAlignedRanges,
+                                    .parent = parent}));
     } else {
       const Bytes newly_lost = AccountLost(record.fid, record.producer, record.va, len);
       if (newly_lost > 0) {
@@ -628,7 +571,6 @@ sim::Task UniviStor::ReadRecord(vmpi::ProgramId program, int rank, FileInfo& inf
     co_return;
   }
 
-  std::vector<sim::Task> legs;
   switch (decoded->layer) {
     case hw::Layer::kDram:
     case hw::Layer::kNodeLocalSsd: {
@@ -636,17 +578,11 @@ sim::Task UniviStor::ReadRecord(vmpi::ProgramId program, int rank, FileInfo& inf
         // Without LA the request detours through the co-located server and
         // pays an extra memory copy (§II-B4).
         const Bytes moved = la ? len : 2 * len;
-        legs.push_back(leg("cpu.copy", obs::Category::kNet,
-                           SoloOf(runtime_->RankCpu(program, rank), moved), moved,
-                           PoolLeg(runtime_->RankCpu(program, rank), moved)));
+        legs.Pool("cpu.copy", obs::Category::kNet, runtime_->RankCpu(program, rank), moved);
         if (decoded->layer == hw::Layer::kDram) {
-          legs.push_back(leg("dram.read", obs::Category::kDram,
-                             SoloOf(runtime_->RankDram(program, rank), moved), moved,
-                             PoolLeg(runtime_->RankDram(program, rank), moved)));
+          legs.Pool("dram.read", obs::Category::kDram, runtime_->RankDram(program, rank), moved);
         } else {
-          legs.push_back(leg("ssd.read", obs::Category::kDram,
-                             SoloOf(cluster.node(reader_node).local_ssd(), len), len,
-                             PoolLeg(cluster.node(reader_node).local_ssd(), len)));
+          legs.Pool("ssd.read", obs::Category::kDram, cluster.node(reader_node).local_ssd(), len);
         }
       } else {
         // Remote segment: served by the server co-located with the data.
@@ -658,64 +594,48 @@ sim::Task UniviStor::ReadRecord(vmpi::ProgramId program, int rank, FileInfo& inf
         const int remote_server =
             producer_node * config_.servers_per_node +
             static_cast<int>(record.va % static_cast<Bytes>(config_.servers_per_node));
-        legs.push_back(leg("remote.cpu", obs::Category::kNet,
-                           SoloOf(runtime_->RankCpu(server_program_, remote_server), len), len,
-                           PoolLeg(runtime_->RankCpu(server_program_, remote_server), len)));
+        legs.Pool("remote.cpu", obs::Category::kNet,
+                  runtime_->RankCpu(server_program_, remote_server), len);
         if (decoded->layer == hw::Layer::kDram) {
-          legs.push_back(
-              leg("remote.dram", obs::Category::kDram,
-                  SoloOf(runtime_->RankDram(server_program_, remote_server), len), len,
-                  PoolLeg(runtime_->RankDram(server_program_, remote_server), len)));
+          legs.Pool("remote.dram", obs::Category::kDram,
+                    runtime_->RankDram(server_program_, remote_server), len);
         } else {
-          legs.push_back(leg("remote.ssd", obs::Category::kDram,
-                             SoloOf(cluster.node(producer_node).local_ssd(), len), len,
-                             PoolLeg(cluster.node(producer_node).local_ssd(), len)));
+          legs.Pool("remote.ssd", obs::Category::kDram, cluster.node(producer_node).local_ssd(),
+                    len);
         }
-        legs.push_back(leg("net.rx", obs::Category::kNet, 0.0, len,
-                           cluster.network().Transfer(producer_node, reader_node, len)));
-        legs.push_back(leg("cpu.copy", obs::Category::kNet,
-                           SoloOf(runtime_->RankCpu(program, rank), len), len,
-                           PoolLeg(runtime_->RankCpu(program, rank), len)));
+        legs.Add("net.rx", obs::Category::kNet, 0.0, len,
+                 cluster.network().Transfer(producer_node, reader_node, len));
+        legs.Pool("cpu.copy", obs::Category::kNet, runtime_->RankCpu(program, rank), len);
       }
       break;
     }
     case hw::Layer::kSharedBurstBuffer: {
       const int bb_node = BbNodeOf(record.producer);
-      legs.push_back(leg("bb.read", obs::Category::kBb,
-                         cluster.burst_buffer().params().latency +
-                             SoloOf(cluster.burst_buffer().pool(bb_node), len),
-                         len, BbLeg(cluster.burst_buffer(), bb_node, len, parent)));
-      legs.push_back(leg("nic.rx", obs::Category::kNet,
-                         SoloOf(cluster.node(reader_node).nic_rx(), len), len,
-                         PoolLeg(cluster.node(reader_node).nic_rx(), len)));
+      legs.Add("bb.read", obs::Category::kBb, bb.SoloTime(bb_node, len), len,
+               bb.Access(bb_node, len, 1.0, parent));
+      legs.Pool("nic.rx", obs::Category::kNet, cluster.node(reader_node).nic_rx(), len);
       if (la) {
-        legs.push_back(leg("cpu.copy", obs::Category::kNet,
-                           SoloOf(runtime_->RankCpu(program, rank), len), len,
-                           PoolLeg(runtime_->RankCpu(program, rank), len)));
+        legs.Pool("cpu.copy", obs::Category::kNet, runtime_->RankCpu(program, rank), len);
       } else {
         // Detour via the producer-side server: extra network hop + copy.
-        legs.push_back(leg("net.rx", obs::Category::kNet, 0.0, len,
-                           cluster.network().Transfer(producer_node, reader_node, len)));
-        legs.push_back(leg("cpu.copy", obs::Category::kNet,
-                           SoloOf(runtime_->RankCpu(program, rank), 2 * len), 2 * len,
-                           PoolLeg(runtime_->RankCpu(program, rank), 2 * len)));
+        legs.Add("net.rx", obs::Category::kNet, 0.0, len,
+                 cluster.network().Transfer(producer_node, reader_node, len));
+        legs.Pool("cpu.copy", obs::Category::kNet, runtime_->RankCpu(program, rank), 2 * len);
       }
       break;
     }
     case hw::Layer::kPfs: {
       if (info.pfs_file >= 0) {
-        legs.push_back(leg("pfs.read.wait", obs::Category::kPfs, 0.0, len,
-                           pfs_->Read(info.pfs_file, record.offset, len, reader_node,
-                                      {.layout = storage::AccessLayout::kSharedInterleaved,
-                                       .parent = parent})));
+        legs.Add("pfs.read.wait", obs::Category::kPfs, 0.0, len,
+                 pfs_->Read(info.pfs_file, record.offset, len, reader_node,
+                            {.layout = storage::AccessLayout::kSharedInterleaved,
+                             .parent = parent}));
       }
-      legs.push_back(leg("cpu.copy", obs::Category::kNet,
-                         SoloOf(runtime_->RankCpu(program, rank), len), len,
-                         PoolLeg(runtime_->RankCpu(program, rank), len)));
+      legs.Pool("cpu.copy", obs::Category::kNet, runtime_->RankCpu(program, rank), len);
       break;
     }
   }
-  co_await sim::WhenAll(cluster.engine(), std::move(legs));
+  co_await legs.Join();
 
   // Proactive placement: promote data served from a slow or remote
   // location into the reader node's DRAM read cache.
@@ -731,14 +651,7 @@ sim::Task UniviStor::Read(vmpi::ProgramId program, int rank, storage::FileId fid
   FileInfo& info = Info(fid);
   sim::Engine& engine = runtime_->engine();
   const int node = runtime_->Rank(program, rank).node;
-  const bool traced = obs::Enabled();
   const obs::Track track = obs::Track::Rank(node, program, rank);
-  auto leg = [&](const char* name, obs::Category cat, Time ideal, Bytes bytes,
-                 sim::Task inner) {
-    return traced ? Tagged(engine, name, track, bytes,
-                           {.cat = cat, .parent = parent, .ideal = ideal}, std::move(inner))
-                  : std::move(inner);
-  };
 
   std::vector<std::pair<Bytes, Bytes>> pieces{{offset, len}};
 
@@ -747,24 +660,22 @@ sim::Task UniviStor::Read(vmpi::ProgramId program, int rank, storage::FileId fid
   if (config_.promote_hot_reads) {
     auto& cache_index = read_cache_index_[static_cast<std::size_t>(node)];
     std::vector<std::pair<Bytes, Bytes>> misses;
-    std::vector<sim::Task> hit_legs;
+    obs::Legs hit_legs(engine, "univistor", track, parent);
     for (const auto& [piece_offset, piece_len] : pieces) {
       Bytes cursor = piece_offset;
       for (const auto& hit : cache_index.Query(fid, piece_offset, piece_len)) {
         if (hit.offset > cursor) misses.emplace_back(cursor, hit.offset - cursor);
-        hit_legs.push_back(leg("cpu.copy", obs::Category::kNet,
-                               SoloOf(runtime_->RankCpu(program, rank), hit.len), hit.len,
-                               PoolLeg(runtime_->RankCpu(program, rank), hit.len)));
-        hit_legs.push_back(leg("dram.read", obs::Category::kDram,
-                               SoloOf(runtime_->RankDram(program, rank), hit.len), hit.len,
-                               PoolLeg(runtime_->RankDram(program, rank), hit.len)));
+        hit_legs.Pool("cpu.copy", obs::Category::kNet, runtime_->RankCpu(program, rank),
+                      hit.len);
+        hit_legs.Pool("dram.read", obs::Category::kDram, runtime_->RankDram(program, rank),
+                      hit.len);
         ++read_cache_hits_;
         cursor = hit.end();
       }
       if (cursor < piece_offset + piece_len)
         misses.emplace_back(cursor, piece_offset + piece_len - cursor);
     }
-    co_await sim::WhenAll(engine, std::move(hit_legs));
+    co_await hit_legs.Join();
     pieces = std::move(misses);
   }
 
@@ -818,7 +729,6 @@ sim::Task UniviStor::ServerFlushShare(FileInfo& info, int server_idx, Bytes rang
   hw::Cluster& cluster = runtime_->cluster();
   sim::Engine& engine = cluster.engine();
   const int node = ServerNode(server_idx);
-  const bool traced = obs::Enabled();
   const obs::Track track = obs::Track::Rank(node, server_program_, server_idx);
   runtime_->SetRankBusy(server_program_, server_idx, true);
 
@@ -834,42 +744,29 @@ sim::Task UniviStor::ServerFlushShare(FileInfo& info, int server_idx, Bytes rang
   const obs::SpanRef self = obs::NewSpanRef();
   obs::SpanTimer span(engine, "univistor", "flush.share", track, total,
                       {.parent = flush_ref, .self = self});
-  auto leg = [&](const char* name, obs::Category cat, Time ideal, Bytes bytes,
-                 sim::Task inner) {
-    return traced ? Tagged(engine, name, track, bytes,
-                           {.cat = cat, .parent = self, .ideal = ideal}, std::move(inner))
-                  : std::move(inner);
-  };
-  std::vector<sim::Task> legs;
+  obs::Legs legs(engine, "univistor", track, self);
   if (dram_bytes > 0) {
-    legs.push_back(leg("cpu.copy", obs::Category::kNet,
-                       SoloOf(runtime_->RankCpu(server_program_, server_idx), dram_bytes),
-                       dram_bytes, PoolLeg(runtime_->RankCpu(server_program_, server_idx),
-                                           dram_bytes)));
-    legs.push_back(leg("dram.read", obs::Category::kDram,
-                       SoloOf(runtime_->RankDram(server_program_, server_idx), dram_bytes),
-                       dram_bytes, PoolLeg(runtime_->RankDram(server_program_, server_idx),
-                                           dram_bytes)));
+    legs.Pool("cpu.copy", obs::Category::kNet, runtime_->RankCpu(server_program_, server_idx),
+              dram_bytes);
+    legs.Pool("dram.read", obs::Category::kDram,
+              runtime_->RankDram(server_program_, server_idx), dram_bytes);
   }
   if (bb_bytes > 0) {
-    const int bb_node = server_idx % cluster.burst_buffer().node_count();
-    legs.push_back(leg("bb.read", obs::Category::kBb,
-                       cluster.burst_buffer().params().latency +
-                           SoloOf(cluster.burst_buffer().pool(bb_node), bb_bytes),
-                       bb_bytes, BbLeg(cluster.burst_buffer(), bb_node, bb_bytes, self)));
-    legs.push_back(leg("nic.rx", obs::Category::kNet,
-                       SoloOf(cluster.node(node).nic_rx(), bb_bytes), bb_bytes,
-                       PoolLeg(cluster.node(node).nic_rx(), bb_bytes)));
+    hw::DeviceArray& bb = cluster.burst_buffer();
+    const int bb_node = server_idx % bb.size();
+    legs.Add("bb.read", obs::Category::kBb, bb.SoloTime(bb_node, bb_bytes), bb_bytes,
+             bb.Access(bb_node, bb_bytes, 1.0, self));
+    legs.Pool("nic.rx", obs::Category::kNet, cluster.node(node).nic_rx(), bb_bytes);
   }
   if (total > 0) {
-    legs.push_back(leg("pfs.write.wait", obs::Category::kPfs, 0.0, total,
-                       pfs_->Write(info.pfs_file, range_offset, total, node,
-                                   {.layout = storage::AccessLayout::kAlignedRanges,
-                                    .target_osts = plan.TargetsFor(server_idx),
-                                    .coordinated = coordinated,
-                                    .parent = self})));
+    legs.Add("pfs.write.wait", obs::Category::kPfs, 0.0, total,
+             pfs_->Write(info.pfs_file, range_offset, total, node,
+                         {.layout = storage::AccessLayout::kAlignedRanges,
+                          .target_osts = plan.TargetsFor(server_idx),
+                          .coordinated = coordinated,
+                          .parent = self}));
   }
-  co_await sim::WhenAll(engine, std::move(legs));
+  co_await legs.Join();
   runtime_->SetRankBusy(server_program_, server_idx, false);
 }
 

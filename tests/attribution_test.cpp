@@ -42,7 +42,7 @@ obs::Report RunMicroAttributed(obs::Recorder& recorder, int degrade_ost = -1,
     options.cluster_params.seed = 42;
     Scenario scenario(options);
     if (degrade_ost >= 0) {
-      hw::PfsDevice* pfs = &scenario.cluster().pfs();
+      hw::DeviceArray* pfs = &scenario.cluster().pfs();
       scenario.engine().Schedule(0.01, [pfs, degrade_ost] {
         pfs->Degrade(degrade_ost, 0.02);
       });

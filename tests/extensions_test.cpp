@@ -277,7 +277,7 @@ TEST(Promotion, SecondPassHitsTheCache) {
   auto bb_bytes_before = [&] {
     Bytes total = 0;
     auto& bb = f.scenario.cluster().burst_buffer();
-    for (int n = 0; n < bb.node_count(); ++n) total += bb.pool(n).total_bytes();
+    for (int n = 0; n < bb.size(); ++n) total += bb.pool(n).total_bytes();
     return total;
   };
   const Bytes before = bb_bytes_before();

@@ -4,6 +4,7 @@
 // command so the scenario can be replayed and shrunk with tools/uvfuzz.
 #include <gtest/gtest.h>
 
+#include "src/obs/recorder.hpp"
 #include "src/testkit/runner.hpp"
 #include "src/testkit/scenario_spec.hpp"
 
@@ -26,6 +27,17 @@ TEST(FuzzSmokeTest, FirstSixtyFourSeedsHoldAllInvariants) {
     }
     // Every scenario must do real work, or the fuzzer fuzzes nothing.
     EXPECT_FALSE(outcome.file_sizes.empty()) << "seed " << seed << " produced no files";
+
+    // Observing a run never changes it: with a recorder installed every
+    // leg takes its traced path, and the run must end exactly the same.
+    obs::Recorder recorder;
+    recorder.Install();
+    const RunOutcome observed = RunScenario(spec);
+    recorder.Uninstall();
+    EXPECT_EQ(observed.ok(), outcome.ok()) << "seed " << seed << ": " << spec.ReproCommand();
+    EXPECT_EQ(observed.sim_time, outcome.sim_time) << "seed " << seed;
+    EXPECT_EQ(observed.file_sizes, outcome.file_sizes) << "seed " << seed;
+    EXPECT_EQ(observed.lost_bytes, outcome.lost_bytes) << "seed " << seed;
   }
 }
 

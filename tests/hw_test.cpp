@@ -1,8 +1,12 @@
 // Tests for the hardware models: topology building, network hose model,
-// burst-buffer and OST device access.
+// and the device array behind both the burst buffer and the OSTs.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "src/hw/cluster.hpp"
+#include "src/obs/recorder.hpp"
 #include "src/sim/engine.hpp"
 
 namespace uvs::hw {
@@ -28,8 +32,8 @@ TEST(Cluster, BuildsTopologyFromParams) {
   EXPECT_EQ(cluster.node_count(), 4);
   EXPECT_EQ(cluster.node(0).cores(), 32);
   EXPECT_EQ(cluster.node(0).sockets(), 2);
-  EXPECT_EQ(cluster.burst_buffer().node_count(), 2);
-  EXPECT_EQ(cluster.pfs().ost_count(), 248);
+  EXPECT_EQ(cluster.burst_buffer().size(), 2);
+  EXPECT_EQ(cluster.pfs().size(), 248);
 }
 
 TEST(Node, SocketOfCoreSplitsContiguously) {
@@ -86,9 +90,9 @@ TEST(Network, ReceiverNicIsTheBottleneckForFanIn) {
   for (double d : done) EXPECT_NEAR(d, 3.0, 0.05);  // 30 GB over 10 GB/s rx
 }
 
-sim::Task TimedBbAccess(BurstBuffer& bb, int node, Bytes bytes, double inflation,
-                        double* done_at, sim::Engine& engine) {
-  co_await bb.Access(node, bytes, inflation);
+sim::Task TimedAccess(DeviceArray& array, int i, Bytes bytes, double inflation,
+                      double* done_at, sim::Engine& engine) {
+  co_await array.Access(i, bytes, inflation);
   *done_at = engine.Now();
 }
 
@@ -99,12 +103,12 @@ TEST(BurstBuffer, AccessChargesPoolWithInflation) {
   params.bb.latency = 0.0;
   Cluster cluster(engine, params);
   double plain = -1, inflated = -1;
-  engine.Spawn(TimedBbAccess(cluster.burst_buffer(), 0, 1'000'000'000ull, 1.0, &plain, engine));
+  engine.Spawn(TimedAccess(cluster.burst_buffer(), 0, 1'000'000'000ull, 1.0, &plain, engine));
   engine.Run();
   sim::Engine engine2;
   Cluster cluster2(engine2, params);
   engine2.Spawn(
-      TimedBbAccess(cluster2.burst_buffer(), 0, 1'000'000'000ull, 2.0, &inflated, engine2));
+      TimedAccess(cluster2.burst_buffer(), 0, 1'000'000'000ull, 2.0, &inflated, engine2));
   engine2.Run();
   EXPECT_NEAR(plain, 1.0, 1e-6);
   EXPECT_NEAR(inflated, 2.0, 1e-6);
@@ -137,6 +141,84 @@ TEST(PfsDevice, IndependentOstPools) {
   // Different OSTs do not share bandwidth.
   EXPECT_NEAR(a, 1.0, 1e-6);
   EXPECT_NEAR(b, 1.0, 1e-6);
+}
+
+// The burst buffer and the OSTs are one device model; the params struct an
+// array is built from only picks the names golden traces and reports pin.
+TEST(DeviceArray, BothKindsShareOneModelUnderTheirOwnNames) {
+  struct Kind {
+    std::string prefix;  // pool names and hw.<prefix>.* counters
+    const char* access_span;
+    const char* degrade_span;
+    obs::Category cat;
+    obs::Track track;  // of device 1
+    DeviceArray& (*array)(Cluster&);
+  };
+  const Kind kinds[] = {
+      {"bb", "bb.access", "bb.degraded", obs::Category::kBb, obs::Track::BbNode(1),
+       [](Cluster& c) -> DeviceArray& { return c.burst_buffer(); }},
+      {"ost", "ost.access", "ost.degraded", obs::Category::kPfs, obs::Track::Ost(1),
+       [](Cluster& c) -> DeviceArray& { return c.pfs(); }},
+  };
+  ClusterParams params = CoriPreset(64);
+  params.bb.bw_per_bb_node = params.pfs.bw_per_ost = 1.0_GBps;
+  params.bb.latency = params.pfs.latency = 0.25;
+  for (const Kind& kind : kinds) {
+    SCOPED_TRACE(kind.prefix);
+    obs::Recorder recorder;
+    recorder.Install();
+    {
+      sim::Engine engine;
+      Cluster cluster(engine, params);
+      DeviceArray& array = kind.array(cluster);
+      EXPECT_EQ(array.pool(1).name(), kind.prefix + "1");
+      EXPECT_EQ(array.latency(), 0.25);
+      EXPECT_EQ(array.SoloTime(1, 1'000'000'000ull),
+                array.latency() + array.pool(1).SoloTime(1'000'000'000ull));
+
+      // Latency, then twice the bytes at full bandwidth.
+      double inflated = -1;
+      engine.Spawn(TimedAccess(array, 1, 1'000'000'000ull, 2.0, &inflated, engine));
+      engine.Run();
+      EXPECT_NEAR(inflated, 2.25, 1e-6);
+
+      // A half-bandwidth window: latency, then 1 GB at 0.5 GB/s.
+      array.Degrade(1, 0.5);
+      double degraded = -1;
+      engine.Spawn(TimedAccess(array, 1, 1'000'000'000ull, 1.0, &degraded, engine));
+      engine.Run();
+      array.Restore(1);
+      EXPECT_NEAR(degraded, 4.5, 1e-6);
+      EXPECT_NEAR(array.degraded_seconds(), 2.25, 1e-6);
+    }
+    recorder.Uninstall();
+
+    int accesses = 0, windows = 0;
+    for (std::size_t i = 0; i < recorder.spans().size(); ++i) {
+      const obs::Recorder::SpanEvent& span = recorder.spans()[i];
+      EXPECT_STREQ(recorder.category(span), "hw");
+      EXPECT_EQ(span.track, kind.track);
+      const std::string_view name = recorder.name(span);
+      if (name == kind.access_span) {
+        ++accesses;
+        EXPECT_EQ(span.cat, kind.cat);
+        EXPECT_EQ(span.bytes, 1'000'000'000ull);
+      } else if (name == kind.degrade_span) {
+        ++windows;
+        EXPECT_EQ(span.cat, obs::Category::kDegraded);
+        EXPECT_NEAR(span.start, 2.25, 1e-6);
+        EXPECT_NEAR(span.end, 4.5, 1e-6);
+      } else {
+        ADD_FAILURE() << "unexpected span " << name;
+      }
+    }
+    EXPECT_EQ(accesses, 2);
+    EXPECT_EQ(windows, 1);
+    obs::MetricsRegistry& metrics = recorder.metrics();
+    EXPECT_EQ(metrics.GetCounter("hw." + kind.prefix + ".accesses").value(), 2u);
+    EXPECT_EQ(metrics.GetCounter("hw." + kind.prefix + ".bytes").value(), 2'000'000'000u);
+    EXPECT_EQ(metrics.GetCounter("hw." + kind.prefix + ".degrade_windows").value(), 1u);
+  }
 }
 
 }  // namespace

@@ -121,7 +121,7 @@ TEST(SpillHierarchy, ReadSpansDramAndBurstBuffer) {
   EXPECT_GT(read.io, 0.0);
   // Every BB pool saw read traffic beyond the writes.
   Bytes bb_bytes = 0;
-  for (int n = 0; n < f.scenario.cluster().burst_buffer().node_count(); ++n)
+  for (int n = 0; n < f.scenario.cluster().burst_buffer().size(); ++n)
     bb_bytes += f.scenario.cluster().burst_buffer().pool(n).total_bytes();
   EXPECT_GT(bb_bytes, f.system.CachedOn(fid, hw::Layer::kSharedBurstBuffer));
 }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/hw/probes.hpp"
+#include "src/obs/legs.hpp"
 #include "src/obs/recorder.hpp"
 #include "src/obs/sampler.hpp"
 #include "src/univistor/driver.hpp"
@@ -378,6 +379,102 @@ TEST(Recorder, SpanTimerRecordsEngineTime) {
   EXPECT_NE(json.find("\"name\":\"wait\""), std::string::npos);
   EXPECT_NE(json.find("\"dur\":2000000"), std::string::npos) << "2 s = 2e6 us";
   EXPECT_NE(json.find("\"bytes\":128"), std::string::npos);
+}
+
+// --- obs::Legs: the one builder of tagged concurrent legs. ---
+
+sim::Task Sleep(sim::Engine& engine, Time seconds) { co_await engine.Delay(seconds); }
+
+/// Two pool legs and a delay leg joined, then one leg awaited on its own:
+/// through Legs::Tag when `tag_alone`, bare otherwise.
+sim::Task LegsScript(sim::Engine& engine, sim::FairSharePool& slow, sim::FairSharePool& fast,
+                     bool tag_alone) {
+  obs::Legs legs(engine, "test", obs::Track::Rank(0, 0, 3), obs::SpanRef{7});
+  legs.Pool("slow.leg", obs::Category::kDram, slow, 1'000'000'000ull);
+  legs.Pool("fast.leg", obs::Category::kNet, fast, 1'000'000'000ull);
+  legs.Add("delay.leg", obs::Category::kQueue, 0.25, obs::kNoBytes, Sleep(engine, 0.25));
+  co_await legs.Join();
+  if (tag_alone) {
+    co_await legs.Tag("alone", obs::Category::kPfs, 0.5, 42, Sleep(engine, 0.5));
+  } else {
+    co_await Sleep(engine, 0.5);
+  }
+}
+
+struct LegsRun {
+  Time end = 0;
+  std::uint64_t events = 0;
+};
+
+/// Runs LegsScript on a fresh engine, observed by `recorder` when non-null.
+LegsRun RunLegsScript(obs::Recorder* recorder, bool tag_alone) {
+  if (recorder != nullptr) recorder->Install();
+  LegsRun run;
+  {
+    sim::Engine engine;
+    sim::FairSharePool slow(engine, {.name = "slow", .capacity = 1.0_GBps});
+    sim::FairSharePool fast(engine, {.name = "fast", .capacity = 2.0_GBps});
+    engine.Spawn(LegsScript(engine, slow, fast, tag_alone));
+    engine.Run();
+    run = {engine.Now(), engine.processed_events()};
+  }
+  if (recorder != nullptr) recorder->Uninstall();
+  return run;
+}
+
+TEST(Legs, ObservedLegsFinishAtTheSameTimeWithTheSameEvents) {
+  const LegsRun bare = RunLegsScript(nullptr, true);
+  obs::Recorder recorder;
+  const LegsRun traced = RunLegsScript(&recorder, true);
+  EXPECT_NEAR(bare.end, 1.5, 1e-9);  // the slow leg's 1 s, then the lone leg
+  EXPECT_EQ(traced.end, bare.end);
+  EXPECT_EQ(traced.events, bare.events);
+}
+
+TEST(Legs, EachLegEmitsOneSpanWithItsTag) {
+  obs::Recorder recorder;
+  RunLegsScript(&recorder, true);
+  struct Want {
+    const char* name;
+    obs::Category cat;
+    Time start, end, ideal;
+    Bytes bytes;
+  };
+  const Want wants[] = {
+      {"slow.leg", obs::Category::kDram, 0.0, 1.0, 1.0, 1'000'000'000ull},
+      {"fast.leg", obs::Category::kNet, 0.0, 0.5, 0.5, 1'000'000'000ull},
+      {"delay.leg", obs::Category::kQueue, 0.0, 0.25, 0.25, obs::kNoBytes},
+      {"alone", obs::Category::kPfs, 1.0, 1.5, 0.5, 42},
+  };
+  ASSERT_EQ(recorder.span_count(), std::size(wants));
+  for (const Want& want : wants) {
+    SCOPED_TRACE(want.name);
+    int found = 0;
+    for (std::size_t i = 0; i < recorder.spans().size(); ++i) {
+      const obs::Recorder::SpanEvent& span = recorder.spans()[i];
+      if (std::string_view(recorder.name(span)) != want.name) continue;
+      ++found;
+      EXPECT_STREQ(recorder.category(span), "test");
+      EXPECT_EQ(span.track, obs::Track::Rank(0, 0, 3));
+      EXPECT_EQ(span.cat, want.cat);
+      EXPECT_EQ(span.parent, obs::SpanRef{7});
+      EXPECT_NEAR(span.ideal, want.ideal, 1e-12);
+      EXPECT_NEAR(span.start, want.start, 1e-9);
+      EXPECT_NEAR(span.end, want.end, 1e-9);
+      EXPECT_EQ(span.bytes, want.bytes);
+    }
+    EXPECT_EQ(found, 1);
+  }
+}
+
+TEST(Legs, TaggedLoneLegAddsNoEngineEvent) {
+  obs::Recorder tagged_recorder;
+  obs::Recorder bare_recorder;
+  const LegsRun tagged = RunLegsScript(&tagged_recorder, true);
+  const LegsRun bare = RunLegsScript(&bare_recorder, false);
+  EXPECT_EQ(tagged.events, bare.events);
+  EXPECT_EQ(tagged.end, bare.end);
+  EXPECT_EQ(tagged_recorder.span_count(), bare_recorder.span_count() + 1);
 }
 
 // --- Sampler cadence and self-termination. ---

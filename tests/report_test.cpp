@@ -81,7 +81,7 @@ std::string RunAndSerialize(obs::Recorder& recorder, std::uint64_t seed,
     options.cluster_params.seed = seed;
     workload::Scenario scenario(options);
     if (degrade_factor > 0) {
-      hw::PfsDevice* pfs = &scenario.cluster().pfs();
+      hw::DeviceArray* pfs = &scenario.cluster().pfs();
       scenario.engine().Schedule(0.01, [pfs, degrade_factor] {
         pfs->Degrade(0, degrade_factor);
       });

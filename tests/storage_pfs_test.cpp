@@ -137,9 +137,9 @@ TEST(PfsWrite, ExplicitTargetsRestrictOsts) {
                           &done, engine));
   engine.Run();
   EXPECT_NEAR(done, 1.0, 0.05);  // 2 GB over 2 OSTs
-  EXPECT_GT(cluster.pfs().ost(3).total_bytes(), 0u);
-  EXPECT_GT(cluster.pfs().ost(5).total_bytes(), 0u);
-  EXPECT_EQ(cluster.pfs().ost(0).total_bytes(), 0u);
+  EXPECT_GT(cluster.pfs().pool(3).total_bytes(), 0u);
+  EXPECT_GT(cluster.pfs().pool(5).total_bytes(), 0u);
+  EXPECT_EQ(cluster.pfs().pool(0).total_bytes(), 0u);
 }
 
 TEST(PfsWrite, SharedInterleavedSlowerThanFilePerProcess) {

@@ -3,8 +3,9 @@
 
 Runs each tool once per hostile value (zero, negative, non-numeric,
 non-integral and huge) of each numeric flag, argument and bench environment
-variable, and once per malformed job-trace line, SLO list, fault plan and
-scenario spec. Every run must exit 0 (the input is valid and the run
+variable, once per malformed job-trace line, SLO list, fault plan and
+scenario spec, and once per first cache layer with each observer (metrics,
+trace, attribution) installed. Every run must exit 0 (the input is valid and the run
 completed) or 2 (it was rejected with a message on stderr naming the flag,
 argument, variable or key): never a signal, never the exit code 1 of a
 failed run, and never a hang. The malformed grammar inputs, and the
@@ -65,6 +66,10 @@ def cases(tools, scratch):
         for v in ["0+1", "1+0", "3x+1", "-1+1", "4+", "99999999999+1", "2147483647+1"]:
             yield "uvsim", SINGLE + [f"--ec={v}"], {}, "--ec", True
         yield "uvsim", SINGLE + ["--faults=crash@0.002:node=1,node=0"], {}, "node", True
+        # Observed runs take the traced leg paths of every layer.
+        for layer in ("dram", "bb", "disk"):
+            for observer in ("--metrics=m.json", "--trace=t.json", "--attribution"):
+                yield "uvsim", SINGLE + [f"--layer={layer}", observer], {}, "--layer", False
         for flag in ("procs", "jobs", "interarrival", "seed", "lustre-frac", "ec-frac", "bb-mb",
                      "osts", "ppn", "solo-jobs"):
             for v in VALUES:
