@@ -129,7 +129,7 @@ void BM_WhenAllFanout(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * width);
 }
-BENCHMARK(BM_WhenAllFanout)->Arg(16)->Arg(256);
+BENCHMARK(BM_WhenAllFanout)->Arg(1)->Arg(16)->Arg(256);
 
 }  // namespace
 }  // namespace uvs::sim

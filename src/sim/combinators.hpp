@@ -12,12 +12,15 @@ namespace uvs::sim {
 
 /// Starts every task concurrently and completes when all have finished.
 /// `co_await WhenAll(engine, std::move(tasks));`
-inline Task WhenAll(Engine& engine, std::vector<Task> tasks) {
-  std::vector<Process> procs;
-  procs.reserve(tasks.size());
-  for (auto& task : tasks) procs.push_back(engine.Spawn(std::move(task)));
-  for (auto& proc : procs) co_await proc.Done().Wait();
-}
+///
+/// The tasks run as child coroutines of the fan-out, not as processes, yet
+/// the engine sees the events a join of spawned processes makes: each leg
+/// starts from its own resume event, in leg order, and the fan-out wakes
+/// by an event when the leg it waits on (in index order) returns. A leg's
+/// escaped exception aborts Engine::Run, as a process's does. An empty
+/// (default-constructed) task counts as already finished. Defined in
+/// task.cpp, beside the final suspend that ends a leg.
+Task WhenAll(Engine& engine, std::vector<Task> tasks);
 
 /// A transfer through one pool as a task of its own, to run as one leg of
 /// a fan-out: `legs.push_back(Transfer(nic, bytes));`

@@ -45,10 +45,16 @@ class Mutex {
   bool locked() const { return locked_; }
   std::size_t waiters() const { return waiters_.size(); }
 
-  /// `auto guard = co_await mutex.Lock();` — suspends until acquired.
+  /// `auto guard = co_await mutex.Lock();` — suspends until acquired. A
+  /// waiter whose frame is destroyed before it resumes (Engine::Abandon)
+  /// leaves the queue, or passes the lock on if it was already handed it.
   auto Lock() {
     struct Awaiter {
       Mutex* mutex;
+      std::coroutine_handle<> waiting;  // set from suspension to resumption
+      ~Awaiter() {
+        if (waiting) mutex->Abandoned(waiting);
+      }
       bool await_ready() {
         if (!mutex->locked_) {
           mutex->locked_ = true;
@@ -56,8 +62,14 @@ class Mutex {
         }
         return false;
       }
-      void await_suspend(std::coroutine_handle<> h) { mutex->waiters_.push_back(h); }
-      LockGuard await_resume() { return LockGuard{mutex}; }
+      void await_suspend(std::coroutine_handle<> h) {
+        waiting = h;
+        mutex->waiters_.push_back(h);
+      }
+      LockGuard await_resume() {
+        waiting = {};
+        return LockGuard{mutex};
+      }
     };
     return Awaiter{this};
   }
@@ -65,6 +77,8 @@ class Mutex {
  private:
   friend class LockGuard;
   void Unlock();
+  /// The frame of `waiter` was destroyed before it resumed.
+  void Abandoned(std::coroutine_handle<> waiter);
 
   Engine* engine_;
   bool locked_ = false;

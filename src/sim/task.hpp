@@ -2,26 +2,33 @@
 //
 // A `sim::Task` is a lazily-started coroutine. It is either:
 //   * awaited by another task (`co_await Child(...)`): the child starts at
-//     the await point and resumes the parent when it finishes, or
+//     the await point and resumes the parent when it finishes,
+//   * a leg of a `WhenAll` fan-out (src/sim/combinators.hpp): the fan-out's
+//     frame owns the leg, the engine starts it, and the leg wakes the
+//     fan-out when it returns, or
 //   * spawned as a top-level simulation process (`Engine::Spawn`), in which
 //     case the engine owns the coroutine frame and triggers the process's
 //     completion event when it returns.
 //
 // Exceptions thrown inside an awaited child re-throw at the parent's await
-// point; exceptions escaping a top-level process abort `Engine::Run` (the
-// simulation is deterministic, so this is a programming error, not a
-// runtime condition).
+// point; exceptions escaping a top-level process or a fan-out leg abort
+// `Engine::Run` (the simulation is deterministic, so this is a programming
+// error, not a runtime condition).
 #pragma once
 
 #include <coroutine>
 #include <exception>
 #include <utility>
+#include <vector>
 
 namespace uvs::sim {
 
+class Engine;
 struct ProcessCtl;
 
 class [[nodiscard]] Task {
+  struct Join;  // one WhenAll fan-out; defined in task.cpp
+
  public:
   struct promise_type;
   using Handle = std::coroutine_handle<promise_type>;
@@ -42,6 +49,7 @@ class [[nodiscard]] Task {
 
     std::coroutine_handle<> continuation;  // parent awaiting this task
     ProcessCtl* ctl = nullptr;             // set iff spawned as a process
+    Join* join = nullptr;                  // set iff started as a WhenAll leg
     std::exception_ptr exception;
     bool done = false;
   };
@@ -82,6 +90,7 @@ class [[nodiscard]] Task {
 
  private:
   friend class Engine;
+  friend Task WhenAll(Engine& engine, std::vector<Task> tasks);
   explicit Task(Handle h) noexcept : handle_(h) {}
 
   /// Releases ownership of the coroutine frame (used by Engine::Spawn).

@@ -1,12 +1,16 @@
-// Tests for the DES engine: clocking, ordering, processes, events.
+// Tests for the DES engine: clocking, ordering, processes, events, and the
+// teardown of fan-out legs.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "src/sim/combinators.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/event.hpp"
+#include "src/sim/fair_share.hpp"
+#include "src/sim/sync.hpp"
 #include "src/sim/task.hpp"
 
 namespace uvs::sim {
@@ -364,6 +368,88 @@ TEST(Engine, ProcessSlotsAreRecycled) {
   engine.Spawn(SpawnChildren(engine, 3, wakeups));
   engine.Run();
   EXPECT_EQ(engine.frames_reclaimed(), 54u);
+}
+
+TEST(WhenAll, LegExceptionAbortsRunAtItsEvent) {
+  // A leg that throws at t = 0.5 beside a leg that never returns, in either
+  // order: Run throws from the rethrow queued at the leg's end (the fifth
+  // event, after the spawn, two leg starts and the delay), before the
+  // fan-out could resume, and the parent never gets past the join.
+  for (bool thrower_first : {true, false}) {
+    Engine engine;
+    Event never(engine);
+    bool joined = false;
+    engine.Spawn([](Engine& e, Event& ev, bool first, bool& after) -> Task {
+      std::vector<Task> legs;
+      legs.push_back(Thrower(e));
+      legs.push_back(WaitForever(e, ev));
+      if (!first) std::swap(legs[0], legs[1]);
+      co_await WhenAll(e, std::move(legs));
+      after = true;
+    }(engine, never, thrower_first, joined));
+    EXPECT_THROW(engine.Run(), std::runtime_error) << "thrower first: " << thrower_first;
+    EXPECT_DOUBLE_EQ(engine.Now(), 0.5);
+    EXPECT_EQ(engine.processed_events(), 5u);
+    EXPECT_FALSE(joined);
+    engine.Run();  // whatever is still queued, the stranded sibling holds the join
+    EXPECT_FALSE(joined);
+    EXPECT_EQ(engine.live_processes(), 1u);
+  }
+}
+
+Task HoldLock(Engine& engine, Mutex& mutex, Time hold, Time at = 0) {
+  co_await engine.Delay(at);
+  auto guard = co_await mutex.Lock();
+  co_await engine.Delay(hold);
+}
+
+TEST(WhenAll, AbandonDestroysSuspendedLegs) {
+  // Three legs suspended mid fan-out: one parked on a pool transfer, one
+  // holding the mutex while two other processes wait for it, one in a
+  // Delay. Abandon destroys the legs through their process's frame. The
+  // waiter spawned first is destroyed while still queued; the other is
+  // handed the lock by the holder's unwinding guard and passes it on.
+  Engine engine;
+  FairSharePool pool(engine, {.capacity = 1.0});
+  Mutex mutex(engine);
+  std::vector<double> wakeups;
+  engine.Spawn(HoldLock(engine, mutex, 1.0, 1.0), "early-waiter");
+  engine.Spawn([](Engine& e, FairSharePool& p, Mutex& m, std::vector<double>& at) -> Task {
+    std::vector<Task> legs;
+    legs.push_back(Transfer(p, 1000));
+    legs.push_back(HoldLock(e, m, 100.0));
+    legs.push_back(Sleeper(e, 50.0, at));
+    co_await WhenAll(e, std::move(legs));
+  }(engine, pool, mutex, wakeups), "fan-out");
+  engine.Spawn(HoldLock(engine, mutex, 1.0, 2.0), "late-waiter");
+  engine.RunUntil(10.0);
+  ASSERT_TRUE(mutex.locked());
+  ASSERT_EQ(mutex.waiters(), 2u);
+  ASSERT_EQ(pool.active_flows(), 1u);
+  EXPECT_EQ(engine.live_processes(), 3u) << "legs are not processes";
+
+  engine.Abandon();
+  EXPECT_EQ(engine.live_processes(), 0u);
+  EXPECT_EQ(engine.pending_events(), 0u);
+  EXPECT_TRUE(engine.UnfinishedProcessNames().empty());
+  EXPECT_FALSE(mutex.locked());
+  EXPECT_EQ(mutex.waiters(), 0u);
+
+  // The engine and the mutex serve a fresh run. (The pool still counts the
+  // abandoned flow, so it is not reused.)
+  ASSERT_TRUE(wakeups.empty());
+  engine.Spawn([](Engine& e, Mutex& m, std::vector<double>& at) -> Task {
+    std::vector<Task> legs;
+    legs.push_back(HoldLock(e, m, 1.0));
+    legs.push_back(HoldLock(e, m, 1.0));
+    legs.push_back(Sleeper(e, 0.5, at));
+    co_await WhenAll(e, std::move(legs));
+    at.push_back(e.Now());
+  }(engine, mutex, wakeups));
+  engine.Run();
+  EXPECT_EQ(wakeups, (std::vector<double>{10.5, 12.0}));
+  EXPECT_FALSE(mutex.locked());
+  EXPECT_EQ(engine.live_processes(), 0u);
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
 // Property and stress tests for the simulation kernel under randomized
 // workloads: work conservation of the fair-share pool, determinism of the
-// event order, and dynamic reconfiguration.
+// event order, dynamic reconfiguration, and the fan-out join's event
+// stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "src/common/rng.hpp"
 #include "src/sim/combinators.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/fair_share.hpp"
+#include "src/sim/sync.hpp"
 
 namespace uvs::sim {
 namespace {
@@ -247,6 +250,158 @@ TEST(WhenAll, CompletionTimeIsMaxOfChildren) {
   }(engine, done_at));
   engine.Run();
   EXPECT_DOUBLE_EQ(done_at, 5.0);
+}
+
+// The oracle for WhenAll: the join it replaced, which spawned every leg as
+// a process and joined the processes' Done events in index order.
+Task SpawnedJoin(Engine& engine, std::vector<Task> tasks) {
+  std::vector<Process> procs;
+  procs.reserve(tasks.size());
+  for (auto& task : tasks) procs.push_back(engine.Spawn(std::move(task)));
+  for (auto& proc : procs) co_await proc.Done().Wait();
+}
+
+using JoinFn = Task (*)(Engine&, std::vector<Task>);
+
+/// One leg of a random fan-out tree.
+struct LegSpec {
+  enum Kind { kDelayZero, kDelay, kTransfer, kLocked, kFanOut } kind = kFanOut;
+  int id = 0;
+  Time dt = 0;                // kDelay, kLocked
+  Bytes bytes = 0;            // kTransfer
+  std::vector<LegSpec> legs;  // kFanOut
+};
+
+/// A fan-out of 0-6 legs at `depth`, nesting fan-outs down to depth 3.
+/// Delays and transfers end on multiples of 0.25 s, so ties are common.
+LegSpec RandomFanOut(Rng& rng, int depth, int& next_id) {
+  LegSpec fan{.kind = LegSpec::kFanOut, .id = next_id++};
+  const int width = static_cast<int>(rng.NextBelow(7));
+  for (int i = 0; i < width; ++i) {
+    const auto kind = static_cast<LegSpec::Kind>(rng.NextBelow(depth < 3 ? 5 : 4));
+    if (kind == LegSpec::kFanOut) {
+      fan.legs.push_back(RandomFanOut(rng, depth + 1, next_id));
+      continue;
+    }
+    LegSpec leg{.kind = kind, .id = next_id++};
+    leg.dt = 0.5 * static_cast<double>(1 + rng.NextBelow(3));
+    leg.bytes = 250 * rng.NextBelow(4);  // 0-750 B through a 1000 B/s pool
+    fan.legs.push_back(std::move(leg));
+  }
+  return fan;
+}
+
+/// One run of a tree: the engine, the pool and mutex its legs share, and
+/// a log of (Now(), leg id, ended) at every leg start and end.
+struct JoinWorld {
+  explicit JoinWorld(JoinFn fn) : join(fn) {}
+  JoinFn join;
+  Engine engine;
+  FairSharePool pool{engine, {.capacity = 1000.0}};
+  Mutex mutex{engine};
+  std::vector<std::tuple<Time, int, bool>> log;
+};
+
+Task RunLeg(JoinWorld& w, const LegSpec& leg) {
+  w.log.emplace_back(w.engine.Now(), leg.id, false);
+  switch (leg.kind) {
+    case LegSpec::kDelayZero:
+      co_await w.engine.Delay(0);
+      break;
+    case LegSpec::kDelay:
+      co_await w.engine.Delay(leg.dt);
+      break;
+    case LegSpec::kTransfer:
+      co_await w.pool.Transfer(leg.bytes);
+      break;
+    case LegSpec::kLocked: {
+      auto guard = co_await w.mutex.Lock();
+      co_await w.engine.Delay(leg.dt);
+      break;
+    }
+    case LegSpec::kFanOut: {
+      std::vector<Task> legs;
+      for (const LegSpec& child : leg.legs) legs.push_back(RunLeg(w, child));
+      co_await w.join(w.engine, std::move(legs));
+      break;
+    }
+  }
+  w.log.emplace_back(w.engine.Now(), leg.id, true);
+}
+
+/// A competing process that wakes every 0.5 s, at the legs' tie instants,
+/// and takes the mutex or a slice of the pool.
+Task Ticker(JoinWorld& w) {
+  for (int tick = 0; tick < 8; ++tick) {
+    co_await w.engine.Delay(0.5);
+    w.log.emplace_back(w.engine.Now(), -1, false);
+    if (tick % 2 == 0) {
+      auto guard = co_await w.mutex.Lock();
+    } else {
+      co_await w.pool.Transfer(100);
+    }
+    w.log.emplace_back(w.engine.Now(), -1, true);
+  }
+}
+
+struct JoinRun {
+  std::vector<std::tuple<Time, int, bool>> log;
+  std::uint64_t events = 0;
+  Time end = 0;
+};
+
+JoinRun RunTree(const LegSpec& root, JoinFn join) {
+  JoinWorld w(join);
+  w.engine.Spawn(RunLeg(w, root), "tree");
+  w.engine.Spawn(Ticker(w), "ticker");
+  w.engine.Run();
+  return {std::move(w.log), w.engine.processed_events(), w.engine.Now()};
+}
+
+TEST(WhenAll, MatchesSpawnedProcessJoinEventForEvent) {
+  std::size_t legs = 0;
+  for (std::uint64_t seed = 1; seed <= 256; ++seed) {
+    Rng rng(seed);
+    int next_id = 0;
+    const LegSpec root = RandomFanOut(rng, 1, next_id);
+    legs += static_cast<std::size_t>(next_id);
+    const JoinRun want = RunTree(root, SpawnedJoin);
+    const JoinRun got = RunTree(root, WhenAll);
+    ASSERT_EQ(got.log, want.log) << "seed " << seed;
+    ASSERT_EQ(got.events, want.events) << "seed " << seed;
+    ASSERT_EQ(got.end, want.end) << "seed " << seed;
+  }
+  EXPECT_GT(legs, 1000u) << "the trees should not be trivial";
+}
+
+TEST(WhenAll, EmptyLegCompletesAtOnce) {
+  // A default-constructed leg counts as finished: it takes no start event
+  // and its siblings join as usual.
+  Engine engine;
+  std::vector<double> done_at;
+  engine.Spawn([](Engine& e, std::vector<double>& at) -> Task {
+    co_await WhenAll(e, std::vector<Task>(2));
+    at.push_back(e.Now());
+    std::vector<Task> legs(3);
+    legs[1] = [](Engine& eng) -> Task { co_await eng.Delay(1.0); }(e);
+    co_await WhenAll(e, std::move(legs));
+    at.push_back(e.Now());
+  }(engine, done_at));
+  engine.Run();
+  EXPECT_EQ(done_at, (std::vector<double>{0.0, 1.0}));
+  EXPECT_EQ(engine.processed_events(), 4u);  // spawn, leg start, delay, wake-up
+  EXPECT_EQ(engine.live_processes(), 0u);
+
+  // A one-leg fan-out makes exactly the oracle's events, for a leg that
+  // ends inside its first resume and for one that suspends.
+  for (LegSpec::Kind kind : {LegSpec::kDelayZero, LegSpec::kDelay, LegSpec::kTransfer}) {
+    const LegSpec root{.kind = LegSpec::kFanOut,
+                       .legs = {LegSpec{.kind = kind, .id = 1, .dt = 0.5, .bytes = 250}}};
+    const JoinRun want = RunTree(root, SpawnedJoin);
+    const JoinRun got = RunTree(root, WhenAll);
+    EXPECT_EQ(got.events, want.events) << "kind " << kind;
+    EXPECT_EQ(got.log, want.log) << "kind " << kind;
+  }
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
+#include "src/sim/combinators.hpp"
 #include "src/testkit/invariants.hpp"
 #include "src/testkit/runner.hpp"
 #include "src/testkit/scenario_spec.hpp"
@@ -203,6 +205,26 @@ TEST(InvariantsTest, QuiescenceDetectsStrandedProcess) {
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.violations[0].invariant, "quiescence");
   EXPECT_NE(report.violations[0].detail.find("stuck-proc"), std::string::npos);
+}
+
+TEST(Quiescence, StrandedLegIsReportedByItsProcess) {
+  // A fan-out leg is not a process: when it strands, the report names the
+  // process that started the fan-out, and nothing else.
+  sim::Engine engine;
+  sim::Event never(engine);
+  engine.Spawn([](sim::Engine& e, sim::Event& ev) -> sim::Task {
+    std::vector<sim::Task> legs;
+    legs.push_back([](sim::Engine& eng) -> sim::Task { co_await eng.Delay(1.0); }(e));
+    legs.push_back([](sim::Event& event) -> sim::Task { co_await event.Wait(); }(ev));
+    co_await sim::WhenAll(e, std::move(legs));
+  }(engine, never), "fan-out-proc");
+  engine.Run();
+  EXPECT_EQ(engine.UnfinishedProcessNames(), std::vector<std::string>{"fan-out-proc"});
+  InvariantReport report;
+  CheckQuiescence(engine, report);
+  ASSERT_EQ(report.violations.size(), 1u);
+  EXPECT_EQ(report.violations[0].detail,
+            "1 processes stranded after the event queue drained: 'fan-out-proc'");
 }
 
 TEST(InvariantsTest, ReportFormatsViolations) {

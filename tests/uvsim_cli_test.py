@@ -9,13 +9,15 @@ trace, attribution) installed. Every run must exit 0 (the input is valid and the
 completed) or 2 (it was rejected with a message on stderr naming the flag,
 argument, variable or key): never a signal, never the exit code 1 of a
 failed run, and never a hang. The malformed grammar inputs, and the
-bench_trajectory values, must exit 2.
+bench_trajectory values, must exit 2. A valid uvsim run, single or
+--cluster, must exit 0 and state its host cost in exactly one stderr line.
 
     python3 tests/uvsim_cli_test.py build/tools/uvsim [build/tools/uvfuzz ...]
 
 Each path is recognised by its file name; the cases of the tools given run.
 """
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -24,6 +26,12 @@ VALUES = ["0", "-1", "abc", "1e30", "99999999999"]
 SINGLE = ["--workload=vpic", "--procs=8", "--steps=1", "--mb=1"]
 CLUSTER = ["--cluster", "--jobs=2", "--procs=16"]
 TIMEOUT_S = 60
+
+# What a case must do: exit 0 or 2; be rejected (exit 2); or run (exit 0,
+# with exactly one host-cost line on stderr).
+ANY, REJECT, RUN = "exit 0 or 2", "reject", "run"
+COST_LINE = re.compile(r"^uvsim: host \d+\.\d\d s, \d+ events \(\d+\.\d\d M events/s\), "
+                       r"peak RSS \d+ MiB$", re.MULTILINE)
 
 # Malformed job-trace lines and the key each one must be rejected for.
 JOB_LINES = [
@@ -58,62 +66,64 @@ SPECS = [
 
 def cases(tools, scratch):
     """Yields (tool, argv, extra environment, name an exit 2 must carry on
-    stderr, whether the input must be rejected)."""
+    stderr, what the case must do: ANY, REJECT or RUN)."""
     if "uvsim" in tools:
+        for base in (SINGLE, CLUSTER):
+            yield "uvsim", base, {}, "uvsim", RUN
         for flag in ("procs", "mb", "steps", "scrub", "sample-interval", "span-limit"):
             for v in VALUES:
-                yield "uvsim", SINGLE + [f"--{flag}={v}"], {}, f"--{flag}", False
+                yield "uvsim", SINGLE + [f"--{flag}={v}"], {}, f"--{flag}", ANY
         for v in ["0+1", "1+0", "3x+1", "-1+1", "4+", "99999999999+1", "2147483647+1"]:
-            yield "uvsim", SINGLE + [f"--ec={v}"], {}, "--ec", True
-        yield "uvsim", SINGLE + ["--faults=crash@0.002:node=1,node=0"], {}, "node", True
+            yield "uvsim", SINGLE + [f"--ec={v}"], {}, "--ec", REJECT
+        yield "uvsim", SINGLE + ["--faults=crash@0.002:node=1,node=0"], {}, "node", REJECT
         # Observed runs take the traced leg paths of every layer.
         for layer in ("dram", "bb", "disk"):
             for observer in ("--metrics=m.json", "--trace=t.json", "--attribution"):
-                yield "uvsim", SINGLE + [f"--layer={layer}", observer], {}, "--layer", False
+                yield "uvsim", SINGLE + [f"--layer={layer}", observer], {}, "--layer", ANY
         for flag in ("procs", "jobs", "interarrival", "seed", "lustre-frac", "ec-frac", "bb-mb",
                      "osts", "ppn", "solo-jobs"):
             for v in VALUES:
-                yield "uvsim", CLUSTER + [f"--{flag}={v}"], {}, f"--{flag}", False
+                yield "uvsim", CLUSTER + [f"--{flag}={v}"], {}, f"--{flag}", ANY
         for i, (line, key) in enumerate(JOB_LINES):
             path = os.path.join(scratch, f"job{i}.trace")
             with open(path, "w") as f:
                 f.write("# hostile line follows\r\n" + line + "\r\n")
-            yield "uvsim", ["--cluster", "--procs=16", f"--job-file={path}"], {}, key, True
+            yield "uvsim", ["--cluster", "--procs=16", f"--job-file={path}"], {}, key, REJECT
         for spec, key in SLOS:
-            yield "uvsim", CLUSTER + [f"--slo={spec}"], {}, key, True
+            yield "uvsim", CLUSTER + [f"--slo={spec}"], {}, key, REJECT
     if "uvfuzz" in tools:
         for flag, base in (("seeds", []), ("base-seed", ["--seeds=2"]), ("seed", []),
                            ("jobs", ["--seeds=2"]), ("time-budget", ["--seeds=2"])):
             for v in VALUES:
-                yield "uvfuzz", ["--quiet"] + base + [f"--{flag}={v}"], {}, f"--{flag}", False
+                yield "uvfuzz", ["--quiet"] + base + [f"--{flag}={v}"], {}, f"--{flag}", ANY
         for v in VALUES:
-            yield "uvfuzz", ["--quiet", "--seeds=2", "-j", v], {}, "-j", False
+            yield "uvfuzz", ["--quiet", "--seeds=2", "-j", v], {}, "-j", ANY
         for spec, key in SPECS:
-            yield "uvfuzz", [f"--spec={spec}"], {}, key, True
+            yield "uvfuzz", [f"--spec={spec}"], {}, key, REJECT
     if "uvreport" in tools:
         golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "ci",
                               "golden_report.json")
         for flag in ("rel-tol", "share-tol", "min-seconds"):
             for v in VALUES:
                 yield ("uvreport", ["--diff", f"--{flag}={v}", golden, golden], {}, f"--{flag}",
-                       False)
+                       ANY)
     if "bench_trajectory" in tools:
         # A valid -j runs the whole bench, so only values it must reject.
         for v in VALUES[1:]:
-            yield "bench_trajectory", ["-j", v], {}, "-j", True
+            yield "bench_trajectory", ["-j", v], {}, "-j", REJECT
     if "fig5a_write_ia_coc" in tools:
         for v in VALUES + ["2000000000", "64"]:
-            yield "fig5a_write_ia_coc", [], {"UVS_MAX_PROCS": v}, "UVS_MAX_PROCS", False
+            yield "fig5a_write_ia_coc", [], {"UVS_MAX_PROCS": v}, "UVS_MAX_PROCS", ANY
         for v in VALUES:
             env = {"UVS_MAX_PROCS": "64", "UVS_OBS_DIR": scratch, "UVS_SAMPLE_INTERVAL": v}
-            yield "fig5a_write_ia_coc", [], env, "UVS_SAMPLE_INTERVAL", False
+            yield "fig5a_write_ia_coc", [], env, "UVS_SAMPLE_INTERVAL", ANY
     if "tier_planner" in tools:
         for lead, name in (([], "file_GiB"), (["64"], "servers"), (["64", "512"], "osts")):
             for v in VALUES + ["2147483647"]:
-                yield "tier_planner", lead + [v], {}, name, False
+                yield "tier_planner", lead + [v], {}, name, ANY
     if "vpic_checkpoint" in tools:
         for v in VALUES + ["2147483647"]:
-            yield "vpic_checkpoint", [v], {}, "steps", False
+            yield "vpic_checkpoint", [v], {}, "steps", ANY
 
 
 def main():
@@ -121,7 +131,7 @@ def main():
     failures = []
     runs = 0
     with tempfile.TemporaryDirectory() as scratch:
-        for tool, args, env, name, reject in cases(tools, scratch):
+        for tool, args, env, name, expect in cases(tools, scratch):
             runs += 1
             cmd = [tools[tool]] + args
             shown = " ".join(f"{k}={v}" for k, v in env.items()) + " " + " ".join(cmd)
@@ -133,11 +143,13 @@ def main():
                 continue
             if run.returncode < 0:
                 failures.append(f"{shown}: killed by signal {-run.returncode}")
-            elif run.returncode not in (0, 2):
+            elif run.returncode not in (0, 2) or (expect == RUN and run.returncode != 0):
                 failures.append(f"{shown}: exit {run.returncode}\n{run.stderr[-500:]}")
+            elif expect == RUN and len(COST_LINE.findall(run.stderr)) != 1:
+                failures.append(f"{shown}: no single host-cost line on stderr")
             elif run.returncode == 2 and name not in run.stderr:
                 failures.append(f"{shown}: exit 2 without naming {name} on stderr")
-            elif reject and run.returncode != 2:
+            elif expect == REJECT and run.returncode != 2:
                 failures.append(f"{shown}: accepted a malformed input")
     for failure in failures:
         print(failure)

@@ -37,6 +37,7 @@
 #include "src/cluster/arrival.hpp"
 #include "src/cluster/simulation.hpp"
 #include "src/common/parse.hpp"
+#include "src/sim/combinators.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/fair_share.hpp"
 #include "src/sim/task.hpp"
@@ -92,6 +93,20 @@ double SpawnJoinPerSec(int procs, int rounds) {
   }
   const auto t1 = Clock::now();
   return static_cast<double>(n) / Seconds(t0, t1);
+}
+
+double WhenAllLegsPerSec(int legs, int fanouts) {
+  const auto t0 = Clock::now();
+  for (int f = 0; f < fanouts; ++f) {
+    Engine engine;
+    std::vector<Task> tasks;
+    tasks.reserve(static_cast<std::size_t>(legs));
+    for (int i = 0; i < legs; ++i) tasks.push_back(Sleeper(engine, 1.0));
+    engine.Spawn(WhenAll(engine, std::move(tasks)));
+    engine.Run();
+  }
+  const auto t1 = Clock::now();
+  return static_cast<double>(legs) * fanouts / Seconds(t0, t1);
 }
 
 Task StaggeredTransfer(Engine& engine, FairSharePool& pool, Time at, Bytes bytes) {
@@ -303,6 +318,7 @@ int main(int argc, char** argv) {
 
   const long chain_events = smoke ? 400000 : 2000000;
   const int sj_rounds = smoke ? 5 : 30;
+  const int when_all_fanouts = smoke ? 20000 : 200000;
   const int fs_rounds = smoke ? 20 : 100;
   const Bytes fig5a_bytes = smoke ? 16_MiB : 256_MiB;
   const int vpic_steps = smoke ? 2 : 10;
@@ -317,6 +333,7 @@ int main(int argc, char** argv) {
   add("engine_chain64_events_per_sec", EngineEventsPerSec(64, chain_events));
   add("engine_chain4096_events_per_sec", EngineEventsPerSec(4096, chain_events));
   add("spawn_join_procs_per_sec", SpawnJoinPerSec(10000, sj_rounds));
+  add("when_all_legs_per_sec", WhenAllLegsPerSec(16, when_all_fanouts));
   add("fair_share_staggered_flows_per_sec", FairShareFlowsPerSec(1024, fs_rounds));
 #ifndef UVS_BENCH_NO_CANCEL
   add("timer_cancel_ops_per_sec",

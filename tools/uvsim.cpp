@@ -11,7 +11,12 @@
 // Flags:
 // Run `uvsim --help` for the full flag list; `--trace` / `--metrics`
 // additionally produce a Chrome trace-event timeline and a machine-readable
-// run report (see docs/OBSERVABILITY.md).
+// run report (see docs/OBSERVABILITY.md). After a successful run, one line
+// on stderr states what the run cost the host (see docs/PERFORMANCE.md).
+#include <sys/resource.h>
+
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -335,7 +340,7 @@ bool WriteObservability(const Args& args, const obs::Recorder& recorder, Time no
 /// Multi-tenant mode: sample (or read) a job mix, run it through
 /// cluster::ClusterSim under the chosen policy, print per-job QoS and the
 /// mix rollup, optionally dump the deterministic JSON job trace.
-int RunCluster(const Args& args) {
+int RunCluster(const Args& args, std::uint64_t& events) {
   obs::Recorder recorder;
   const bool obs_on = !args.trace.empty() || !args.metrics.empty();
   if (args.span_limit >= 0) recorder.SetSpanLimit(static_cast<std::size_t>(args.span_limit));
@@ -491,8 +496,9 @@ int RunCluster(const Args& args) {
                 100.0 * stretch.relative_error(), summary.p50_stretch,
                 summary.p99_stretch);
   }
+  events = scenario.engine().processed_events();
   std::printf("simulated %s in %llu events\n", HumanTime(scenario.engine().Now()).c_str(),
-              static_cast<unsigned long long>(scenario.engine().processed_events()));
+              static_cast<unsigned long long>(events));
 
   if (args.check) {
     testkit::InvariantReport check_report;
@@ -541,8 +547,9 @@ int RunCluster(const Args& args) {
   return 0;
 }
 
-int Run(const Args& args) {
-  if (args.cluster) return RunCluster(args);
+/// Runs the simulation; `events` receives the engine's event count.
+int Run(const Args& args, std::uint64_t& events) {
+  if (args.cluster) return RunCluster(args, events);
   // The recorder outlives the scenario (spans are emitted from coroutine
   // frames destroyed during engine teardown).
   obs::Recorder recorder;
@@ -674,8 +681,9 @@ int Run(const Args& args) {
                 HumanBytes(uvs_system->lost_bytes()).c_str());
   }
   if (args.ec_k > 0) PrintEcStats(scenario.pfs());
+  events = scenario.engine().processed_events();
   std::printf("simulated %s in %llu events\n", HumanTime(scenario.engine().Now()).c_str(),
-              static_cast<unsigned long long>(scenario.engine().processed_events()));
+              static_cast<unsigned long long>(events));
 
   // Kernel-health counters, surfaced in the metrics run report alongside
   // the simulation-level metrics (see docs/PERFORMANCE.md).
@@ -731,6 +739,16 @@ int Run(const Args& args) {
   return 0;
 }
 
+/// States what a successful run cost the host, on stderr only: wall time,
+/// events and their rate, and peak RSS (`ru_maxrss`, KiB on Linux).
+void PrintHostCost(double seconds, std::uint64_t events) {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const double rate = seconds > 0 ? static_cast<double>(events) / seconds / 1e6 : 0.0;
+  std::fprintf(stderr, "uvsim: host %.2f s, %llu events (%.2f M events/s), peak RSS %ld MiB\n",
+               seconds, static_cast<unsigned long long>(events), rate, usage.ru_maxrss / 1024);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -746,8 +764,10 @@ int main(int argc, char** argv) {
   // An exception escaping the simulation (engine rethrow of a process
   // failure, bad configuration) must not look like a successful run.
   int rc = 1;
+  std::uint64_t events = 0;
+  const auto start = std::chrono::steady_clock::now();
   try {
-    rc = Run(args);
+    rc = Run(args, events);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "uvsim: uncaught exception: %s\n", e.what());
     obs::FlightNote(0, "crash", e.what());
@@ -755,6 +775,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "uvsim: uncaught non-standard exception\n");
     obs::FlightNote(0, "crash", "non-standard exception");
   }
+  if (rc == 0)
+    PrintHostCost(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count(), events);
   // Earlier dumps (invariant failure, node crash) keep their more specific
   // reason; "nonzero-exit" is the backstop for every other failing path.
   if (rc != 0 && flight.installed()) {
