@@ -203,6 +203,11 @@ sim::Task DataElevator::WaitFlush(storage::FileId fid) {
     co_await info.flush_process.Done().Wait();
 }
 
+sim::Task DataElevator::WaitAllFlushes() {
+  for (std::size_t f = 0; f < files_.size(); ++f)
+    co_await WaitFlush(static_cast<storage::FileId>(f));
+}
+
 // --- Driver face. ---
 
 DataElevatorDriver::State& DataElevatorDriver::StateOf(vmpi::File& file) {

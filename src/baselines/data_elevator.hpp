@@ -31,6 +31,8 @@ class DataElevator {
   vmpi::Runtime& runtime() { return *runtime_; }
   storage::Pfs& pfs() { return *pfs_; }
   const FlushStats& flush_stats() const { return flush_stats_; }
+  /// The server program launched on every node; its job retires it.
+  vmpi::ProgramId server_program() const { return server_program_; }
 
   storage::FileId OpenOrCreate(const std::string& name);
 
@@ -41,6 +43,7 @@ class DataElevator {
                  Bytes len, obs::SpanRef parent = {});
   void TriggerFlush(storage::FileId fid);
   sim::Task WaitFlush(storage::FileId fid);
+  sim::Task WaitAllFlushes();
 
  private:
   struct FileInfo {

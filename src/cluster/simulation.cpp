@@ -298,8 +298,15 @@ sim::Task ClusterSim::ExecuteJob(workload::Scenario& sc, JobState& job, bool liv
     co_await job.ranks_done->Wait();
   }
   job.client_done = sc.engine().Now();
+  baselines::DataElevator* de = job.sut.data_elevator.get();
   if (sys != nullptr) co_await sys->WaitAllFlushes();
+  if (de != nullptr) co_await de->WaitAllFlushes();
   job.finished = sc.engine().Now();
+  // Storage servers are job-scoped: the job's clients and servers leave the
+  // node schedulers with it, so later tenants never share a core with them.
+  sc.runtime().RetireProgram(job.program);
+  if (sys != nullptr) sc.runtime().RetireProgram(sys->server_program());
+  if (de != nullptr) sc.runtime().RetireProgram(de->server_program());
 }
 
 sim::Task ClusterSim::MicroRank(JobState& job, int rank, bool read_back) {

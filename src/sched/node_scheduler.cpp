@@ -1,14 +1,16 @@
 #include "src/sched/node_scheduler.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace uvs::sched {
 
 NodeScheduler::NodeScheduler(sim::Engine& engine, hw::Node& node, Options options, Rng rng)
     : engine_(&engine), node_(&node), options_(options), rng_(rng) {
   core_procs_.resize(static_cast<std::size_t>(node.cores()));
+  core_servers_.assign(static_cast<std::size_t>(node.cores()), 0);
 }
 
 int NodeScheduler::AddProcess(int program, bool is_server) {
@@ -27,9 +29,36 @@ int NodeScheduler::AddProcess(int program, bool is_server) {
                        ? PickCoreCfs()
                        : PickCoreInterferenceAware(program);
   procs_.push_back(std::move(proc));
+  live_.push_back(id);
+  if (is_server) ++core_servers_[static_cast<std::size_t>(core)];
   Assign(procs_.back(), core);
   procs_.back().home_core = core;
   return id;
+}
+
+void NodeScheduler::CheckRegistered(int proc, const char* op) const {
+  if (!IsRegistered(proc))
+    throw std::logic_error(std::string("NodeScheduler::") + op + ": process " +
+                           std::to_string(proc) + " is not registered on node " +
+                           std::to_string(node_->id()));
+}
+
+void NodeScheduler::RemoveProcess(int proc) {
+  CheckRegistered(proc, "RemoveProcess");
+  Proc& p = procs_[static_cast<std::size_t>(proc)];
+  if (p.cpu->active_flows() != 0)
+    throw std::logic_error("NodeScheduler::RemoveProcess: process " + std::to_string(proc) +
+                           " on node " + std::to_string(node_->id()) + " has " +
+                           std::to_string(p.cpu->active_flows()) +
+                           " CPU transfers in flight");
+  const int core = p.core;
+  auto& occupants = core_procs_[static_cast<std::size_t>(core)];
+  occupants.erase(std::find(occupants.begin(), occupants.end(), proc));
+  if (p.server) --core_servers_[static_cast<std::size_t>(core)];
+  live_.erase(std::lower_bound(live_.begin(), live_.end(), proc));
+  p.busy = false;
+  p.core = -1;
+  RecomputeCore(core);
 }
 
 int NodeScheduler::PickCoreCfs() {
@@ -71,12 +100,8 @@ int NodeScheduler::PickCoreInterferenceAware(int program) {
   int best_load = std::numeric_limits<int>::max();
   bool best_all_servers = false;
   for (int c = best_socket * cores_per_socket; c < (best_socket + 1) * cores_per_socket; ++c) {
-    const auto& occupants = core_procs_[static_cast<std::size_t>(c)];
-    const int load = static_cast<int>(occupants.size());
-    const bool all_servers =
-        !occupants.empty() &&
-        std::all_of(occupants.begin(), occupants.end(),
-                    [&](int p) { return procs_[static_cast<std::size_t>(p)].server; });
+    const int load = ProcsOnCore(c);
+    const bool all_servers = load > 0 && core_servers_[static_cast<std::size_t>(c)] == load;
     if (load < best_load || (load == best_load && all_servers && !best_all_servers)) {
       best_core = c;
       best_load = load;
@@ -118,7 +143,8 @@ void NodeScheduler::RecomputeCore(int core) {
 }
 
 void NodeScheduler::SetBusy(int proc, bool busy) {
-  auto& p = procs_.at(static_cast<std::size_t>(proc));
+  CheckRegistered(proc, "SetBusy");
+  Proc& p = procs_[static_cast<std::size_t>(proc)];
   if (p.busy == busy) return;
   p.busy = busy;
   RecomputeCore(p.core);
@@ -128,11 +154,18 @@ bool NodeScheduler::IsBusy(int proc) const {
   return procs_.at(static_cast<std::size_t>(proc)).busy;
 }
 
+bool NodeScheduler::IsRegistered(int proc) const {
+  return proc >= 0 && proc < process_count() && procs_[static_cast<std::size_t>(proc)].core >= 0;
+}
+
 int NodeScheduler::CoreOf(int proc) const {
   return procs_.at(static_cast<std::size_t>(proc)).core;
 }
 
-int NodeScheduler::SocketOf(int proc) const { return node_->SocketOfCore(CoreOf(proc)); }
+int NodeScheduler::SocketOf(int proc) const {
+  CheckRegistered(proc, "SocketOf");
+  return node_->SocketOfCore(procs_[static_cast<std::size_t>(proc)].core);
+}
 
 bool NodeScheduler::IsServer(int proc) const {
   return procs_.at(static_cast<std::size_t>(proc)).server;
@@ -140,8 +173,9 @@ bool NodeScheduler::IsServer(int proc) const {
 
 double NodeScheduler::CpuShare(int proc) const {
   const auto& p = procs_.at(static_cast<std::size_t>(proc));
+  if (!p.busy) return 1.0;
   const int busy = BusyProcsOnCore(p.core);
-  if (!p.busy || busy == 0) return 1.0;
+  if (busy == 0) return 1.0;
   const double csw = busy > 1 ? options_.context_switch_penalty : 1.0;
   return csw / static_cast<double>(busy);
 }
@@ -155,24 +189,20 @@ sim::FairSharePool& NodeScheduler::dram(int proc) {
 }
 
 void NodeScheduler::BeginServerFlush() {
-  if (flush_in_progress_) return;
-  flush_in_progress_ = true;
+  if (open_flushes_++ > 0) return;
   if (options_.policy != PlacementPolicy::kInterferenceAware) return;
-  // Cores that host at least one server.
-  std::vector<bool> server_core(static_cast<std::size_t>(node_->cores()), false);
-  for (const auto& proc : procs_)
-    if (proc.server) server_core[static_cast<std::size_t>(proc.core)] = true;
-  for (auto& proc : procs_) {
-    if (proc.server || !server_core[static_cast<std::size_t>(proc.core)]) continue;
+  for (int id : live_) {
+    Proc& proc = procs_[static_cast<std::size_t>(id)];
+    if (proc.server || core_servers_[static_cast<std::size_t>(proc.core)] == 0) continue;
     // Migrate to the least-loaded non-server core (same socket preferred).
     int best = -1;
     int best_load = std::numeric_limits<int>::max();
     const int socket = node_->SocketOfCore(proc.core);
     for (int pass = 0; pass < 2 && best == -1; ++pass) {
       for (int c = 0; c < node_->cores(); ++c) {
-        if (server_core[static_cast<std::size_t>(c)]) continue;
+        if (core_servers_[static_cast<std::size_t>(c)] > 0) continue;
         if (pass == 0 && node_->SocketOfCore(c) != socket) continue;
-        const int load = static_cast<int>(core_procs_[static_cast<std::size_t>(c)].size());
+        const int load = ProcsOnCore(c);
         if (load < best_load) {
           best = c;
           best_load = load;
@@ -185,10 +215,10 @@ void NodeScheduler::BeginServerFlush() {
 }
 
 void NodeScheduler::EndServerFlush() {
-  if (!flush_in_progress_) return;
-  flush_in_progress_ = false;
+  if (open_flushes_ == 0 || --open_flushes_ > 0) return;
   if (options_.policy != PlacementPolicy::kInterferenceAware) return;
-  for (auto& proc : procs_) {
+  for (int id : live_) {
+    Proc& proc = procs_[static_cast<std::size_t>(id)];
     if (!proc.server && proc.core != proc.home_core) Assign(proc, proc.home_core);
   }
 }
@@ -206,16 +236,17 @@ int NodeScheduler::BusyProcsOnCore(int core) const {
 
 int NodeScheduler::ProcsOnSocket(int socket) const {
   int n = 0;
-  for (const auto& proc : procs_)
-    if (proc.core >= 0 && node_->SocketOfCore(proc.core) == socket) ++n;
+  for (int id : live_)
+    if (node_->SocketOfCore(procs_[static_cast<std::size_t>(id)].core) == socket) ++n;
   return n;
 }
 
 int NodeScheduler::ProgramProcsOnSocket(int program, int socket) const {
   int n = 0;
-  for (const auto& proc : procs_)
-    if (proc.core >= 0 && proc.program == program && node_->SocketOfCore(proc.core) == socket)
-      ++n;
+  for (int id : live_) {
+    const Proc& proc = procs_[static_cast<std::size_t>(id)];
+    if (proc.program == program && node_->SocketOfCore(proc.core) == socket) ++n;
+  }
   return n;
 }
 

@@ -217,6 +217,15 @@ void CheckQuiescence(const sim::Engine& engine, InvariantReport& report) {
   report.Add("quiescence", out.str());
 }
 
+void CheckProcessesRetired(workload::Scenario& scenario, InvariantReport& report) {
+  for (int n = 0; n < scenario.cluster().node_count(); ++n) {
+    const int live = scenario.runtime().Scheduler(n).live_process_count();
+    if (live != 0)
+      report.Add("process-lifetime", "node " + std::to_string(n) + " still schedules " +
+                                         std::to_string(live) + " processes of finished jobs");
+  }
+}
+
 void CheckErasure(const storage::Pfs& pfs, InvariantReport& report) {
   const auto verify = pfs.VerifyParity();
   if (verify.torn > 0) {

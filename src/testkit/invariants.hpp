@@ -72,6 +72,10 @@ void CheckPoolConservation(workload::Scenario& scenario, InvariantReport& report
 /// After Run() has drained: no live (stranded) processes remain.
 void CheckQuiescence(const sim::Engine& engine, InvariantReport& report);
 
+/// After a cluster::ClusterSim run: every job retired its client and server
+/// programs, so no node scheduler holds a registered process.
+void CheckProcessesRetired(workload::Scenario& scenario, InvariantReport& report);
+
 /// Erasure-coding invariants after quiescence:
 ///  * parity consistency — every materialized stripe's parity snapshots
 ///    equal its applied data versions (no write left parity torn);

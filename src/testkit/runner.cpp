@@ -295,6 +295,7 @@ RunOutcome RunClusterScenario(const ScenarioSpec& spec) {
 
     CheckQuiescence(scenario.engine(), outcome.report);
     CheckPoolConservation(scenario, outcome.report);
+    CheckProcessesRetired(scenario, outcome.report);
     if (sim.arrived_jobs() != sim.job_count()) {
       outcome.report.Add("cluster-conservation",
                          std::to_string(sim.arrived_jobs()) + " of " +

@@ -66,6 +66,8 @@ class UniviStor {
 
   const Config& config() const { return config_; }
   vmpi::Runtime& runtime() { return *runtime_; }
+  /// The server program launched on every node; its job retires it.
+  vmpi::ProgramId server_program() const { return server_program_; }
   workflow::WorkflowManager& workflow() { return *workflow_; }
   storage::Pfs& pfs() { return *pfs_; }
   int total_servers() const { return total_servers_; }

@@ -47,6 +47,11 @@ ProgramId Runtime::LaunchProgramOn(std::string name, int nprocs,
   return prog_id;
 }
 
+void Runtime::RetireProgram(ProgramId prog) {
+  for (const RankInfo& info : programs_.at(static_cast<std::size_t>(prog)).ranks)
+    Scheduler(info.node).RemoveProcess(info.sched_proc);
+}
+
 int Runtime::RanksOnNode(ProgramId prog, int node) const {
   int count = 0;
   for (const RankInfo& info : programs_.at(static_cast<std::size_t>(prog)).ranks)

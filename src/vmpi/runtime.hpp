@@ -4,7 +4,7 @@
 // This plays the role MPICH plays in the paper (§II-F): programs are
 // launched within one job, ranks map block-wise onto compute nodes, and
 // every rank is registered with its node's scheduler (which models CFS or
-// UniviStor's interference-aware placement).
+// UniviStor's interference-aware placement) until its program retires.
 #pragma once
 
 #include <memory>
@@ -48,6 +48,13 @@ class Runtime {
   /// every entry a valid node index.
   ProgramId LaunchProgramOn(std::string name, int nprocs, const std::vector<int>& nodes,
                             bool is_server = false);
+
+  /// Unregisters every rank of `prog` from its node scheduler (see
+  /// sched::NodeScheduler::RemoveProcess), as when its job ends. The
+  /// program keeps its id, name, ranks and CPU pools; its ranks stop
+  /// competing for cores. Throws std::logic_error if the program already
+  /// retired or a rank's CPU pool has a transfer in flight.
+  void RetireProgram(ProgramId prog);
 
   /// Number of ranks of `prog` placed on `node` (subset launches make the
   /// block-map arithmetic unreliable, so callers should count).

@@ -1,8 +1,9 @@
 // Tier-1 battery for the multi-tenant cluster simulation (cluster::):
 // scheduler policy unit tests, arrival sampling/parsing, deterministic
 // same-seed replays, conservation invariants, the BB-aware-vs-FCFS QoS
-// ordering on two reference mixes, and the node-crash targeting
-// regression (a crash only kills extents of jobs placed on that node).
+// ordering on two reference mixes, the node-crash targeting regression (a
+// crash only kills extents of jobs placed on that node), and job-scoped
+// process lifetime (a finished tenant leaves the node schedulers).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -278,6 +279,8 @@ void CheckConservation(const MixRun& run) {
   EXPECT_LE(sim.peak_bb_reserved(), sim.bb_capacity());
   testkit::InvariantReport report;
   testkit::CheckQuiescence(run.scenario->engine(), report);
+  // Every job retired its clients and servers with it.
+  testkit::CheckProcessesRetired(*run.scenario, report);
   // Fair-share totals conserved across all concurrent jobs.
   testkit::CheckPoolConservation(*run.scenario, report);
   for (int j = 0; j < sim.job_count(); ++j) {
@@ -419,6 +422,71 @@ TEST(ClusterSim, DeadNodesAreNotAllocated) {
   const univistor::UniviStor* b = sim.system(1);
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(b->lost_bytes(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Job-scoped process lifetime.
+
+TEST(ClusterSim, EveryTenantLeavesTheNodeSchedulers) {
+  // One tenant of each system, a crash mid-run, and a CFS-placed machine:
+  // whatever ran, nothing stays registered once the mix drains.
+  MachineShape shape;
+  shape.procs = 16;
+  shape.osts = 4;
+  std::vector<JobSpec> jobs(3);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    jobs[j].id = static_cast<int>(j);
+    jobs[j].procs = 4;
+    jobs[j].bytes_per_rank = 2_MiB;
+    jobs[j].arrival = 0.001 * static_cast<double>(j);
+  }
+  jobs[1].system = workload::SystemKind::kLustre;
+  jobs[2].system = workload::SystemKind::kDataElevator;
+  for (const auto policy :
+       {sched::PlacementPolicy::kInterferenceAware, sched::PlacementPolicy::kCfs}) {
+    workload::ScenarioOptions options = ShapeOptions(shape);
+    options.policy = policy;
+    workload::Scenario scenario(options);
+    ClusterSim sim(scenario, jobs, ShapeClusterOptions(Policy::kFcfs, shape));
+    const auto plan = fault::ParsePlan("crash@0.005:node=0");
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    fault::Injector injector(scenario.engine(), *plan);
+    sim.AttachInjector(injector);
+    injector.Arm();
+    sim.Run();
+    ASSERT_EQ(sim.completed_jobs(), 3);
+    testkit::InvariantReport report;
+    testkit::CheckProcessesRetired(scenario, report);
+    testkit::CheckPoolConservation(scenario, report);
+    EXPECT_TRUE(report.ok()) << report.ToString();
+  }
+}
+
+TEST(ClusterSim, ProgramAfterFinishedJobsGetsFreshMachineCores) {
+  // Phantom load would crowd a later program's ranks onto the cores that
+  // finished tenants' servers and clients still held.
+  MixParams params;
+  params.jobs = 8;
+  params.bb_bound = true;
+  const auto run = RunMix(SampleJobMix(5, params), Policy::kBbAware);
+  ASSERT_EQ(run.sim->completed_jobs(), 8);
+  workload::Scenario fresh(ShapeOptions(MachineShape{}));
+  vmpi::Runtime& used_rt = run.scenario->runtime();
+  vmpi::Runtime& fresh_rt = fresh.runtime();
+  const std::vector<int> nodes{0, 1, 2, 3, 4, 5, 6, 7};
+  for (const bool server : {true, false}) {
+    const int procs = server ? 16 : 40;  // clients oversubscribe 8-core nodes
+    const auto a = used_rt.LaunchProgramOn("probe", procs, nodes, server);
+    const auto b = fresh_rt.LaunchProgramOn("probe", procs, nodes, server);
+    for (int r = 0; r < procs; ++r) {
+      const vmpi::RankInfo& ra = used_rt.Rank(a, r);
+      const vmpi::RankInfo& rb = fresh_rt.Rank(b, r);
+      ASSERT_EQ(ra.node, rb.node);
+      EXPECT_EQ(used_rt.Scheduler(ra.node).CoreOf(ra.sched_proc),
+                fresh_rt.Scheduler(rb.node).CoreOf(rb.sched_proc))
+          << (server ? "server" : "client") << " rank " << r;
+    }
+  }
 }
 
 }  // namespace

@@ -208,10 +208,10 @@ TEST(GoldenTrace, PrunedClusterTraceAndAnalysisDigestsAreStable) {
     EXPECT_FALSE(recorder.links().empty()) << "closes link their flushes";
     CheckDigest("cluster_pruned_analysis",
                 AnalysisDigest(recorder, scenario.runtime(), scenario.engine().Now()),
-                0x8d3dbf71c301040cull);
+                0x6383af6c955bc12eull);
   }
   recorder.Uninstall();
-  CheckDigest("cluster_pruned", Fnv1a(recorder.ChromeTraceJson()), 0xbc0145cee27c0c34ull);
+  CheckDigest("cluster_pruned", Fnv1a(recorder.ChromeTraceJson()), 0x7bc108243bea09b6ull);
 }
 
 /// One traced cluster run; telemetry (sketches + SLO trackers) feeds only

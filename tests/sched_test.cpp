@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "src/hw/node.hpp"
 #include "src/sched/node_scheduler.hpp"
 #include "src/sim/engine.hpp"
+#include "src/sim/task.hpp"
 
 namespace uvs::sched {
 namespace {
@@ -100,6 +102,44 @@ TEST(InterferenceAware, FlushMigrationMovesClientsOffServerCores) {
   for (int c = 0; c < 32; ++c)
     if (sched.ProcsOnCore(c) == 2) ++doubled;
   EXPECT_EQ(doubled, 2) << "clients should return to their home cores";
+}
+
+TEST(InterferenceAware, NestedFlushesRestoreClientsWhenTheLastEnds) {
+  // Every tenant's flush brackets all nodes, so flushes overlap: clients
+  // stay off the server cores until the last open flush ends.
+  Fixture f;
+  auto sched = f.Make(PlacementPolicy::kInterferenceAware);
+  std::vector<int> servers;
+  for (int i = 0; i < 2; ++i) servers.push_back(sched.AddProcess(0, true));
+  std::vector<int> clients;
+  for (int i = 0; i < 32; ++i) clients.push_back(sched.AddProcess(1, false));
+  std::vector<int> home;
+  for (int c : clients) home.push_back(sched.CoreOf(c));
+  auto servers_exclusive = [&] {
+    for (int s : servers)
+      if (sched.ProcsOnCore(sched.CoreOf(s)) != 1) return false;
+    return true;
+  };
+
+  sched.BeginServerFlush();  // tenant A
+  sched.BeginServerFlush();  // tenant B, while A still flushes
+  ASSERT_TRUE(servers_exclusive());
+  sched.EndServerFlush();  // A ends; B is still draining
+  EXPECT_TRUE(sched.flush_in_progress());
+  EXPECT_TRUE(servers_exclusive()) << "clients returned while a flush was still open";
+  sched.BeginServerFlush();  // a third opens before B ends
+  sched.EndServerFlush();
+  EXPECT_TRUE(servers_exclusive());
+  sched.EndServerFlush();  // the last one
+  EXPECT_FALSE(sched.flush_in_progress());
+  for (std::size_t i = 0; i < clients.size(); ++i)
+    EXPECT_EQ(sched.CoreOf(clients[i]), home[i]) << "client " << i;
+  // An unmatched End is ignored, and the next Begin migrates again.
+  sched.EndServerFlush();
+  EXPECT_FALSE(sched.flush_in_progress());
+  sched.BeginServerFlush();
+  EXPECT_TRUE(servers_exclusive());
+  sched.EndServerFlush();
 }
 
 TEST(Cfs, PlacementIgnoresProgramsAndStacks) {
@@ -233,6 +273,138 @@ TEST(CpuShare, ConservedAcrossJobsSharingACore) {
     EXPECT_LE(total, 1.0 + 1e-12) << "core " << c;
     EXPECT_DOUBLE_EQ(total, busy > 1 ? 0.85 : 1.0) << "core " << c;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Retirement: a finished job's processes leave the node.
+
+/// The client sharing a core with `server`.
+int CoreMateOf(NodeScheduler& sched, int server) {
+  for (int p = 0; p < sched.process_count(); ++p)
+    if (p != server && sched.IsRegistered(p) && sched.CoreOf(p) == sched.CoreOf(server))
+      return p;
+  return -1;
+}
+
+TEST(Retirement, RemovingABusyNeighbourRaisesTheSurvivorsShare) {
+  Fixture f;
+  auto sched = f.Make(PlacementPolicy::kInterferenceAware);
+  const int server = sched.AddProcess(0, true);
+  sched.AddProcess(0, true);
+  for (int i = 0; i < 32; ++i) sched.AddProcess(1, false);
+  const int mate = CoreMateOf(sched, server);
+  ASSERT_GE(mate, 0);
+  const Bandwidth full = f.node.params().per_core_client_io_bw;
+  EXPECT_DOUBLE_EQ(sched.CpuShare(mate), 0.425);
+  EXPECT_DOUBLE_EQ(sched.cpu(mate).capacity(), 0.425 * full);
+
+  sched.RemoveProcess(server);  // busy when it leaves
+  EXPECT_FALSE(sched.IsRegistered(server));
+  EXPECT_DOUBLE_EQ(sched.CpuShare(mate), 1.0);
+  EXPECT_DOUBLE_EQ(sched.cpu(mate).capacity(), full);
+  EXPECT_EQ(sched.ProcsOnCore(sched.CoreOf(mate)), 1);
+  EXPECT_EQ(sched.process_count(), 34) << "ids are never reused";
+  EXPECT_EQ(sched.live_process_count(), 33);
+}
+
+TEST(Retirement, PlacementIgnoresRetiredProcesses) {
+  // Servers and clients of a finished job leave: the next program is
+  // placed exactly as on a fresh node, and no socket or core count
+  // remembers the retired processes.
+  Fixture f;
+  auto used = f.Make(PlacementPolicy::kInterferenceAware);
+  std::vector<int> gone;
+  for (int i = 0; i < 2; ++i) gone.push_back(used.AddProcess(0, true));
+  for (int i = 0; i < 40; ++i) gone.push_back(used.AddProcess(1, false));
+  for (int p : gone) used.RemoveProcess(p);
+  EXPECT_EQ(used.live_process_count(), 0);
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_EQ(used.ProcsOnSocket(s), 0);
+    EXPECT_EQ(used.ProgramProcsOnSocket(1, s), 0);
+  }
+  for (int c = 0; c < 32; ++c) EXPECT_EQ(used.ProcsOnCore(c), 0);
+
+  auto fresh = f.Make(PlacementPolicy::kInterferenceAware);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(used.CoreOf(used.AddProcess(2, true)), fresh.CoreOf(fresh.AddProcess(2, true)));
+  }
+  for (int i = 0; i < 34; ++i) {
+    EXPECT_EQ(used.CoreOf(used.AddProcess(3, false)), fresh.CoreOf(fresh.AddProcess(3, false)))
+        << "client " << i;
+  }
+}
+
+TEST(Retirement, FlushMigrationIgnoresRetiredProcesses) {
+  Fixture f;
+  auto sched = f.Make(PlacementPolicy::kInterferenceAware);
+  const int kept = sched.AddProcess(0, true);
+  const int retired = sched.AddProcess(0, true);
+  for (int i = 0; i < 32; ++i) sched.AddProcess(1, false);
+  const int kept_mate = CoreMateOf(sched, kept);
+  const int retired_mate = CoreMateOf(sched, retired);
+  ASSERT_GE(kept_mate, 0);
+  ASSERT_GE(retired_mate, 0);
+  const int retired_core = sched.CoreOf(retired);
+  const int kept_mate_home = sched.CoreOf(kept_mate);
+  sched.RemoveProcess(retired);
+  // A retired client is never migrated or restored either.
+  const int gone_client = sched.AddProcess(1, false);
+  const int gone_home = sched.CoreOf(gone_client);
+  sched.RemoveProcess(gone_client);
+
+  sched.BeginServerFlush();
+  EXPECT_EQ(sched.CoreOf(retired_mate), retired_core)
+      << "a retired server's core is no server core";
+  EXPECT_NE(sched.CoreOf(kept_mate), kept_mate_home);
+  EXPECT_EQ(sched.ProcsOnCore(sched.CoreOf(kept)), 1);
+  EXPECT_EQ(sched.CoreOf(gone_client), -1);
+  sched.EndServerFlush();
+  EXPECT_EQ(sched.CoreOf(kept_mate), kept_mate_home);
+  EXPECT_EQ(sched.CoreOf(gone_client), -1);
+  EXPECT_NE(gone_home, -1);
+}
+
+sim::Task Move(sim::FairSharePool& pool, Bytes bytes) { co_await pool.Transfer(bytes); }
+
+TEST(Retirement, RejectsAProcessWithATransferInFlight) {
+  Fixture f;
+  auto sched = f.Make(PlacementPolicy::kInterferenceAware);
+  const int p = sched.AddProcess(1, false);
+  f.engine.Spawn(Move(sched.cpu(p), 1_GiB));
+  f.engine.RunUntil(1e-6);
+  ASSERT_EQ(sched.cpu(p).active_flows(), 1u);
+  EXPECT_THROW(sched.RemoveProcess(p), std::logic_error);
+  EXPECT_TRUE(sched.IsRegistered(p)) << "a rejected removal changes nothing";
+  EXPECT_EQ(sched.ProcsOnCore(sched.CoreOf(p)), 1);
+  f.engine.Run();
+  sched.RemoveProcess(p);
+  EXPECT_FALSE(sched.IsRegistered(p));
+}
+
+TEST(Retirement, RetiredProcessesRejectStateChanges) {
+  Fixture f;
+  auto sched = f.Make(PlacementPolicy::kInterferenceAware);
+  const int p = sched.AddProcess(1, false);
+  const int q = sched.AddProcess(1, false);
+  sched.RemoveProcess(p);
+  // A second removal, and any change of state, is a caller bug.
+  EXPECT_THROW(sched.RemoveProcess(p), std::logic_error);
+  EXPECT_THROW(sched.SetBusy(p, true), std::logic_error);
+  EXPECT_THROW(sched.SetBusy(p, false), std::logic_error);
+  EXPECT_THROW(sched.dram(p), std::logic_error);
+  EXPECT_THROW(sched.RemoveProcess(-1), std::logic_error);
+  EXPECT_THROW(sched.RemoveProcess(sched.process_count()), std::logic_error);
+  // What stays readable: an idle, coreless process and its CPU pool.
+  EXPECT_FALSE(sched.IsBusy(p));
+  EXPECT_EQ(sched.CoreOf(p), -1);
+  EXPECT_DOUBLE_EQ(sched.CpuShare(p), 1.0);
+  EXPECT_EQ(sched.cpu(p).active_flows(), 0u);
+  EXPECT_FALSE(sched.IsServer(p));
+  // The survivor is untouched.
+  EXPECT_TRUE(sched.IsRegistered(q));
+  sched.SetBusy(q, false);
+  EXPECT_FALSE(sched.IsBusy(q));
+  EXPECT_EQ(sched.live_process_count(), 1);
 }
 
 class OversubscriptionSweep : public ::testing::TestWithParam<int> {};

@@ -2,6 +2,7 @@
 // ADIO driver registry, and the file layer plumbing.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "src/vmpi/comm.hpp"
@@ -42,6 +43,30 @@ TEST(Runtime, EveryRankRegisteredWithItsScheduler) {
   f.runtime.LaunchProgram("app", 64);
   EXPECT_EQ(f.runtime.Scheduler(0).process_count(), 32);
   EXPECT_EQ(f.runtime.Scheduler(1).process_count(), 32);
+}
+
+TEST(Runtime, RetireProgramUnregistersEveryRank) {
+  Fixture f;
+  const auto servers = f.runtime.LaunchProgram("srv", 4, /*is_server=*/true);
+  const auto app = f.runtime.LaunchProgram("app", 64);
+  f.runtime.RetireProgram(app);
+  for (int r = 0; r < 64; ++r) {
+    const RankInfo& info = f.runtime.Rank(app, r);
+    EXPECT_FALSE(f.runtime.Scheduler(info.node).IsRegistered(info.sched_proc)) << "rank " << r;
+  }
+  // Only the servers stay, and the retired program keeps its identity.
+  EXPECT_EQ(f.runtime.Scheduler(0).live_process_count(), 2);
+  EXPECT_EQ(f.runtime.Scheduler(1).live_process_count(), 2);
+  EXPECT_EQ(f.runtime.Scheduler(0).process_count(), 34);
+  EXPECT_EQ(f.runtime.ProgramSize(app), 64);
+  EXPECT_EQ(f.runtime.ProgramName(app), "app");
+  EXPECT_EQ(f.runtime.RankCpu(app, 0).active_flows(), 0u);
+  EXPECT_THROW(f.runtime.RetireProgram(app), std::logic_error);
+  EXPECT_THROW(f.runtime.SetRankBusy(app, 0, false), std::logic_error);
+
+  f.runtime.RetireProgram(servers);
+  for (int n = 0; n < f.cluster.node_count(); ++n)
+    EXPECT_EQ(f.runtime.Scheduler(n).live_process_count(), 0) << "node " << n;
 }
 
 TEST(Runtime, RankPoolsResolve) {

@@ -504,6 +504,7 @@ int RunCluster(const Args& args, std::uint64_t& events) {
     testkit::InvariantReport check_report;
     testkit::CheckQuiescence(scenario.engine(), check_report);
     testkit::CheckPoolConservation(scenario, check_report);
+    testkit::CheckProcessesRetired(scenario, check_report);
     for (int j = 0; j < sim.job_count(); ++j)
       if (const univistor::UniviStor* sys = sim.system(j))
         testkit::CheckUniviStor(*sys, check_report);
