@@ -12,6 +12,9 @@ namespace uvs::cluster {
 
 namespace {
 
+/// Walltime estimate fed to backfill: solo time x this fudge.
+constexpr double kEstimateFudge = 3.0;
+
 std::string FmtDouble(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
@@ -338,7 +341,7 @@ void ClusterSim::TrySchedule() {
     sched.id = idx;
     sched.nodes_needed = NodesNeeded(job.spec);
     sched.bb_demand = ClampedDemand(job.spec);
-    sched.est_runtime = std::max(job.solo_elapsed, 1e-3) * options_.estimate_fudge;
+    sched.est_runtime = std::max(job.solo_elapsed, 1e-3) * kEstimateFudge;
     state.pending.push_back(sched);
   }
   for (const JobState& job : jobs_) {
@@ -366,7 +369,7 @@ void ClusterSim::TrySchedule() {
     peak_bb_reserved_ = std::max(peak_bb_reserved_, bb_reserved_);
     assert(bb_reserved_ <= bb_capacity_);
     job.est_finish =
-        state.now + std::max(job.solo_elapsed, 1e-3) * options_.estimate_fudge;
+        state.now + std::max(job.solo_elapsed, 1e-3) * kEstimateFudge;
     job.started = true;
     pending_.erase(std::find(pending_.begin(), pending_.end(), adm.id));
     job.start_event->Trigger();
@@ -419,7 +422,7 @@ void ClusterSim::RecordTelemetry(int idx) {
   const JobQos& qos = qos_[static_cast<std::size_t>(idx)];
   const Time now = qos.finish;
   const std::string tenant = TenantKey(job.spec);
-  auto [it, inserted] = tenants_.try_emplace(tenant, options_.telemetry.sketch_error);
+  auto [it, inserted] = tenants_.try_emplace(tenant);
   TenantTelemetry& tt = it->second;
   if (inserted)
     for (const obs::SloSpec& spec : options_.telemetry.slos) tt.slos.emplace_back(spec);
@@ -447,8 +450,8 @@ void ClusterSim::RecordTelemetry(int idx) {
 }
 
 int ClusterSim::SpanJob(const obs::Track& track) const {
-  if (!track.is_rank()) return -1;
-  const auto it = program_job_.find(track.rank_program());
+  if (track.kind != obs::Track::Kind::kRank) return -1;
+  const auto it = program_job_.find(track.program);
   return it == program_job_.end() ? -1 : it->second;
 }
 
@@ -475,8 +478,8 @@ std::size_t ClusterSim::PruneSpans(obs::Recorder& rec) {
   }
   if (!any) return 0;
 
-  const std::size_t freed = rec.EraseSpansIf([this, &boring](const obs::Recorder::SpanEvent& s) {
-    const int j = SpanJob(s.track);
+  const std::size_t freed = rec.EraseSpansIf([&](const obs::Recorder::SpanEvent& s) {
+    const int j = SpanJob(rec.track(s));
     return j >= 0 && boring[static_cast<std::size_t>(j)] != 0;
   });
   if (freed > 0) obs::Count("cluster.spans_pruned", freed);
@@ -489,20 +492,20 @@ const obs::QuantileSketch* ClusterSim::TenantStretchSketch(const std::string& te
 }
 
 obs::QuantileSketch ClusterSim::ClusterStretchSketch() const {
-  obs::QuantileSketch merged(options_.telemetry.sketch_error);
+  obs::QuantileSketch merged;
   for (const auto& [tenant, tt] : tenants_) merged.Merge(tt.stretch);
   return merged;
 }
 
 obs::QuantileSketch ClusterSim::ClusterWaitSketch() const {
-  obs::QuantileSketch merged(options_.telemetry.sketch_error);
+  obs::QuantileSketch merged;
   for (const auto& [tenant, tt] : tenants_) merged.Merge(tt.wait);
   return merged;
 }
 
 std::string ClusterSim::TelemetryJson() const {
   std::string out = "{\"schema\":\"univistor.telemetry.v1\"";
-  out += ",\"relative_error\":" + FmtDouble(options_.telemetry.sketch_error);
+  out += ",\"relative_error\":" + FmtDouble(obs::QuantileSketch::kDefaultRelativeError);
   out += ",\"tenants\":{";
   bool first = true;
   for (const auto& [tenant, tt] : tenants_) {

@@ -48,8 +48,6 @@ namespace uvs::cluster {
 /// bit-identical with telemetry on or off.
 struct TelemetryOptions {
   bool enabled = false;
-  /// Sketch accuracy (see obs::QuantileSketch).
-  double sketch_error = obs::QuantileSketch::kDefaultRelativeError;
   /// SLOs evaluated per tenant class and cluster-wide; empty means
   /// obs::DefaultSloSpecs().
   std::vector<obs::SloSpec> slos;
@@ -62,8 +60,6 @@ struct ClusterOptions {
   univistor::Config base_config;
   /// Client ranks per allocated node (nodes_needed = ceil(procs / ppn)).
   int procs_per_node = 4;
-  /// Walltime estimate fed to backfill: solo time x fudge.
-  double estimate_fudge = 3.0;
   /// Worker threads for the solo-baseline warmup (each distinct job shape
   /// is one full run on a private engine — embarrassingly parallel).
   /// Results merge in deterministic first-appearance order, so cluster
@@ -201,7 +197,6 @@ class ClusterSim {
     obs::QuantileSketch stretch;
     obs::QuantileSketch wait;
     std::vector<obs::SloTracker> slos;  // parallel to options_.telemetry.slos
-    explicit TenantTelemetry(double err) : stretch(err), wait(err) {}
   };
 
   /// Feeds sketches and SLO trackers from job `idx`'s final QoS record.

@@ -69,4 +69,11 @@ Result<Value> Parse(std::string_view text);
 /// Reads the file and parses it as one JSON document.
 Result<Value> ParseFile(const std::string& path);
 
+/// Shortest text that round-trips `v` ("%.17g", and "0" for -0). Callers
+/// pass finite values: JSON has no inf or nan.
+std::string Number(double v);
+
+/// `s` escaped for use inside a JSON string literal (quotes not added).
+std::string Escape(std::string_view s);
+
 }  // namespace uvs::json

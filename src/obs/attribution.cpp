@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <numeric>
 #include <span>
 #include <sstream>
+#include <tuple>
 
+#include "src/common/json.hpp"
 #include "src/common/strings.hpp"
 #include "src/common/table.hpp"
 
@@ -76,83 +77,27 @@ bool Covers(const std::vector<Interval>& sorted_union, Time a, Time b) {
 using SpanIndex = std::uint32_t;
 constexpr SpanIndex kNoSpan = static_cast<SpanIndex>(-1);
 
-/// Spans grouped per track plus the causal index shared by the
-/// attribution sweep and the critical-path walk, all in flat arrays:
-/// tracks sorted by (pid, tid) with a CSR list of span indices each, and a
-/// CSR list of children per parent id.
+/// Spans grouped per lane plus the causal index shared by the attribution
+/// sweep and the critical-path walk, all in flat arrays: a CSR list of
+/// span indices per lane id, and a CSR list of children per parent id.
 struct SpanDb {
   const Recorder* recorder = nullptr;
-  std::vector<Track> tracks;                 // distinct, sorted by (pid, tid)
-  std::vector<std::uint32_t> track_begin;    // tracks.size() + 1 offsets
-  std::vector<SpanIndex> track_spans;        // per track, in emission order
+  std::vector<std::uint32_t> lanes;          // lanes with spans, by (kind, program, index, node)
+  std::vector<std::uint32_t> lane_begin;     // lane id -> its range in `lane_spans`
+  std::vector<SpanIndex> lane_spans;         // per lane, in emission order
   std::vector<std::uint32_t> child_begin;    // id -> its range in `children`
   std::vector<std::uint32_t> child_end;
   std::vector<SpanIndex> children;           // per parent id, ascending
   std::vector<Interval> degraded;            // union over every device's windows
 
   const Recorder::SpanEvent& at(SpanIndex i) const { return recorder->spans()[i]; }
-  std::span<const SpanIndex> TrackSpans(std::size_t t) const {
-    return {track_spans.data() + track_begin[t], track_spans.data() + track_begin[t + 1]};
+  const Track& track(std::uint32_t lane) const { return recorder->lanes()[lane]; }
+  std::span<const SpanIndex> LaneSpans(std::uint32_t lane) const {
+    return {lane_spans.data() + lane_begin[lane], lane_spans.data() + lane_begin[lane + 1]};
   }
   std::span<const SpanIndex> Children(std::uint32_t id) const {
     return {children.data() + child_begin[id], children.data() + child_end[id]};
   }
-};
-
-/// Open-addressing table from a track's packed (pid, tid) to a dense slot
-/// numbered in first-seen order, counting the spans seen per slot. A run
-/// holds thousands of tracks, not millions.
-class TrackSlots {
- public:
-  void Add(const Track& track) {
-    if (2 * (keys_.size() + 1) > table_.size()) Grow();
-    const std::uint64_t key = Pack(track);
-    std::size_t i = Home(key);
-    for (; table_[i] != 0; i = (i + 1) & (table_.size() - 1))
-      if (keys_[table_[i] - 1] == key) {
-        ++counts_[table_[i] - 1];
-        return;
-      }
-    keys_.push_back(key);
-    counts_.push_back(1);
-    table_[i] = static_cast<std::uint32_t>(keys_.size());
-  }
-  /// Slot of a track already added.
-  std::uint32_t Find(const Track& track) const {
-    const std::uint64_t key = Pack(track);
-    std::size_t i = Home(key);
-    while (keys_[table_[i] - 1] != key) i = (i + 1) & (table_.size() - 1);
-    return table_[i] - 1;
-  }
-  std::size_t size() const { return keys_.size(); }
-  Track track(std::uint32_t slot) const {
-    return {static_cast<std::int32_t>(keys_[slot] >> 32),
-            static_cast<std::int32_t>(keys_[slot] & 0xffffffffu)};
-  }
-  std::uint32_t count(std::uint32_t slot) const { return counts_[slot]; }
-
- private:
-  static std::uint64_t Pack(const Track& t) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(t.pid)) << 32) |
-           static_cast<std::uint32_t>(t.tid);
-  }
-  std::size_t Home(std::uint64_t key) const {
-    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >> 32) & (table_.size() - 1);
-  }
-  void Grow() {
-    table_.assign(std::max<std::size_t>(1024, 2 * table_.size()), 0);
-    keys_.reserve(table_.size() / 2);
-    counts_.reserve(table_.size() / 2);
-    for (std::uint32_t slot = 0; slot < keys_.size(); ++slot) {
-      std::size_t i = Home(keys_[slot]);
-      while (table_[i] != 0) i = (i + 1) & (table_.size() - 1);
-      table_[i] = slot + 1;
-    }
-  }
-
-  std::vector<std::uint64_t> keys_;    // slot -> packed track
-  std::vector<std::uint32_t> counts_;  // slot -> spans on the track
-  std::vector<std::uint32_t> table_;   // slot + 1; 0 = empty
 };
 
 SpanDb BuildDb(const Recorder& recorder) {
@@ -160,13 +105,14 @@ SpanDb BuildDb(const Recorder& recorder) {
   db.recorder = &recorder;
   const Recorder::SpanLog& spans = recorder.spans();
   const SpanIndex n = static_cast<SpanIndex>(spans.size());
+  const std::size_t lanes = recorder.lanes().size();
 
-  // Pass 1: distinct tracks and their span counts, the id range, and the
-  // number of children per parent id (links included).
-  TrackSlots slots;
+  // Pass 1: spans per lane, the id range, and the number of children per
+  // parent id (links included).
+  db.lane_begin.assign(lanes + 1, 0);
   std::uint32_t max_id = 0;
   for (SpanIndex i = 0; i < n; ++i) {
-    slots.Add(spans[i].track);
+    ++db.lane_begin[spans[i].lane + 1];
     max_id = std::max({max_id, spans[i].self.id, spans[i].parent.id});
   }
   for (const CausalLink& link : recorder.links())
@@ -180,35 +126,32 @@ SpanDb BuildDb(const Recorder& recorder) {
   db.children.resize(db.child_begin.back() + db.child_end.back());
   db.child_end = db.child_begin;  // from here on, each parent's fill cursor
 
-  // Tracks in (pid, tid) order; `cursor` is each slot's next CSR position.
-  std::vector<std::uint32_t> order(slots.size());
-  for (std::uint32_t slot = 0; slot < order.size(); ++slot) order[slot] = slot;
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const Track ta = slots.track(a), tb = slots.track(b);
-    return ta.pid != tb.pid ? ta.pid < tb.pid : ta.tid < tb.tid;
+  // Lanes the prune hook emptied are skipped. The rest are sorted so that a
+  // program's ranks are contiguous and in rank order, and a metadata
+  // server's lanes in node order: the orders their seconds are summed in.
+  for (std::uint32_t lane = 0; lane < lanes; ++lane)
+    if (db.lane_begin[lane + 1] != 0) db.lanes.push_back(lane);
+  std::sort(db.lanes.begin(), db.lanes.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const Track &ta = db.track(a), &tb = db.track(b);
+    return std::tuple(ta.kind, ta.program, ta.index, ta.node) <
+           std::tuple(tb.kind, tb.program, tb.index, tb.node);
   });
-  std::vector<std::uint32_t> cursor(slots.size());
-  db.tracks.reserve(order.size());
-  db.track_begin.assign(order.size() + 1, 0);
-  for (std::size_t t = 0; t < order.size(); ++t) {
-    db.tracks.push_back(slots.track(order[t]));
-    cursor[order[t]] = db.track_begin[t];
-    db.track_begin[t + 1] = db.track_begin[t] + slots.count(order[t]);
-  }
+  std::inclusive_scan(db.lane_begin.begin(), db.lane_begin.end(), db.lane_begin.begin());
+  std::vector<std::uint32_t> cursor(db.lane_begin.begin(), db.lane_begin.end() - 1);
 
   // Pass 2: fill the lists in span order, so each is ascending, and the
   // dense self-id table, where the first span carrying an id owns it.
-  db.track_spans.resize(n);
+  db.lane_spans.resize(n);
   std::vector<SpanIndex> by_self_id(std::size_t{max_id} + 1, kNoSpan);
   for (SpanIndex i = 0; i < n; ++i) {
     const auto& s = spans[i];
-    db.track_spans[cursor[slots.Find(s.track)]++] = i;
+    db.lane_spans[cursor[s.lane]++] = i;
     if (s.self && by_self_id[s.self.id] == kNoSpan) by_self_id[s.self.id] = i;
     if (s.parent) db.children[db.child_end[s.parent.id]++] = i;
     if (s.cat == Category::kDegraded) db.degraded.push_back({s.start, s.end});
   }
 
-  // Cross-track causal edges (e.g. close -> flush) append their children.
+  // Cross-lane causal edges (e.g. close -> flush) append their children.
   // Links may name span ids that were never emitted (a zero-byte flush
   // returns early); those resolve to nothing. Only parents that gained
   // links are re-sorted and deduplicated.
@@ -236,14 +179,14 @@ SpanDb BuildDb(const Recorder& recorder) {
 /// interval sweep over its tagged spans; the highest-priority active span
 /// wins each elementary interval and splits it ideal/(ideal+queue)-style;
 /// uncovered time is compute. See docs/OBSERVABILITY.md.
-RankBreakdown AnalyzeRank(const SpanDb& db, std::span<const SpanIndex> track_spans, int rank) {
+RankBreakdown AnalyzeRank(const SpanDb& db, std::span<const SpanIndex> lane_spans, int rank) {
   RankBreakdown out;
   out.rank = rank;
-  if (track_spans.empty()) return out;
+  if (lane_spans.empty()) return out;
 
-  Time lo = db.at(track_spans.front()).start, hi = db.at(track_spans.front()).end;
+  Time lo = db.at(lane_spans.front()).start, hi = db.at(lane_spans.front()).end;
   std::vector<SpanIndex> tagged;
-  for (SpanIndex i : track_spans) {
+  for (SpanIndex i : lane_spans) {
     const auto& s = db.at(i);
     lo = std::min(lo, s.start);
     hi = std::max(hi, s.end);
@@ -314,18 +257,26 @@ RankBreakdown AnalyzeRank(const SpanDb& db, std::span<const SpanIndex> track_spa
   return out;
 }
 
-std::string WhereLabel(const Recorder::SpanEvent& s) {
-  const std::string pid = s.track.PidName();
-  const std::string tid = s.track.TidName();
+/// The lanes of `program`'s ranks, in rank order.
+std::span<const std::uint32_t> RankLanes(const SpanDb& db, int program) {
+  const auto [first, last] = std::ranges::equal_range(
+      db.lanes, std::pair(Track::Kind::kRank, program), {},
+      [&](std::uint32_t lane) { return std::pair(db.track(lane).kind, db.track(lane).program); });
+  return {first, last};
+}
+
+std::string WhereLabel(const Track& track) {
+  const std::string pid = track.PidName();
+  const std::string tid = track.TidName();
   if (tid.empty() || tid == pid) return pid;
   return pid + " / " + tid;
 }
 
 /// Backward walk from the end of the slowest rank's window: at each
-/// cursor, the covering span on the rank track wins by category priority,
+/// cursor, the covering span on the rank lane wins by category priority,
 /// then descends through causal children (parent ids and AddLink edges)
 /// to the innermost span still covering the cursor — that is the blame.
-std::vector<PathSegment> CriticalPath(const SpanDb& db, std::span<const SpanIndex> track_spans,
+std::vector<PathSegment> CriticalPath(const SpanDb& db, std::span<const SpanIndex> lane_spans,
                                       Time window_start, Time window_end) {
   std::vector<PathSegment> path;
   constexpr std::size_t kMaxSegments = 256;
@@ -344,9 +295,9 @@ std::vector<PathSegment> CriticalPath(const SpanDb& db, std::span<const SpanInde
 
   Time cursor = window_end;
   while (cursor > window_start + kEps && path.size() < kMaxSegments) {
-    // Covering span on the rank track at cursor⁻.
+    // Covering span on the rank lane at cursor⁻.
     SpanIndex chosen = static_cast<SpanIndex>(-1);
-    for (SpanIndex i : track_spans) {
+    for (SpanIndex i : lane_spans) {
       const auto& s = db.at(i);
       if (s.start < cursor - kEps && s.end >= cursor - kEps)
         if (chosen == static_cast<SpanIndex>(-1) || better(i, chosen)) chosen = i;
@@ -354,7 +305,7 @@ std::vector<PathSegment> CriticalPath(const SpanDb& db, std::span<const SpanInde
     if (chosen == static_cast<SpanIndex>(-1)) {
       // Gap: nothing recorded — compute. Extend back to the previous end.
       Time prev = window_start;
-      for (SpanIndex i : track_spans) {
+      for (SpanIndex i : lane_spans) {
         const Time e = db.at(i).end;
         if (e < cursor - kEps) prev = std::max(prev, e);
       }
@@ -385,7 +336,8 @@ std::vector<PathSegment> CriticalPath(const SpanDb& db, std::span<const SpanInde
     }
     const Category cat =
         s.cat == Category::kNone ? Category::kCompute : s.cat;
-    path.push_back({seg_start, seg_end, db.recorder->name(s), cat, WhereLabel(s)});
+    path.push_back({seg_start, seg_end, db.recorder->name(s), cat,
+                    WhereLabel(db.recorder->track(s))});
     cursor = seg_start;
   }
   std::reverse(path.begin(), path.end());
@@ -404,17 +356,18 @@ void CollectDeviceUse(const SpanDb& db, Time elapsed, std::vector<DeviceUse>* ou
     Time serial_busy = 0;  // metadata servers: service is serialized
     Time queue_sum = 0;
   };
-  std::map<std::pair<int, int>, Accum> devices;  // (class, index); 0=md 1=bb 2=ost
+  std::map<std::pair<int, std::int64_t>, Accum> devices;  // (class, index); 0=md 1=bb 2=ost
 
-  for (std::size_t t = 0; t < db.tracks.size(); ++t) {
-    const Track track = db.tracks[t];
-    const std::span<const SpanIndex> indices = db.TrackSpans(t);
-    if (track.tid == Track::kDeviceTid &&
-        (track.pid >= Track::kBbPidBase)) {
-      const bool is_ost = track.pid >= Track::kOstPidBase;
-      const int idx = track.pid - (is_ost ? Track::kOstPidBase : Track::kBbPidBase);
-      Accum& acc = devices[{is_ost ? 2 : 1, idx}];
-      for (SpanIndex i : indices) {
+  for (std::uint32_t lane : db.lanes) {
+    const Track& track = db.track(lane);
+    const bool md_server = track.kind == Track::Kind::kMetaServer;
+    if (md_server || track.kind == Track::Kind::kMetaQueue) {
+      Accum& acc = devices[{0, track.index}];
+      for (SpanIndex i : db.LaneSpans(lane))
+        (md_server ? acc.serial_busy : acc.queue_sum) += db.at(i).end - db.at(i).start;
+    } else if (track.kind == Track::Kind::kBbNode || track.kind == Track::Kind::kOst) {
+      Accum& acc = devices[{track.kind == Track::Kind::kOst ? 2 : 1, track.node}];
+      for (SpanIndex i : db.LaneSpans(lane)) {
         const auto& s = db.at(i);
         if (s.cat == Category::kDegraded) {
           acc.degraded.push_back({s.start, s.end});
@@ -424,12 +377,6 @@ void CollectDeviceUse(const SpanDb& db, Time elapsed, std::vector<DeviceUse>* ou
           acc.busy_sum += s.end - s.start;
         }
       }
-    } else if (track.tid >= Track::kMetaTidBase && track.tid < Track::kFlushTidBase) {
-      Accum& acc = devices[{0, track.tid - Track::kMetaTidBase}];
-      for (SpanIndex i : indices) acc.serial_busy += db.at(i).end - db.at(i).start;
-    } else if (track.tid >= Track::kMetaQueueTidBase && track.tid < Track::kRankTidBase) {
-      Accum& acc = devices[{0, track.tid - Track::kMetaQueueTidBase}];
-      for (SpanIndex i : indices) acc.queue_sum += db.at(i).end - db.at(i).start;
     }
   }
 
@@ -452,23 +399,7 @@ void CollectDeviceUse(const SpanDb& db, Time elapsed, std::vector<DeviceUse>* ou
   }
 }
 
-std::string JsonNum(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  std::string s(buf);
-  if (s == "-0") s = "0";
-  return s;
-}
-
-std::string JsonStr(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
+std::string JsonStr(const std::string& s) { return "\"" + json::Escape(s) + "\""; }
 
 }  // namespace
 
@@ -487,10 +418,9 @@ Report Analyze(const Recorder& recorder, const std::vector<JobSpec>& jobs, Time 
     JobBreakdown job;
     job.spec = spec;
     bool first = true;
-    for (std::size_t t = 0; t < db.tracks.size(); ++t) {
-      const Track track = db.tracks[t];
-      if (!track.is_rank() || track.rank_program() != spec.program) continue;
-      RankBreakdown rank = AnalyzeRank(db, db.TrackSpans(t), track.rank_index());
+    for (std::uint32_t lane : RankLanes(db, spec.program)) {
+      RankBreakdown rank =
+          AnalyzeRank(db, db.LaneSpans(lane), static_cast<int>(db.track(lane).index));
       if (first) {
         job.window_start = rank.window_start;
         job.window_end = rank.window_end;
@@ -502,8 +432,6 @@ Report Analyze(const Recorder& recorder, const std::vector<JobSpec>& jobs, Time 
       for (std::size_t c = 0; c < kCategoryCount; ++c) job.seconds[c] += rank.seconds[c];
       job.ranks.push_back(std::move(rank));
     }
-    std::sort(job.ranks.begin(), job.ranks.end(),
-              [](const RankBreakdown& a, const RankBreakdown& b) { return a.rank < b.rank; });
     report.jobs.push_back(std::move(job));
   }
 
@@ -522,14 +450,11 @@ Report Analyze(const Recorder& recorder, const std::vector<JobSpec>& jobs, Time 
     report.critical_job = slow_job->spec.name;
     report.critical_rank = slow_rank->rank;
     report.critical_elapsed = slow_rank->elapsed();
-    for (std::size_t t = 0; t < db.tracks.size(); ++t) {
-      const Track track = db.tracks[t];
-      if (track.is_rank() && track.rank_program() == slow_job->spec.program &&
-          track.rank_index() == slow_rank->rank) {
-        report.critical_path = CriticalPath(db, db.TrackSpans(t), slow_rank->window_start,
-                                            slow_rank->window_end);
-        break;
-      }
+    for (std::uint32_t lane : RankLanes(db, slow_job->spec.program)) {
+      if (db.track(lane).index != slow_rank->rank) continue;
+      report.critical_path =
+          CriticalPath(db, db.LaneSpans(lane), slow_rank->window_start, slow_rank->window_end);
+      break;
     }
   }
 
@@ -587,7 +512,7 @@ std::string ToText(const Report& report) {
 std::string AttributionJson(const Report& report) {
   std::ostringstream os;
   os << "{\"schema\":\"univistor.attribution.v1\"";
-  os << ",\"elapsed\":" << JsonNum(report.elapsed);
+  os << ",\"elapsed\":" << json::Number(report.elapsed);
 
   os << ",\"jobs\":[";
   bool first_job = true;
@@ -596,13 +521,13 @@ std::string AttributionJson(const Report& report) {
     first_job = false;
     os << "{\"name\":" << JsonStr(job.spec.name) << ",\"program\":" << job.spec.program
        << ",\"is_server\":" << (job.spec.is_server ? "true" : "false")
-       << ",\"ranks\":" << job.ranks.size() << ",\"elapsed\":" << JsonNum(job.elapsed());
+       << ",\"ranks\":" << job.ranks.size() << ",\"elapsed\":" << json::Number(job.elapsed());
     double windows = 0;
     for (const RankBreakdown& rank : job.ranks) windows += rank.elapsed();
-    os << ",\"rank_window_seconds\":" << JsonNum(windows) << ",\"categories\":{";
+    os << ",\"rank_window_seconds\":" << json::Number(windows) << ",\"categories\":{";
     for (std::size_t c = 1; c < kCategoryCount; ++c) {
       if (c > 1) os << ",";
-      os << JsonStr(CategoryName(static_cast<Category>(c))) << ":" << JsonNum(job.seconds[c]);
+      os << JsonStr(CategoryName(static_cast<Category>(c))) << ":" << json::Number(job.seconds[c]);
     }
     os << "}}";
   }
@@ -610,12 +535,12 @@ std::string AttributionJson(const Report& report) {
 
   os << ",\"critical_path\":{\"job\":" << JsonStr(report.critical_job)
      << ",\"rank\":" << report.critical_rank
-     << ",\"elapsed\":" << JsonNum(report.critical_elapsed) << ",\"segments\":[";
+     << ",\"elapsed\":" << json::Number(report.critical_elapsed) << ",\"segments\":[";
   bool first_seg = true;
   for (const PathSegment& seg : report.critical_path) {
     if (!first_seg) os << ",";
     first_seg = false;
-    os << "{\"start\":" << JsonNum(seg.start) << ",\"end\":" << JsonNum(seg.end)
+    os << "{\"start\":" << json::Number(seg.start) << ",\"end\":" << json::Number(seg.end)
        << ",\"category\":" << JsonStr(CategoryName(seg.category))
        << ",\"name\":" << JsonStr(seg.name) << ",\"where\":" << JsonStr(seg.where) << "}";
   }
@@ -627,9 +552,10 @@ std::string AttributionJson(const Report& report) {
     if (!first_dev) os << ",";
     first_dev = false;
     os << "{\"device\":" << JsonStr(use.device)
-       << ",\"utilization\":" << JsonNum(use.utilization)
-       << ",\"saturation\":" << JsonNum(use.saturation) << ",\"busy\":" << JsonNum(use.busy)
-       << ",\"degraded\":" << JsonNum(use.degraded) << ",\"errors\":" << use.errors << "}";
+       << ",\"utilization\":" << json::Number(use.utilization)
+       << ",\"saturation\":" << json::Number(use.saturation)
+       << ",\"busy\":" << json::Number(use.busy)
+       << ",\"degraded\":" << json::Number(use.degraded) << ",\"errors\":" << use.errors << "}";
   }
   os << "]}";
   return os.str();

@@ -4,41 +4,9 @@
 #include <cassert>
 #include <cstdio>
 
+#include "src/common/json.hpp"
+
 namespace uvs::obs {
-
-namespace {
-
-std::string JsonNum(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  std::string s(buf);
-  if (s == "-0") s = "0";
-  return s;
-}
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : capacity_(std::max<std::size_t>(capacity, 1)) {
@@ -75,7 +43,7 @@ void FlightRecorder::Note(Time t, const char* kind, std::string_view what, doubl
 std::string FlightRecorder::ToJson(const std::string& reason) const {
   const std::size_t n = size();
   std::string out = "{\"schema\":\"univistor.flight.v1\"";
-  out += ",\"reason\":\"" + JsonEscape(reason) + "\"";
+  out += ",\"reason\":\"" + json::Escape(reason) + "\"";
   out += ",\"capacity\":" + std::to_string(capacity_);
   out += ",\"total_noted\":" + std::to_string(noted_);
   out += ",\"dropped\":" + std::to_string(noted_ - n);
@@ -86,11 +54,11 @@ std::string FlightRecorder::ToJson(const std::string& reason) const {
   for (std::size_t i = 0; i < n; ++i) {
     const Entry& e = ring_[(start + i) % capacity_];
     if (i > 0) out += ",";
-    out += "\n{\"t\":" + JsonNum(e.t);
-    out += ",\"kind\":\"" + JsonEscape(e.kind) + "\"";
-    out += ",\"what\":\"" + JsonEscape(e.what) + "\"";
-    if (e.value != 0.0) out += ",\"value\":" + JsonNum(e.value);
-    if (!e.detail.empty()) out += ",\"detail\":\"" + JsonEscape(e.detail) + "\"";
+    out += "\n{\"t\":" + json::Number(e.t);
+    out += ",\"kind\":\"" + json::Escape(e.kind) + "\"";
+    out += ",\"what\":\"" + json::Escape(e.what) + "\"";
+    if (e.value != 0.0) out += ",\"value\":" + json::Number(e.value);
+    if (!e.detail.empty()) out += ",\"detail\":\"" + json::Escape(e.detail) + "\"";
     out += "}";
   }
   out += "\n]}\n";

@@ -1,52 +1,22 @@
 #include "src/obs/recorder.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
-#include <set>
 #include <sstream>
+#include <tuple>
 #include <utility>
+
+#include "src/common/json.hpp"
 
 namespace uvs::obs {
 
 namespace {
 
-/// Shortest representation that round-trips a double and is valid JSON
-/// (never inf/nan — callers only publish finite values).
-std::string JsonNumber(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Normalize "-0" and keep the output strictly JSON (no inf/nan expected).
-  std::string s(buf);
-  if (s == "-0") s = "0";
-  return s;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Microseconds with sub-ns resolution, the Chrome trace time unit.
-std::string TraceTs(Time seconds) { return JsonNumber(seconds * 1e6); }
+std::string TraceTs(Time seconds) { return json::Number(seconds * 1e6); }
 
 Status WriteWholeFile(const std::string& path, const std::string& body) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -56,6 +26,45 @@ Status WriteWholeFile(const std::string& path, const std::string& body) {
   if (written != body.size() || close_rc != 0)
     return UnavailableError("short write to " + path);
   return Status::Ok();
+}
+
+/// The processes lanes are drawn in, in trace order.
+enum Process { kSimulatorProcess, kNodeProcess, kBbProcess, kOstProcess };
+constexpr const char* kProcessLabel[] = {"simulator", "node ", "bb ", "ost "};
+
+/// Per Track::Kind, in enum order: the process its lanes are drawn in and
+/// its lane label.
+constexpr struct {
+  Process process;
+  const char* label;
+} kKinds[] = {
+    {kSimulatorProcess, "simulator"},   {kBbProcess, "device"},
+    {kOstProcess, "device"},            {kNodeProcess, "md server "},
+    {kSimulatorProcess, "flush file "}, {kNodeProcess, "pfs file "},
+    {kNodeProcess, "md queue "},        {kSimulatorProcess, "cluster job "},
+    {kNodeProcess, "rank "},
+};
+static_assert(std::size(kKinds) == static_cast<std::size_t>(Track::Kind::kRank) + 1);
+
+/// A lane's process: its kind of location and its number.
+std::pair<Process, std::int32_t> ProcessKey(const Track& t) {
+  const Process process = kKinds[static_cast<std::size_t>(t.kind)].process;
+  return {process, process == kSimulatorProcess ? 0 : t.node};
+}
+
+/// Home slot of a track in a lane table of `mask` + 1 slots.
+std::size_t LaneHome(const Track& t, std::size_t mask) {
+  const std::uint64_t fields = (std::uint64_t{static_cast<std::uint32_t>(t.node)} << 32 |
+                                static_cast<std::uint32_t>(t.program)) ^
+                               static_cast<std::uint64_t>(t.kind);
+  const std::uint64_t index = static_cast<std::uint64_t>(t.index) * 0x9e3779b97f4a7c15ull;
+  return static_cast<std::size_t>(((index ^ fields) * 0xbf58476d1ce4e5b9ull) >> 32) & mask;
+}
+
+/// Trace order: by process, then by kind and fields within it.
+bool TraceBefore(const Track& a, const Track& b) {
+  return std::tuple(ProcessKey(a), a.kind, a.program, a.index) <
+         std::tuple(ProcessKey(b), b.kind, b.program, b.index);
 }
 
 }  // namespace
@@ -76,24 +85,16 @@ const char* CategoryName(Category cat) {
 }
 
 std::string Track::PidName() const {
-  if (pid == kSimPid) return "simulator";
-  if (pid >= kOstPidBase) return "ost " + std::to_string(pid - kOstPidBase);
-  if (pid >= kBbPidBase) return "bb " + std::to_string(pid - kBbPidBase);
-  return "node " + std::to_string(pid - kNodePidBase);
+  const auto [process, number] = ProcessKey(*this);
+  return process == kSimulatorProcess ? kProcessLabel[process]
+                                      : kProcessLabel[process] + std::to_string(number);
 }
 
 std::string Track::TidName() const {
-  if (tid >= kRankTidBase) {
-    const std::int32_t lane = tid - kRankTidBase;
-    return "rank " + std::to_string(lane % 100000) + " (prog " +
-           std::to_string(lane / 100000) + ")";
-  }
-  if (tid >= kClusterTidBase) return "cluster job " + std::to_string(tid - kClusterTidBase);
-  if (tid >= kMetaQueueTidBase) return "md queue " + std::to_string(tid - kMetaQueueTidBase);
-  if (tid >= kPfsIoTidBase) return "pfs file " + std::to_string(tid - kPfsIoTidBase);
-  if (tid >= kFlushTidBase) return "flush file " + std::to_string(tid - kFlushTidBase);
-  if (tid >= kMetaTidBase) return "md server " + std::to_string(tid - kMetaTidBase);
-  return "device";
+  const std::string label = kKinds[static_cast<std::size_t>(kind)].label;
+  if (kind == Kind::kRank)
+    return label + std::to_string(index) + " (prog " + std::to_string(program) + ")";
+  return kind <= Kind::kOst ? label : label + std::to_string(index);
 }
 
 Recorder::~Recorder() { Uninstall(); }
@@ -121,6 +122,23 @@ Recorder::Kind Recorder::InternKind(const char* category, const char* name) {
   // Names are static literals, so kinds are bounded by the span call sites.
   assert(kinds_.size() <= UINT16_MAX && "more distinct span kinds than a SpanEvent can index");
   return kinds_.emplace_back(Kind{category, name, static_cast<std::uint16_t>(kinds_.size())});
+}
+
+std::uint32_t Recorder::LaneOf(const Track& track) {
+  if (2 * (lanes_.size() + 1) > lane_slots_.size()) {
+    lane_slots_.assign(std::max<std::size_t>(1024, 2 * lane_slots_.size()), 0);
+    for (std::uint32_t lane = 0; lane < lanes_.size(); ++lane) {
+      std::size_t i = LaneHome(lanes_[lane], lane_slots_.size() - 1);
+      while (lane_slots_[i] != 0) i = (i + 1) & (lane_slots_.size() - 1);
+      lane_slots_[i] = lane + 1;
+    }
+  }
+  std::size_t i = LaneHome(track, lane_slots_.size() - 1);
+  for (; lane_slots_[i] != 0; i = (i + 1) & (lane_slots_.size() - 1))
+    if (lanes_[lane_slots_[i] - 1] == track) return lane_slots_[i] - 1;
+  lanes_.push_back(track);
+  lane_slots_[i] = static_cast<std::uint32_t>(lanes_.size());
+  return lane_slots_[i] - 1;
 }
 
 std::size_t Recorder::SpanLog::EraseIf(const std::function<bool(const SpanEvent&)>& drop) {
@@ -159,31 +177,43 @@ void Recorder::WriteChromeTrace(std::ostream& os) const {
     os << "\n";
   };
 
-  // Track-name metadata for every (pid) / (pid, tid) that carries spans.
-  std::set<std::int32_t> pids;
-  std::set<std::pair<std::int32_t, std::int32_t>> tids;
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
-    const Track& track = spans_[i].track;
-    pids.insert(track.pid);
-    tids.insert({track.pid, track.tid});
-  }
-  for (std::int32_t pid : pids) {
+  // Name metadata for every process and lane that carries spans, in trace
+  // order, numbered densely: the simulator process is always pid 0, where
+  // the sampled counters go, and lanes are tids 1, 2, ...
+  std::vector<int> pid(lanes_.size()), tid(lanes_.size(), 0);
+  std::vector<std::uint32_t> order;
+  for (std::size_t i = 0; i < spans_.size(); ++i) tid[spans_[i].lane] = 1;
+  for (std::uint32_t lane = 0; lane < lanes_.size(); ++lane)
+    if (tid[lane] != 0) order.push_back(lane);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return TraceBefore(lanes_[a], lanes_[b]);
+  });
+  int pids = 1;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const std::uint32_t lane = order[k];
+    tid[lane] = static_cast<int>(k) + 1;
+    if (k > 0 && ProcessKey(lanes_[order[k - 1]]) == ProcessKey(lanes_[lane])) {
+      pid[lane] = pid[order[k - 1]];
+      continue;
+    }
+    pid[lane] = ProcessKey(lanes_[lane]).first == kSimulatorProcess ? 0 : pids++;
     sep();
-    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"" << JsonEscape(Track{pid, 0}.PidName())
+    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid[lane]
+       << ",\"tid\":0,\"args\":{\"name\":\"" << json::Escape(lanes_[lane].PidName())
        << "\"}}";
   }
-  for (const auto& [pid, tid] : tids) {
+  for (std::uint32_t lane : order) {
     sep();
-    os << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" << pid << ",\"tid\":" << tid
-       << ",\"args\":{\"name\":\"" << JsonEscape(Track{pid, tid}.TidName()) << "\"}}";
+    os << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" << pid[lane]
+       << ",\"tid\":" << tid[lane] << ",\"args\":{\"name\":\""
+       << json::Escape(lanes_[lane].TidName()) << "\"}}";
   }
 
   for (std::size_t i = 0; i < spans_.size(); ++i) {
     const SpanEvent& span = spans_[i];
     sep();
     os << "{\"ph\":\"X\",\"cat\":\"" << category(span) << "\",\"name\":\"" << name(span)
-       << "\",\"pid\":" << span.track.pid << ",\"tid\":" << span.track.tid
+       << "\",\"pid\":" << pid[span.lane] << ",\"tid\":" << tid[span.lane]
        << ",\"ts\":" << TraceTs(span.start) << ",\"dur\":" << TraceTs(span.end - span.start);
     const bool tagged = span.cat != Category::kNone || span.self || span.parent;
     if (span.bytes != kNoBytes || tagged) {
@@ -207,9 +237,9 @@ void Recorder::WriteChromeTrace(std::ostream& os) const {
   // Sampled series as counter events on the simulator-global track.
   for (const auto& point : series_) {
     sep();
-    os << "{\"ph\":\"C\",\"name\":\"" << JsonEscape(*point.name)
-       << "\",\"pid\":" << Track::kSimPid << ",\"tid\":0,\"ts\":" << TraceTs(point.t)
-       << ",\"args\":{\"value\":" << JsonNumber(point.value) << "}}";
+    os << "{\"ph\":\"C\",\"name\":\"" << json::Escape(*point.name)
+       << "\",\"pid\":0,\"tid\":0,\"ts\":" << TraceTs(point.t)
+       << ",\"args\":{\"value\":" << json::Number(point.value) << "}}";
   }
 
   os << "\n]}\n";
@@ -226,7 +256,7 @@ std::string Recorder::MetricsJson(Time sim_elapsed, const std::string& attributi
                                   const std::string& slo_json) const {
   std::ostringstream os;
   os << "{\n\"schema\":\"univistor.metrics.v3\",\n";
-  os << "\"sim_elapsed_seconds\":" << JsonNumber(sim_elapsed) << ",\n";
+  os << "\"sim_elapsed_seconds\":" << json::Number(sim_elapsed) << ",\n";
   os << "\"span_count\":" << spans_.size() << ",\n";
   os << "\"span_limit\":" << span_limit_ << ",\n";
   os << "\"spans_dropped\":" << spans_dropped_ << ",\n";
@@ -240,7 +270,7 @@ std::string Recorder::MetricsJson(Time sim_elapsed, const std::string& attributi
   for (const auto& [name, counter] : metrics_.counters()) {
     if (!first) os << ",";
     first = false;
-    os << "\n\"" << JsonEscape(name) << "\":" << counter.value();
+    os << "\n\"" << json::Escape(name) << "\":" << counter.value();
   }
   os << "\n},\n";
 
@@ -249,7 +279,7 @@ std::string Recorder::MetricsJson(Time sim_elapsed, const std::string& attributi
   for (const auto& [name, gauge] : metrics_.gauges()) {
     if (!first) os << ",";
     first = false;
-    os << "\n\"" << JsonEscape(name) << "\":" << JsonNumber(gauge.value());
+    os << "\n\"" << json::Escape(name) << "\":" << json::Number(gauge.value());
   }
   os << "\n},\n";
 
@@ -259,13 +289,13 @@ std::string Recorder::MetricsJson(Time sim_elapsed, const std::string& attributi
     if (!first) os << ",";
     first = false;
     const RunningStats& s = dist.stats();
-    os << "\n\"" << JsonEscape(name) << "\":{\"count\":" << s.count()
-       << ",\"mean\":" << JsonNumber(s.mean()) << ",\"min\":" << JsonNumber(s.min())
-       << ",\"max\":" << JsonNumber(s.max()) << ",\"stddev\":" << JsonNumber(s.stddev());
+    os << "\n\"" << json::Escape(name) << "\":{\"count\":" << s.count()
+       << ",\"mean\":" << json::Number(s.mean()) << ",\"min\":" << json::Number(s.min())
+       << ",\"max\":" << json::Number(s.max()) << ",\"stddev\":" << json::Number(s.stddev());
     if (const Histogram* h = dist.buckets()) {
-      os << ",\"p50\":" << JsonNumber(h->Quantile(0.5))
-         << ",\"p95\":" << JsonNumber(h->Quantile(0.95))
-         << ",\"p99\":" << JsonNumber(h->Quantile(0.99));
+      os << ",\"p50\":" << json::Number(h->Quantile(0.5))
+         << ",\"p95\":" << json::Number(h->Quantile(0.95))
+         << ",\"p99\":" << json::Number(h->Quantile(0.99));
       // Out-of-range observations are clamped into the edge buckets, so
       // the quantiles above saturate at the histogram bounds; the counts
       // make that saturation visible instead of silent.
@@ -281,8 +311,8 @@ std::string Recorder::MetricsJson(Time sim_elapsed, const std::string& attributi
   for (const auto& point : series_) {
     if (!first) os << ",";
     first = false;
-    os << "\n{\"t\":" << JsonNumber(point.t) << ",\"metric\":\"" << JsonEscape(*point.name)
-       << "\",\"value\":" << JsonNumber(point.value) << "}";
+    os << "\n{\"t\":" << json::Number(point.t) << ",\"metric\":\"" << json::Escape(*point.name)
+       << "\",\"value\":" << json::Number(point.value) << "}";
   }
   os << "\n]\n}\n";
   return os.str();
@@ -292,7 +322,7 @@ std::string Recorder::SeriesCsv() const {
   std::ostringstream os;
   os << "t,metric,value\n";
   for (const auto& point : series_)
-    os << JsonNumber(point.t) << "," << *point.name << "," << JsonNumber(point.value)
+    os << json::Number(point.t) << "," << *point.name << "," << json::Number(point.value)
        << "\n";
   return os.str();
 }

@@ -85,57 +85,55 @@ struct SpanTag {
   double ideal = 0.0; // solo/uncontended seconds of the underlying transfer
 };
 
-/// Trace-track identity, mapped onto Chrome trace (pid, tid). Processes
-/// are physical locations (compute node, BB node, OST); threads are lanes
-/// within them (a rank, a metadata server, a flush pass). The encoding is
-/// self-describing so the trace writer can emit human-readable track names
-/// without callers registering anything.
+/// One trace lane: a kind plus the fields it uses. Every lane belongs to a
+/// process, a physical location: the simulator, compute node `node`, BB
+/// node `node` or OST `node`. The recorder interns each distinct track into
+/// a dense lane id and the trace writer names lanes from these fields, so
+/// no field value can alias another lane.
 struct Track {
-  std::int32_t pid = 0;
-  std::int32_t tid = 0;
+  /// In the order a trace lists the lanes of one process.
+  enum class Kind : std::uint8_t {
+    kSimulator,   // the simulator-global lane
+    kBbNode,      // BB node `node`
+    kOst,         // OST `node`
+    kMetaServer,  // metadata server `index` on compute node `node`
+    kFlush,       // flush passes of file `index`, in the simulator process
+    kPfsFile,     // PFS file handle `index` accessed from compute node `node`
+    kMetaQueue,   // clients queued on metadata server `index` (spans may overlap)
+    kClusterJob,  // pending/run spans of cluster job `index`, in the simulator process
+    kRank,        // rank `index` of program `program` on compute node `node`
+  };
 
-  // -- pid encodings ------------------------------------------------------
-  static constexpr std::int32_t kSimPid = 0;           // simulator-global lane
-  static constexpr std::int32_t kNodePidBase = 1;      // compute node n -> 1 + n
-  static constexpr std::int32_t kBbPidBase = 100000;   // BB node b -> base + b
-  static constexpr std::int32_t kOstPidBase = 200000;  // OST o -> base + o
-
-  // -- tid encodings (within a compute-node pid) --------------------------
-  static constexpr std::int32_t kDeviceTid = 1;             // device pids
-  static constexpr std::int32_t kMetaTidBase = 1000000;     // + server index
-  static constexpr std::int32_t kFlushTidBase = 2000000;    // + file id
-  static constexpr std::int32_t kPfsIoTidBase = 3000000;    // + PFS file handle
-  static constexpr std::int32_t kMetaQueueTidBase = 4000000;  // + server index
-  static constexpr std::int32_t kClusterTidBase = 5000000;    // + cluster job id
-  static constexpr std::int32_t kRankTidBase = 10000000;    // + program*100000 + rank
+  Kind kind = Kind::kSimulator;
+  std::int32_t node = 0;
+  std::int32_t program = 0;
+  std::int64_t index = 0;
 
   static Track Rank(int node, int program, int rank) {
-    return {kNodePidBase + node, kRankTidBase + program * 100000 + rank};
+    return {Kind::kRank, node, program, rank};
   }
   static Track MetaServer(int node, int server_idx) {
-    return {kNodePidBase + node, kMetaTidBase + server_idx};
+    return {Kind::kMetaServer, node, 0, server_idx};
   }
   /// Waiting lane of a metadata server: concurrent clients queued on the
   /// server's serialized service section (spans here may overlap).
   static Track MetaServerQueue(int node, int server_idx) {
-    return {kNodePidBase + node, kMetaQueueTidBase + server_idx};
+    return {Kind::kMetaQueue, node, 0, server_idx};
   }
   static Track Flush(std::uint64_t fid) {
-    return {kSimPid, kFlushTidBase + static_cast<std::int32_t>(fid)};
+    return {Kind::kFlush, 0, 0, static_cast<std::int64_t>(fid)};
   }
   static Track PfsIo(int node, int file_handle) {
-    return {kNodePidBase + node, kPfsIoTidBase + file_handle};
+    return {Kind::kPfsFile, node, 0, file_handle};
   }
   /// Lifecycle lane of one multi-tenant cluster job (pending/run spans).
-  static Track ClusterJob(int job_id) { return {kSimPid, kClusterTidBase + job_id}; }
-  static Track BbNode(int bb_node) { return {kBbPidBase + bb_node, kDeviceTid}; }
-  static Track Ost(int ost) { return {kOstPidBase + ost, kDeviceTid}; }
+  static Track ClusterJob(int job_id) { return {Kind::kClusterJob, 0, 0, job_id}; }
+  static Track BbNode(int bb_node) { return {Kind::kBbNode, bb_node}; }
+  static Track Ost(int ost) { return {Kind::kOst, ost}; }
 
-  bool is_rank() const { return tid >= kRankTidBase; }
-  int rank_program() const { return (tid - kRankTidBase) / 100000; }
-  int rank_index() const { return (tid - kRankTidBase) % 100000; }
-
+  /// The Chrome process label ("node 3", "bb 0", "ost 9", "simulator").
   std::string PidName() const;
+  /// The Chrome thread label ("rank 42 (prog 1)", "md server 7", "device").
   std::string TidName() const;
 
   friend bool operator==(const Track&, const Track&) = default;
@@ -144,7 +142,7 @@ struct Track {
 class Recorder {
  public:
   /// Default cap on recorded spans (docs/OBSERVABILITY.md, "Span memory
-  /// bound"): 4 Mi spans of 56 bytes ≈ 224 MiB. Beyond it spans are counted
+  /// bound"): 4 Mi spans of 48 bytes ≈ 192 MiB. Beyond it spans are counted
   /// in `spans_dropped()` instead of growing without limit.
   static constexpr std::size_t kDefaultSpanLimit = 4u << 20;
 
@@ -170,20 +168,21 @@ class Recorder {
 
   // --- span tracing ------------------------------------------------------
   /// One recorded span. The (category, name) literal pair is interned into
-  /// `kind` (read back through category() / name()) and the attribution tag
-  /// is stored flat, so a span costs 56 bytes.
+  /// `kind` (read back through category() / name()), the track into `lane`
+  /// (read back through track()), and the attribution tag is stored flat,
+  /// so a span costs 48 bytes.
   struct SpanEvent {
     Time start;
     Time end;
     Bytes bytes;
     double ideal;  // SpanTag::ideal
-    Track track;
+    std::uint32_t lane;
     SpanRef self;
     SpanRef parent;
     std::uint16_t kind;
     Category cat;
   };
-  static_assert(sizeof(SpanEvent) <= 56);
+  static_assert(sizeof(SpanEvent) <= 48);
   static_assert(std::is_trivially_copyable_v<SpanEvent> &&
                 std::is_trivially_destructible_v<SpanEvent>);
 
@@ -234,8 +233,8 @@ class Recorder {
       ++spans_dropped_;
       return SpanRef{};
     }
-    spans_.push_back(SpanEvent{start, end, bytes, tag.ideal, track, tag.self, tag.parent,
-                               KindOf(category, name), tag.cat});
+    spans_.push_back(SpanEvent{start, end, bytes, tag.ideal, LaneOf(track), tag.self,
+                               tag.parent, KindOf(category, name), tag.cat});
     return tag.self;
   }
 
@@ -255,6 +254,11 @@ class Recorder {
   /// The category and name literals a span was emitted with.
   const char* category(const SpanEvent& span) const { return kinds_[span.kind].category; }
   const char* name(const SpanEvent& span) const { return kinds_[span.kind].name; }
+  /// The track a span was emitted on.
+  const Track& track(const SpanEvent& span) const { return lanes_[span.lane]; }
+  /// Every interned track, indexed by lane id. A lane stays after the prune
+  /// hook evicts its last span.
+  const std::vector<Track>& lanes() const { return lanes_; }
 
   /// Caps `spans()` memory; further spans are dropped and counted (or
   /// handed to the prune hook first, when one is set).
@@ -338,11 +342,18 @@ class Recorder {
   }
   Kind InternKind(const char* category, const char* name);
 
+  /// Lane id of a track, interning it on first use: an open-addressing
+  /// table over `lanes_`, which a run fills with thousands of tracks, not
+  /// millions.
+  std::uint32_t LaneOf(const Track& track);
+
   static inline thread_local Recorder* current_ = nullptr;
 
   SpanLog spans_;
   std::vector<Kind> kinds_;
   std::array<Kind, 256> kind_cache_{};
+  std::vector<Track> lanes_;               // lane id -> track
+  std::vector<std::uint32_t> lane_slots_;  // lane id + 1; 0 = empty
   std::vector<CausalLink> links_;
   std::size_t span_limit_ = kDefaultSpanLimit;
   std::uint64_t spans_dropped_ = 0;

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
+
+#include "src/common/json.hpp"
 
 namespace uvs::obs {
 
@@ -12,14 +13,6 @@ namespace {
 /// Values below this are indistinguishable from zero at any useful
 /// relative accuracy; they share the zero bucket.
 constexpr double kMinRepresentable = 1e-12;
-
-std::string JsonNum(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  std::string s(buf);
-  if (s == "-0") s = "0";
-  return s;
-}
 
 }  // namespace
 
@@ -111,14 +104,14 @@ double QuantileSketch::Quantile(double q) const {
 std::string QuantileSketch::ToJson() const {
   std::string out = "{";
   out += "\"count\":" + std::to_string(count_);
-  out += ",\"min\":" + JsonNum(min());
-  out += ",\"max\":" + JsonNum(max());
-  out += ",\"mean\":" + JsonNum(mean());
-  out += ",\"sum\":" + JsonNum(sum_);
-  out += ",\"p50\":" + JsonNum(Quantile(0.5));
-  out += ",\"p90\":" + JsonNum(Quantile(0.9));
-  out += ",\"p99\":" + JsonNum(Quantile(0.99));
-  out += ",\"relative_error\":" + JsonNum(alpha_);
+  out += ",\"min\":" + json::Number(min());
+  out += ",\"max\":" + json::Number(max());
+  out += ",\"mean\":" + json::Number(mean());
+  out += ",\"sum\":" + json::Number(sum_);
+  out += ",\"p50\":" + json::Number(Quantile(0.5));
+  out += ",\"p90\":" + json::Number(Quantile(0.9));
+  out += ",\"p99\":" + json::Number(Quantile(0.99));
+  out += ",\"relative_error\":" + json::Number(alpha_);
   out += ",\"buckets\":" + std::to_string(buckets_.size());
   out += ",\"collapsed\":" + std::to_string(collapsed_);
   out += ",\"zero\":" + std::to_string(zero_count_);

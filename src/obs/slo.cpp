@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "src/common/json.hpp"
 #include "src/common/key_values.hpp"
 
 namespace uvs::obs {
@@ -14,14 +15,6 @@ namespace {
 /// budget and capped. A capped burn is unambiguous: the budget is gone.
 constexpr double kMinBudget = 1e-9;
 constexpr double kMaxBurn = 1e6;
-
-std::string FmtNum(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  std::string s(buf);
-  if (s == "-0") s = "0";
-  return s;
-}
 
 std::string FmtShort(double v) {
   char buf[32];
@@ -137,16 +130,16 @@ std::string SloTracker::ToJson() const {
   std::string out = "{";
   out += "\"name\":\"" + spec_.metric + "\"";
   out += ",\"label\":\"" + spec_.Label() + "\"";
-  out += ",\"threshold\":" + FmtNum(spec_.threshold);
-  out += ",\"budget\":" + FmtNum(spec_.budget);
-  out += ",\"fast_window\":" + FmtNum(spec_.fast_window);
-  out += ",\"slow_window\":" + FmtNum(spec_.slow_window);
-  out += ",\"alert_burn\":" + FmtNum(spec_.alert_burn);
+  out += ",\"threshold\":" + json::Number(spec_.threshold);
+  out += ",\"budget\":" + json::Number(spec_.budget);
+  out += ",\"fast_window\":" + json::Number(spec_.fast_window);
+  out += ",\"slow_window\":" + json::Number(spec_.slow_window);
+  out += ",\"alert_burn\":" + json::Number(spec_.alert_burn);
   out += ",\"total\":" + std::to_string(total_);
   out += ",\"bad\":" + std::to_string(bad_);
-  out += ",\"budget_consumed\":" + FmtNum(budget_consumed());
-  out += ",\"peak_fast_burn\":" + FmtNum(peak_fast_burn_);
-  out += ",\"peak_slow_burn\":" + FmtNum(peak_slow_burn_);
+  out += ",\"budget_consumed\":" + json::Number(budget_consumed());
+  out += ",\"peak_fast_burn\":" + json::Number(peak_fast_burn_);
+  out += ",\"peak_slow_burn\":" + json::Number(peak_slow_burn_);
   out += ",\"alerts\":" + std::to_string(alerts_);
   out += ",\"verdict\":\"" + std::string(verdict()) + "\"";
   out += "}";

@@ -7,8 +7,14 @@
 
 namespace uvs::sched {
 
-NodeScheduler::NodeScheduler(sim::Engine& engine, hw::Node& node, Options options, Rng rng)
-    : engine_(&engine), node_(&node), options_(options), rng_(rng) {
+namespace {
+/// Efficiency of a core shared by >= 2 busy processes: csw(k) for k > 1.
+constexpr double kContextSwitchPenalty = 0.85;
+}  // namespace
+
+NodeScheduler::NodeScheduler(sim::Engine& engine, hw::Node& node, PlacementPolicy policy,
+                             Rng rng)
+    : engine_(&engine), node_(&node), policy_(policy), rng_(rng) {
   core_procs_.resize(static_cast<std::size_t>(node.cores()));
   core_servers_.assign(static_cast<std::size_t>(node.cores()), 0);
 }
@@ -25,7 +31,7 @@ int NodeScheduler::AddProcess(int program, bool is_server) {
       *engine_, sim::FairSharePool::Options{
                     .name = "node" + std::to_string(node_->id()) + "/cpu" + std::to_string(id),
                     .capacity = proc.base_bw});
-  const int core = options_.policy == PlacementPolicy::kCfs
+  const int core = policy_ == PlacementPolicy::kCfs
                        ? PickCoreCfs()
                        : PickCoreInterferenceAware(program);
   procs_.push_back(std::move(proc));
@@ -46,11 +52,13 @@ void NodeScheduler::CheckRegistered(int proc, const char* op) const {
 void NodeScheduler::RemoveProcess(int proc) {
   CheckRegistered(proc, "RemoveProcess");
   Proc& p = procs_[static_cast<std::size_t>(proc)];
+  auto fault = [&](const std::string& what) {
+    return std::logic_error("NodeScheduler::RemoveProcess: process " + std::to_string(proc) +
+                            " on node " + std::to_string(node_->id()) + what);
+  };
   if (p.cpu->active_flows() != 0)
-    throw std::logic_error("NodeScheduler::RemoveProcess: process " + std::to_string(proc) +
-                           " on node " + std::to_string(node_->id()) + " has " +
-                           std::to_string(p.cpu->active_flows()) +
-                           " CPU transfers in flight");
+    throw fault(" has " + std::to_string(p.cpu->active_flows()) + " CPU transfers in flight");
+  if (!p.cpu->Conserves()) throw fault(" served more than its CPU pool's capacity allows");
   const int core = p.core;
   auto& occupants = core_procs_[static_cast<std::size_t>(core)];
   occupants.erase(std::find(occupants.begin(), occupants.end(), proc));
@@ -58,6 +66,7 @@ void NodeScheduler::RemoveProcess(int proc) {
   live_.erase(std::lower_bound(live_.begin(), live_.end(), proc));
   p.busy = false;
   p.core = -1;
+  p.cpu.reset();
   RecomputeCore(core);
 }
 
@@ -131,7 +140,7 @@ void NodeScheduler::RecomputeCore(int core) {
   int busy = 0;
   for (int p : occupants)
     if (procs_[static_cast<std::size_t>(p)].busy) ++busy;
-  const double csw = busy > 1 ? options_.context_switch_penalty : 1.0;
+  const double csw = busy > 1 ? kContextSwitchPenalty : 1.0;
   const double busy_share = busy > 0 ? csw / static_cast<double>(busy) : 1.0;
   for (int p : occupants) {
     auto& proc = procs_[static_cast<std::size_t>(p)];
@@ -176,12 +185,13 @@ double NodeScheduler::CpuShare(int proc) const {
   if (!p.busy) return 1.0;
   const int busy = BusyProcsOnCore(p.core);
   if (busy == 0) return 1.0;
-  const double csw = busy > 1 ? options_.context_switch_penalty : 1.0;
+  const double csw = busy > 1 ? kContextSwitchPenalty : 1.0;
   return csw / static_cast<double>(busy);
 }
 
 sim::FairSharePool& NodeScheduler::cpu(int proc) {
-  return *procs_.at(static_cast<std::size_t>(proc)).cpu;
+  CheckRegistered(proc, "cpu");
+  return *procs_[static_cast<std::size_t>(proc)].cpu;
 }
 
 sim::FairSharePool& NodeScheduler::dram(int proc) {
@@ -190,7 +200,7 @@ sim::FairSharePool& NodeScheduler::dram(int proc) {
 
 void NodeScheduler::BeginServerFlush() {
   if (open_flushes_++ > 0) return;
-  if (options_.policy != PlacementPolicy::kInterferenceAware) return;
+  if (policy_ != PlacementPolicy::kInterferenceAware) return;
   for (int id : live_) {
     Proc& proc = procs_[static_cast<std::size_t>(id)];
     if (proc.server || core_servers_[static_cast<std::size_t>(proc.core)] == 0) continue;
@@ -216,7 +226,7 @@ void NodeScheduler::BeginServerFlush() {
 
 void NodeScheduler::EndServerFlush() {
   if (open_flushes_ == 0 || --open_flushes_ > 0) return;
-  if (options_.policy != PlacementPolicy::kInterferenceAware) return;
+  if (policy_ != PlacementPolicy::kInterferenceAware) return;
   for (int id : live_) {
     Proc& proc = procs_[static_cast<std::size_t>(id)];
     if (!proc.server && proc.core != proc.home_core) Assign(proc, proc.home_core);

@@ -18,7 +18,7 @@
 //
 // Every registered process owns a CPU pool whose capacity is
 //   csw(k) / k * base_bw,  (base_bw: client I/O-stack rate or server copy rate)
-// where k is the number of busy processes sharing its core and csw(k) < 1
+// where k is the number of busy processes sharing its core and csw(k) = 0.85
 // for k > 1 models context-switch overhead. Memory traffic is gated by
 // routing transfers through this pool in parallel with the NUMA socket's
 // DRAM pool.
@@ -38,23 +38,19 @@ enum class PlacementPolicy { kCfs, kInterferenceAware };
 
 class NodeScheduler {
  public:
-  struct Options {
-    PlacementPolicy policy = PlacementPolicy::kInterferenceAware;
-    /// Efficiency of a core shared by >= 2 busy processes.
-    double context_switch_penalty = 0.85;
-  };
-
-  NodeScheduler(sim::Engine& engine, hw::Node& node, Options options, Rng rng);
+  NodeScheduler(sim::Engine& engine, hw::Node& node, PlacementPolicy policy, Rng rng);
 
   /// Registers a process of `program` (servers use is_server = true) and
   /// returns its process id on this node. Processes start busy.
   int AddProcess(int program, bool is_server);
 
   /// Retires `proc`: it leaves its core, whose remaining occupants get
-  /// their shares recomputed, and every placement count. Its id is never
-  /// reused and its CPU pool stays, idle, for conservation checks. Throws
-  /// std::logic_error if `proc` is not registered (never added, or
-  /// already retired) or its CPU pool still has a transfer in flight.
+  /// their shares recomputed, and every placement count. Its CPU pool is
+  /// checked against its capacity envelope (sim::FairSharePool::Conserves),
+  /// then freed; its id is never reused. Throws std::logic_error if `proc`
+  /// is not registered (never added, or already retired), its CPU pool
+  /// still has a transfer in flight, or the pool served more than its
+  /// capacity allows.
   void RemoveProcess(int proc);
 
   /// Busy processes compete for their core; idle ones (e.g. a server
@@ -80,7 +76,8 @@ class NodeScheduler {
   /// or retired).
   double CpuShare(int proc) const;
 
-  /// Per-process CPU pool capping its memory/copy injection rate.
+  /// Per-process CPU pool capping its memory/copy injection rate. Throws
+  /// std::logic_error for a retired process, whose pool is gone.
   sim::FairSharePool& cpu(int proc);
 
   /// The DRAM pool of the NUMA socket the process runs on (SocketOf).
@@ -112,7 +109,7 @@ class NodeScheduler {
     int core = -1;       // -1 once retired
     int home_core = -1;  // original core, restored after flush migration
     Bandwidth base_bw = 0;  // full-core rate for this process kind
-    std::unique_ptr<sim::FairSharePool> cpu;
+    std::unique_ptr<sim::FairSharePool> cpu;  // null once retired
   };
 
   int PickCoreCfs();
@@ -124,7 +121,7 @@ class NodeScheduler {
 
   sim::Engine* engine_;
   hw::Node* node_;
-  Options options_;
+  PlacementPolicy policy_;
   Rng rng_;
   std::vector<Proc> procs_;                   // indexed by id, retired included
   std::vector<int> live_;                     // registered ids, ascending

@@ -74,6 +74,12 @@ Time FairSharePool::queue_depth_seconds() const {
   return t;
 }
 
+double FairSharePool::ServiceBudget() const {
+  return peak_capacity_ * busy_time() +
+         kResidualEpsilonBytes * static_cast<double>(completed_) +
+         1e-6 * static_cast<double>(total_bytes_) + 1.0;
+}
+
 void FairSharePool::RescheduleTimer() {
   timer_.Cancel();  // no-op if it already fired (we are inside OnTimer)
   if (heap_.empty()) return;

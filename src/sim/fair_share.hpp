@@ -93,6 +93,14 @@ class FairSharePool {
   Time queue_depth_seconds() const;
   std::uint64_t completed_transfers() const { return completed_; }
 
+  /// Bytes the pool can have served so far: peak_capacity * busy_time,
+  /// plus half a byte per completed transfer (a flow may complete that much
+  /// work early but is credited its full byte count) and a relative term
+  /// for accumulated rounding.
+  double ServiceBudget() const;
+  /// The conservation law: total_bytes() <= ServiceBudget().
+  bool Conserves() const { return static_cast<double>(total_bytes_) <= ServiceBudget(); }
+
  private:
   struct Flow {
     Bytes bytes = 0;

@@ -10,10 +10,16 @@
 
 namespace uvs::storage {
 
-Pfs::Pfs(hw::Cluster& cluster) : Pfs(cluster, Options{}) {}
+namespace {
+/// Max concurrent device streams one access fans out to.
+constexpr std::uint64_t kMaxStreamsPerAccess = 16;
+/// Extent-lock inflation multiplier for partial-stripe RMW writes on
+/// erasure-coded files: the read-modify-write cycle holds the stripe's
+/// lock across two device round trips instead of one.
+constexpr double kRmwLockPenalty = 1.75;
+}  // namespace
 
-Pfs::Pfs(hw::Cluster& cluster, Options options) : cluster_(&cluster), options_(options) {
-  assert(options_.max_streams_per_access > 0);
+Pfs::Pfs(hw::Cluster& cluster) : cluster_(&cluster) {
   ost_failed_.assign(static_cast<std::size_t>(cluster_->pfs().size()), false);
 }
 
@@ -89,8 +95,7 @@ Pfs::StreamPlan Pfs::PlanStreams(const FileInfo& info, Bytes offset, Bytes len,
   const auto pieces = static_cast<std::uint64_t>((offset + len + stripe_size - 1) / stripe_size -
                                                  offset / stripe_size);
   const std::uint64_t streams =
-      std::min<std::uint64_t>({pieces, targets.size(),
-                               static_cast<std::uint64_t>(options_.max_streams_per_access)});
+      std::min<std::uint64_t>({pieces, targets.size(), kMaxStreamsPerAccess});
 
   StreamPlan plan;
   plan.sync_targets = static_cast<int>(std::min<std::uint64_t>(pieces, targets.size()));
@@ -519,7 +524,7 @@ sim::Task Pfs::EcAccess(FileHandle file, Bytes offset, Bytes len, int node,
     // file's stripe lock at an inflated extent-lock footprint — the second
     // OST round trip is the partial-write tax the paper's full-stripe
     // flushes avoid.
-    inflation *= options_.rmw_lock_penalty;
+    inflation *= kRmwLockPenalty;
     ec_stats_.rmw_read_bytes += plan.read.bytes;
     obs::Count("storage.pfs.ec.rmw_read_bytes", plan.read.bytes);
     auto guard = co_await info.rmw_mutex->Lock();

@@ -72,17 +72,7 @@ class Pfs {
  public:
   using FileHandle = int;
 
-  struct Options {
-    /// Max concurrent device streams one access fans out to.
-    int max_streams_per_access = 16;
-    /// Extent-lock inflation multiplier for partial-stripe RMW writes on
-    /// erasure-coded files: the read-modify-write cycle holds the stripe's
-    /// lock across two device round trips instead of one.
-    double rmw_lock_penalty = 1.75;
-  };
-
   explicit Pfs(hw::Cluster& cluster);
-  Pfs(hw::Cluster& cluster, Options options);
 
   FileHandle Create(std::string name, StripeConfig stripe);
   Result<FileHandle> Lookup(const std::string& name) const;
@@ -276,7 +266,6 @@ class Pfs {
   EcScrubReport ScrubSweep(bool repair);
 
   hw::Cluster* cluster_;
-  Options options_;
   // unique_ptr for address stability: Access() coroutines hold references
   // across suspension points while new files (e.g. spill logs) are created.
   std::vector<std::unique_ptr<FileInfo>> files_;

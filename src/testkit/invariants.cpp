@@ -47,18 +47,11 @@ void CheckPool(const sim::FairSharePool& pool, InvariantReport& report) {
                                       std::to_string(pool.active_flows()) +
                                       " active flows after the simulation drained");
   }
-  // A flow may complete up to kResidualEpsilonBytes (0.5) of virtual work
-  // early but is credited its full byte count, so allow that per completed
-  // transfer, plus a relative term for double accumulation error.
-  const double served = static_cast<double>(pool.total_bytes());
-  const double budget = pool.peak_capacity() * pool.busy_time() +
-                        0.5 * static_cast<double>(pool.completed_transfers()) +
-                        1e-6 * served + 1.0;
-  if (served > budget) {
+  if (!pool.Conserves()) {
     std::ostringstream out;
-    out << "pool '" << pool.name() << "' delivered " << served << " bytes but peak_capacity("
-        << pool.peak_capacity() << ") * busy_time(" << pool.busy_time() << ") only allows "
-        << budget;
+    out << "pool '" << pool.name() << "' delivered " << static_cast<double>(pool.total_bytes())
+        << " bytes but peak_capacity(" << pool.peak_capacity() << ") * busy_time("
+        << pool.busy_time() << ") only allows " << pool.ServiceBudget();
     report.Add("pool-conservation", out.str());
   }
 }
@@ -172,7 +165,8 @@ void CheckPoolConservation(workload::Scenario& scenario, InvariantReport& report
     for (int s = 0; s < node.sockets(); ++s) CheckPool(node.socket(s).dram(), report);
     if (node.has_local_ssd()) CheckPool(node.local_ssd(), report);
     sched::NodeScheduler& sched = scenario.runtime().Scheduler(n);
-    for (int p = 0; p < sched.process_count(); ++p) CheckPool(sched.cpu(p), report);
+    for (int p = 0; p < sched.process_count(); ++p)
+      if (sched.IsRegistered(p)) CheckPool(sched.cpu(p), report);
   }
   for (int b = 0; b < cluster.burst_buffer().size(); ++b)
     CheckPool(cluster.burst_buffer().pool(b), report);

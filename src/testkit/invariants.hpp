@@ -56,9 +56,9 @@ struct InvariantReport {
 void CheckRecordCoverage(const std::vector<meta::MetadataRecord>& records, Bytes expected_bytes,
                          const std::string& label, InvariantReport& report);
 
-/// Checks one bandwidth pool's service against its capacity envelope:
-/// total_bytes <= peak_capacity * busy_time (+ completion rounding slack),
-/// and no flow still queued once the simulation has drained.
+/// Checks one bandwidth pool's service against its capacity envelope
+/// (sim::FairSharePool::Conserves), and that no flow is still queued once
+/// the simulation has drained.
 void CheckPool(const sim::FairSharePool& pool, InvariantReport& report);
 
 /// Byte conservation, metadata coverage, VA round-trips, and partition
@@ -66,7 +66,9 @@ void CheckPool(const sim::FairSharePool& pool, InvariantReport& report);
 void CheckUniviStor(const univistor::UniviStor& system, InvariantReport& report);
 
 /// CheckPool over every pool in the machine: per-node NICs, NUMA DRAM,
-/// local SSDs, per-process CPU pools, BB nodes, and PFS OSTs.
+/// local SSDs, the CPU pools of registered processes, BB nodes, and PFS
+/// OSTs. A retired process's pool was checked when it was freed
+/// (sched::NodeScheduler::RemoveProcess).
 void CheckPoolConservation(workload::Scenario& scenario, InvariantReport& report);
 
 /// After Run() has drained: no live (stranded) processes remain.

@@ -12,8 +12,7 @@ Runtime::Runtime(hw::Cluster& cluster, sched::PlacementPolicy policy)
   schedulers_.reserve(static_cast<std::size_t>(cluster.node_count()));
   for (int n = 0; n < cluster.node_count(); ++n) {
     schedulers_.push_back(std::make_unique<sched::NodeScheduler>(
-        cluster.engine(), cluster.node(n),
-        sched::NodeScheduler::Options{.policy = policy}, cluster.rng().Fork()));
+        cluster.engine(), cluster.node(n), policy, cluster.rng().Fork()));
   }
 }
 

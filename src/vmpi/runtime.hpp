@@ -51,9 +51,10 @@ class Runtime {
 
   /// Unregisters every rank of `prog` from its node scheduler (see
   /// sched::NodeScheduler::RemoveProcess), as when its job ends. The
-  /// program keeps its id, name, ranks and CPU pools; its ranks stop
-  /// competing for cores. Throws std::logic_error if the program already
-  /// retired or a rank's CPU pool has a transfer in flight.
+  /// program keeps its id, name and ranks; its ranks stop competing for
+  /// cores and their CPU pools are checked and freed. Throws
+  /// std::logic_error if the program already retired or a rank's CPU pool
+  /// has a transfer in flight or served more than its capacity allows.
   void RetireProgram(ProgramId prog);
 
   /// Number of ranks of `prog` placed on `node` (subset launches make the
@@ -73,7 +74,8 @@ class Runtime {
     return *schedulers_.at(static_cast<std::size_t>(node));
   }
 
-  /// Convenience accessors for a rank's CPU and NUMA DRAM pools.
+  /// Convenience accessors for a rank's CPU and NUMA DRAM pools. Both
+  /// throw std::logic_error once the rank's program has retired.
   sim::FairSharePool& RankCpu(ProgramId prog, int rank);
   sim::FairSharePool& RankDram(ProgramId prog, int rank);
   void SetRankBusy(ProgramId prog, int rank, bool busy);

@@ -141,7 +141,7 @@ TEST(GoldenTrace, MicroWriteTraceDigestIsStable) {
   recorder.Install();
   RunOnce(42, sched::PlacementPolicy::kInterferenceAware);
   recorder.Uninstall();
-  CheckDigest("micro_write_ia", Fnv1a(recorder.ChromeTraceJson()), 0x26f61f42bf80607cull);
+  CheckDigest("micro_write_ia", Fnv1a(recorder.ChromeTraceJson()), 0xd1b43cf82747093aull);
 }
 
 TEST(GoldenTrace, VpicTraceDigestIsStable) {
@@ -173,7 +173,7 @@ TEST(GoldenTrace, VpicTraceDigestIsStable) {
                 0x2d7a5eb10501ae52ull);
   }
   recorder.Uninstall();
-  CheckDigest("vpic_ia", Fnv1a(recorder.ChromeTraceJson()), 0xd53fcb3c7146867eull);
+  CheckDigest("vpic_ia", Fnv1a(recorder.ChromeTraceJson()), 0x9c89ddb1a73bfd4full);
 }
 
 TEST(GoldenTrace, PrunedClusterTraceAndAnalysisDigestsAreStable) {
@@ -208,10 +208,10 @@ TEST(GoldenTrace, PrunedClusterTraceAndAnalysisDigestsAreStable) {
     EXPECT_FALSE(recorder.links().empty()) << "closes link their flushes";
     CheckDigest("cluster_pruned_analysis",
                 AnalysisDigest(recorder, scenario.runtime(), scenario.engine().Now()),
-                0x6383af6c955bc12eull);
+                0x70e480de6ea0454aull);
   }
   recorder.Uninstall();
-  CheckDigest("cluster_pruned", Fnv1a(recorder.ChromeTraceJson()), 0x7bc108243bea09b6ull);
+  CheckDigest("cluster_pruned", Fnv1a(recorder.ChromeTraceJson()), 0xf1d461327e0fc26dull);
 }
 
 /// One traced cluster run; telemetry (sketches + SLO trackers) feeds only

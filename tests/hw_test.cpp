@@ -197,7 +197,7 @@ TEST(DeviceArray, BothKindsShareOneModelUnderTheirOwnNames) {
     for (std::size_t i = 0; i < recorder.spans().size(); ++i) {
       const obs::Recorder::SpanEvent& span = recorder.spans()[i];
       EXPECT_STREQ(recorder.category(span), "hw");
-      EXPECT_EQ(span.track, kind.track);
+      EXPECT_EQ(recorder.track(span), kind.track);
       const std::string_view name = recorder.name(span);
       if (name == kind.access_span) {
         ++accesses;

@@ -1,16 +1,20 @@
 // Tests for the obs:: tracing and metrics layer: recorder/metrics unit
-// behavior, track naming, sampler cadence, and an end-to-end UniviStor run
+// behavior, track naming and lanes, sampler cadence, and an end-to-end UniviStor run
 // validating that the emitted Chrome trace and metrics report are
 // well-formed JSON carrying the expected spans and counters.
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "src/common/json.hpp"
 #include "src/hw/probes.hpp"
+#include "src/obs/attribution.hpp"
 #include "src/obs/legs.hpp"
 #include "src/obs/recorder.hpp"
 #include "src/obs/sampler.hpp"
@@ -222,7 +226,7 @@ void ExpectSameSpans(const obs::Recorder& recorder,
     ASSERT_EQ(got.end, want.end) << "span " << i;
     ASSERT_EQ(got.bytes, want.bytes) << "span " << i;
     ASSERT_EQ(got.ideal, want.ideal) << "span " << i;
-    ASSERT_EQ(got.track, want.track) << "span " << i;
+    ASSERT_EQ(got.lane, want.lane) << "span " << i;
     ASSERT_EQ(got.self, want.self) << "span " << i;
     ASSERT_EQ(got.parent, want.parent) << "span " << i;
     ASSERT_EQ(got.kind, want.kind) << "span " << i;
@@ -243,7 +247,8 @@ TEST(SpanLog, RecordsAcrossBlocksAndInternsKinds) {
     EXPECT_EQ(span.parent.id, i / 3);
     EXPECT_EQ(span.ideal, 0.5 * static_cast<double>(i));
     EXPECT_EQ(span.bytes, i % 5 == 0 ? obs::kNoBytes : i);
-    EXPECT_EQ(span.track.tid, obs::Track::Rank(0, 0, static_cast<int>(i % 64)).tid);
+    EXPECT_EQ(recorder.track(span),
+              obs::Track::Rank(static_cast<int>(i % 7), 0, static_cast<int>(i % 64)));
   }
 
   // category() and name() hand back the very literals the span was
@@ -313,6 +318,68 @@ TEST(Track, SelfDescribingNames) {
   EXPECT_EQ(obs::Track::BbNode(4).PidName(), "bb 4");
   EXPECT_EQ(obs::Track::Ost(9).PidName(), "ost 9");
   EXPECT_EQ(obs::Track::Ost(9).TidName(), "device");
+}
+
+// --- Lanes: one per distinct track, whatever its field values. ---
+
+TEST(Lanes, EveryTrackGetsItsOwnNamedLane) {
+  // Packed into one int32 (pid, tid) pair, program 30000 overflowed, rank
+  // 100000 of program 0 shared a lane with rank 0 of program 1, and flush
+  // file 10^6 was labelled "pfs file 0".
+  const obs::Track tracks[] = {obs::Track::Rank(0, 30000, 5), obs::Track::Rank(0, 0, 100000),
+                               obs::Track::Rank(0, 1, 0), obs::Track::Flush(1000000)};
+  const std::string labels[] = {"rank 5 (prog 30000)", "rank 100000 (prog 0)", "rank 0 (prog 1)",
+                                "flush file 1000000"};
+  obs::Recorder recorder;
+  for (std::size_t i = 0; i < std::size(tracks); ++i) {
+    const Time start = 1.0 + static_cast<double>(i);
+    recorder.AddSpanTagged("test", "op", tracks[i], start, start + 1.0, obs::kNoBytes,
+                           {.cat = obs::Category::kQueue});
+  }
+
+  ASSERT_EQ(recorder.lanes().size(), std::size(tracks));
+  std::set<std::uint32_t> lanes;
+  for (std::size_t i = 0; i < std::size(tracks); ++i) {
+    const obs::Recorder::SpanEvent& span = recorder.spans()[i];
+    EXPECT_EQ(recorder.track(span), tracks[i]) << labels[i];
+    lanes.insert(span.lane);
+  }
+  EXPECT_EQ(lanes.size(), std::size(tracks));
+
+  // The trace names each lane and draws its span there.
+  const auto trace = json::Parse(recorder.ChromeTraceJson());
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  std::map<std::string, std::pair<double, double>> lane_of;  // label -> (pid, tid)
+  std::vector<std::pair<double, double>> span_lanes;
+  for (const json::Value& event : trace->Find("traceEvents")->AsArray()) {
+    const std::pair<double, double> ids{event.NumberOr("pid", -1), event.NumberOr("tid", -1)};
+    if (event.StringOr("name", "") == "thread_name")
+      lane_of[event.Find("args")->StringOr("name", "")] = ids;
+    else if (event.StringOr("ph", "") == "X")
+      span_lanes.push_back(ids);
+  }
+  ASSERT_EQ(lane_of.size(), std::size(tracks));
+  ASSERT_EQ(span_lanes.size(), std::size(tracks));
+  for (std::size_t i = 0; i < std::size(tracks); ++i) {
+    ASSERT_TRUE(lane_of.contains(labels[i])) << labels[i];
+    EXPECT_EQ(span_lanes[i], lane_of[labels[i]]) << labels[i];
+  }
+  EXPECT_EQ(lane_of["rank 5 (prog 30000)"].first, lane_of["rank 0 (prog 1)"].first)
+      << "ranks on node 0 share its process";
+  EXPECT_EQ(lane_of["flush file 1000000"].first, 0) << "the simulator process";
+
+  // Each program's analysis sees exactly its own rank.
+  const obs::Report report =
+      obs::Analyze(recorder, {{30000, "big", false, 6}, {0, "wide", false, 100001}}, 10.0);
+  ASSERT_EQ(report.jobs.size(), 2u);
+  ASSERT_EQ(report.jobs[0].ranks.size(), 1u);
+  EXPECT_EQ(report.jobs[0].ranks[0].rank, 5);
+  EXPECT_EQ(report.jobs[0].window_start, 1.0);
+  EXPECT_EQ(report.jobs[0].window_end, 2.0);
+  ASSERT_EQ(report.jobs[1].ranks.size(), 1u);
+  EXPECT_EQ(report.jobs[1].ranks[0].rank, 100000);
+  EXPECT_EQ(report.jobs[1].window_start, 2.0);
+  EXPECT_EQ(report.jobs[1].window_end, 3.0);
 }
 
 // --- Enable/disable semantics. ---
@@ -455,7 +522,7 @@ TEST(Legs, EachLegEmitsOneSpanWithItsTag) {
       if (std::string_view(recorder.name(span)) != want.name) continue;
       ++found;
       EXPECT_STREQ(recorder.category(span), "test");
-      EXPECT_EQ(span.track, obs::Track::Rank(0, 0, 3));
+      EXPECT_EQ(recorder.track(span), obs::Track::Rank(0, 0, 3));
       EXPECT_EQ(span.cat, want.cat);
       EXPECT_EQ(span.parent, obs::SpanRef{7});
       EXPECT_NEAR(span.ideal, want.ideal, 1e-12);

@@ -18,10 +18,7 @@ struct Fixture {
   hw::Node node{engine, 0, hw::NodeParams{}};
 
   NodeScheduler Make(PlacementPolicy policy) {
-    return NodeScheduler(engine, node,
-                         NodeScheduler::Options{.policy = policy,
-                                                .context_switch_penalty = 0.85},
-                         Rng(42));
+    return NodeScheduler(engine, node, policy, Rng(42));
   }
 };
 
@@ -394,11 +391,12 @@ TEST(Retirement, RetiredProcessesRejectStateChanges) {
   EXPECT_THROW(sched.dram(p), std::logic_error);
   EXPECT_THROW(sched.RemoveProcess(-1), std::logic_error);
   EXPECT_THROW(sched.RemoveProcess(sched.process_count()), std::logic_error);
-  // What stays readable: an idle, coreless process and its CPU pool.
+  // Its CPU pool was checked and freed.
+  EXPECT_THROW(sched.cpu(p), std::logic_error);
+  // What stays readable: an idle, coreless process.
   EXPECT_FALSE(sched.IsBusy(p));
   EXPECT_EQ(sched.CoreOf(p), -1);
   EXPECT_DOUBLE_EQ(sched.CpuShare(p), 1.0);
-  EXPECT_EQ(sched.cpu(p).active_flows(), 0u);
   EXPECT_FALSE(sched.IsServer(p));
   // The survivor is untouched.
   EXPECT_TRUE(sched.IsRegistered(q));

@@ -134,6 +134,22 @@ TEST(FairShare, ConservesWork) {
   EXPECT_NEAR(pool.busy_time(), last, 1e-9);
 }
 
+TEST(FairShare, ServiceBudgetIsTheCapacityEnvelope) {
+  // 500 B at 100 B/s, an idle gap while the capacity halves, then 500 B at
+  // 50 B/s: 15 busy seconds under a peak of 100 B/s.
+  Engine engine;
+  FairSharePool pool(engine, {.capacity = 100.0});
+  double first = -1, second = -1;
+  engine.Spawn(DoTransfer(engine, pool, 500, &first));
+  engine.Schedule(7.0, [&] { pool.SetCapacity(50.0); });
+  engine.Spawn(DelayedTransfer(engine, pool, 10.0, 500, &second));
+  engine.Run();
+  EXPECT_NEAR(second, 20.0, 1e-6);
+  EXPECT_NEAR(pool.busy_time(), 15.0, 1e-9);
+  EXPECT_NEAR(pool.ServiceBudget(), 100.0 * 15.0 + 0.5 * 2 + 1e-6 * 1000 + 1.0, 1e-9);
+  EXPECT_TRUE(pool.Conserves());
+}
+
 TEST(FairShare, SetCapacityTakesEffectMidFlow) {
   Engine engine;
   FairSharePool pool(engine, {.capacity = 100.0});

@@ -60,7 +60,7 @@ TEST(Runtime, RetireProgramUnregistersEveryRank) {
   EXPECT_EQ(f.runtime.Scheduler(0).process_count(), 34);
   EXPECT_EQ(f.runtime.ProgramSize(app), 64);
   EXPECT_EQ(f.runtime.ProgramName(app), "app");
-  EXPECT_EQ(f.runtime.RankCpu(app, 0).active_flows(), 0u);
+  EXPECT_THROW(f.runtime.RankCpu(app, 0), std::logic_error);
   EXPECT_THROW(f.runtime.RetireProgram(app), std::logic_error);
   EXPECT_THROW(f.runtime.SetRankBusy(app, 0, false), std::logic_error);
 
