@@ -181,8 +181,8 @@ BENCHMARK(BM_AdaptiveStripingPlan)->Arg(16)->Arg(512)->Arg(4096);
 
 // Span traffic shaped like a metadata-heavy VPIC run: each rank op is an
 // umbrella span with a pre-allocated identity whose tagged children sit on
-// the rank lane, a metadata server lane and its queue lane, and an OST;
-// every 16th op also closes a file whose flush it links to.
+// the rank lane, a metadata server lane and an OST; every 16th op also
+// closes a file whose flush it links to.
 void RecordSyntheticRun(obs::Recorder& rec, int ranks, int ops) {
   using obs::Category;
   for (int op = 0; op < ops; ++op) {
@@ -193,9 +193,7 @@ void RecordSyntheticRun(obs::Recorder& rec, int ranks, int ops) {
       const obs::SpanRef umbrella = rec.NewSpanRef();
       rec.AddSpanTagged("meta", "md.queue", rank, t, t + 0.1, obs::kNoBytes,
                         {.cat = Category::kQueue, .parent = umbrella});
-      rec.AddSpanTagged("meta", "md.queue", obs::Track::MetaServerQueue(server / 2, server), t,
-                        t + 0.1, obs::kNoBytes, {.cat = Category::kQueue, .parent = umbrella});
-      rec.AddSpanTagged("meta", "rpc.service", obs::Track::MetaServer(server / 2, server),
+      rec.AddSpanTagged("meta", "rpc.service", obs::Track::MetaServer(server / 2, 1, server),
                         t + 0.1, t + 0.2, obs::kNoBytes,
                         {.cat = Category::kMeta, .parent = umbrella});
       rec.AddSpanTagged("meta", "md.roundtrip", rank, t + 0.1, t + 0.25, obs::kNoBytes,
@@ -214,7 +212,7 @@ void RecordSyntheticRun(obs::Recorder& rec, int ranks, int ops) {
 }
 
 void BM_RecorderAddSpan(benchmark::State& state) {
-  constexpr int kRanks = 64, kOps = 256;  // 98 k spans: three blocks and a bit
+  constexpr int kRanks = 64, kOps = 256;  // 82 k spans: two and a half blocks
   std::size_t spans = 0;
   for (auto _ : state) {
     obs::Recorder rec;

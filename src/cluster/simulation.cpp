@@ -271,9 +271,13 @@ sim::Task ClusterSim::ExecuteJob(workload::Scenario& sc, JobState& job, bool liv
 
   job.program = sc.runtime().LaunchProgramOn(spec.Name(), spec.procs, job.nodes);
   if (live) {
-    // Rank-span attribution for the tail-retention prune hook; solo
-    // baseline programs run on private engines and never get here.
-    program_job_[job.program] = static_cast<int>(&job - jobs_.data());
+    // Span attribution for the tail-retention prune hook: the job's clients
+    // and its storage servers. Solo baseline programs run on private
+    // engines and never get here.
+    const int idx = static_cast<int>(&job - jobs_.data());
+    program_job_[job.program] = idx;
+    if (sys != nullptr) program_job_[sys->server_program()] = idx;
+    if (job.sut.data_elevator) program_job_[job.sut.data_elevator->server_program()] = idx;
     obs::FlightNote(sc.engine().Now(), "cluster", "start " + spec.Name(),
                     static_cast<double>(job.nodes.size()));
   }
@@ -450,7 +454,8 @@ void ClusterSim::RecordTelemetry(int idx) {
 }
 
 int ClusterSim::SpanJob(const obs::Track& track) const {
-  if (track.kind != obs::Track::Kind::kRank) return -1;
+  if (track.kind != obs::Track::Kind::kRank && track.kind != obs::Track::Kind::kMetaServer)
+    return -1;
   const auto it = program_job_.find(track.program);
   return it == program_job_.end() ? -1 : it->second;
 }
@@ -459,7 +464,8 @@ std::size_t ClusterSim::PruneSpans(obs::Recorder& rec) {
   // Tail-based retention: under the span cap, full rank-level span sets
   // are kept only for interesting jobs — still-running ones, the worst
   // stretch decile so far, and SLO violators. Everything else keeps its
-  // two lifecycle spans (pending/run) and loses the rank detail.
+  // two lifecycle spans (pending/run) and loses the rank detail, its
+  // servers' included.
   std::vector<double> stretches;
   for (const JobQos& qos : qos_)
     if (qos.completed()) stretches.push_back(qos.stretch());

@@ -103,9 +103,6 @@ class ClusterSim {
   const JobSpec& spec(int job) const { return jobs_.at(static_cast<std::size_t>(job)).spec; }
   /// The job's UniviStor instance; nullptr before start or for Lustre jobs.
   const univistor::UniviStor* system(int job) const;
-  const std::vector<int>& job_nodes(int job) const {
-    return jobs_.at(static_cast<std::size_t>(job)).nodes;
-  }
   bool JobOnNode(int job, int node) const;
 
   // --- telemetry ---------------------------------------------------------
@@ -202,9 +199,9 @@ class ClusterSim {
   /// Feeds sketches and SLO trackers from job `idx`'s final QoS record.
   /// Pure observation at completion time: no engine events, no RNG.
   void RecordTelemetry(int idx);
-  /// Recorder prune hook: drop rank-level spans of completed jobs that are
-  /// neither in the worst stretch decile nor SLO violators. Returns spans
-  /// freed.
+  /// Recorder prune hook: drop the rank and metadata-server spans of
+  /// completed jobs that are neither in the worst stretch decile nor SLO
+  /// violators. Returns spans freed.
   std::size_t PruneSpans(obs::Recorder& rec);
   /// Job index a span's track belongs to, or -1 if not attributable.
   int SpanJob(const obs::Track& track) const;
@@ -230,8 +227,9 @@ class ClusterSim {
   std::map<std::string, TenantTelemetry> tenants_;
   std::vector<obs::SloTracker> cluster_slos_;
   std::vector<char> job_slo_violated_;
-  /// Live program id -> job index, for attributing rank spans in the
-  /// tail-retention prune hook (solo baseline programs are never entered).
+  /// Live program id (clients and storage servers) -> job index, for
+  /// attributing rank and metadata-server spans in the tail-retention prune
+  /// hook (solo baseline programs are never entered).
   std::map<int, int> program_job_;
   bool prune_hook_set_ = false;
 };

@@ -91,20 +91,23 @@ void DeviceArray::Degrade(int i, double factor) {
   assert(factor > 0.0 && factor <= 1.0);
   DegradedWindow& w = windows_.at(static_cast<std::size_t>(i));
   if (w.factor < 1.0) {  // overwrite closes the old window
-    degraded_seconds_ += engine_->Now() - w.since;
+    w.closed += engine_->Now() - w.since;
     EmitDegradeSpan(i, w);
+  } else {
+    ++w.opened;
+    obs::Count(kind_->windows_counter);
   }
-  if (w.factor >= 1.0) obs::Count(kind_->windows_counter);
-  w = {factor, engine_->Now()};
+  w.factor = factor;
+  w.since = engine_->Now();
   pool(i).SetCapacity(bandwidth_ * factor);
 }
 
 void DeviceArray::Restore(int i) {
   DegradedWindow& w = windows_.at(static_cast<std::size_t>(i));
   if (w.factor >= 1.0) return;
-  degraded_seconds_ += engine_->Now() - w.since;
+  w.closed += engine_->Now() - w.since;
   EmitDegradeSpan(i, w);
-  w = {};
+  w.factor = 1.0;
   pool(i).SetCapacity(bandwidth_);
 }
 
@@ -112,16 +115,20 @@ void DeviceArray::FlushDegradeSpans() {
   for (std::size_t i = 0; i < windows_.size(); ++i) {
     DegradedWindow& w = windows_[i];
     if (w.factor >= 1.0) continue;
-    degraded_seconds_ += engine_->Now() - w.since;
+    w.closed += engine_->Now() - w.since;
     EmitDegradeSpan(static_cast<int>(i), w);
     w.since = engine_->Now();  // window stays open; accounting restarts here
   }
 }
 
+Time DeviceArray::degraded_seconds(int i) const {
+  const DegradedWindow& w = windows_.at(static_cast<std::size_t>(i));
+  return w.factor < 1.0 ? w.closed + (engine_->Now() - w.since) : w.closed;
+}
+
 Time DeviceArray::degraded_seconds() const {
-  Time total = degraded_seconds_;
-  for (const DegradedWindow& w : windows_)
-    if (w.factor < 1.0) total += engine_->Now() - w.since;
+  Time total = 0.0;
+  for (int i = 0; i < size(); ++i) total += degraded_seconds(i);
   return total;
 }
 

@@ -51,12 +51,16 @@ class DeviceArray {
   void Degrade(int i, double factor);
   void Restore(int i);
   bool degraded(int i) const { return windows_.at(static_cast<std::size_t>(i)).factor < 1.0; }
+  /// Device `i`'s degraded seconds so far, its open window included.
+  Time degraded_seconds(int i) const;
   /// Total degraded device-seconds so far, open windows included.
   Time degraded_seconds() const;
+  /// Windows opened on device `i` (an overwriting Degrade opens none).
+  int degrade_windows(int i) const { return windows_.at(static_cast<std::size_t>(i)).opened; }
 
   /// Emits trace spans for still-open degrade windows (covering [since,
   /// now]) and restarts them at now, so pre-export traces show every fault
-  /// window. degraded_seconds() totals are unchanged.
+  /// window. degraded_seconds() and degrade_windows() are unchanged.
   void FlushDegradeSpans();
 
  private:
@@ -64,9 +68,12 @@ class DeviceArray {
   static const Kind kBurstBuffer;
   static const Kind kPfs;
 
+  /// One device's fault state: its open window, if any, and its totals.
   struct DegradedWindow {
-    double factor = 1.0;
-    Time since = 0.0;
+    double factor = 1.0;  // < 1 while a window is open
+    Time since = 0.0;     // start of the open window's unaccounted part
+    Time closed = 0.0;    // degraded seconds accounted before `since`
+    int opened = 0;       // windows opened
   };
 
   DeviceArray(sim::Engine& engine, const Kind& kind, int count, Bandwidth bandwidth,
@@ -80,7 +87,6 @@ class DeviceArray {
   Time latency_;
   std::vector<std::unique_ptr<sim::FairSharePool>> pools_;
   std::vector<DegradedWindow> windows_;
-  Time degraded_seconds_ = 0.0;  // closed windows only; see degraded_seconds()
 };
 
 }  // namespace uvs::hw

@@ -1,8 +1,6 @@
 #include "src/obs/attribution.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
 #include <numeric>
 #include <span>
 #include <sstream>
@@ -57,12 +55,6 @@ std::vector<Interval> UnionOf(std::vector<Interval> v) {
       out.push_back(iv);
   }
   return out;
-}
-
-Time TotalSeconds(const std::vector<Interval>& v) {
-  Time t = 0;
-  for (const Interval& iv : v) t += iv.b - iv.a;
-  return t;
 }
 
 bool Covers(const std::vector<Interval>& sorted_union, Time a, Time b) {
@@ -127,8 +119,8 @@ SpanDb BuildDb(const Recorder& recorder) {
   db.child_end = db.child_begin;  // from here on, each parent's fill cursor
 
   // Lanes the prune hook emptied are skipped. The rest are sorted so that a
-  // program's ranks are contiguous and in rank order, and a metadata
-  // server's lanes in node order: the orders their seconds are summed in.
+  // program's ranks are contiguous and in rank order, the order their
+  // seconds are summed in.
   for (std::uint32_t lane = 0; lane < lanes; ++lane)
     if (db.lane_begin[lane + 1] != 0) db.lanes.push_back(lane);
   std::sort(db.lanes.begin(), db.lanes.end(), [&](std::uint32_t a, std::uint32_t b) {
@@ -344,61 +336,6 @@ std::vector<PathSegment> CriticalPath(const SpanDb& db, std::span<const SpanInde
   return path;
 }
 
-/// USE rollups built from the spans alone (no hw:: dependency): access
-/// spans give busy-union (utilization) and overlap integral (saturation,
-/// queue-depth-seconds); degraded spans count as errors.
-void CollectDeviceUse(const SpanDb& db, Time elapsed, std::vector<DeviceUse>* out) {
-  struct Accum {
-    std::vector<Interval> busy;
-    Time busy_sum = 0;
-    std::vector<Interval> degraded;
-    int errors = 0;
-    Time serial_busy = 0;  // metadata servers: service is serialized
-    Time queue_sum = 0;
-  };
-  std::map<std::pair<int, std::int64_t>, Accum> devices;  // (class, index); 0=md 1=bb 2=ost
-
-  for (std::uint32_t lane : db.lanes) {
-    const Track& track = db.track(lane);
-    const bool md_server = track.kind == Track::Kind::kMetaServer;
-    if (md_server || track.kind == Track::Kind::kMetaQueue) {
-      Accum& acc = devices[{0, track.index}];
-      for (SpanIndex i : db.LaneSpans(lane))
-        (md_server ? acc.serial_busy : acc.queue_sum) += db.at(i).end - db.at(i).start;
-    } else if (track.kind == Track::Kind::kBbNode || track.kind == Track::Kind::kOst) {
-      Accum& acc = devices[{track.kind == Track::Kind::kOst ? 2 : 1, track.node}];
-      for (SpanIndex i : db.LaneSpans(lane)) {
-        const auto& s = db.at(i);
-        if (s.cat == Category::kDegraded) {
-          acc.degraded.push_back({s.start, s.end});
-          ++acc.errors;
-        } else {
-          acc.busy.push_back({s.start, s.end});
-          acc.busy_sum += s.end - s.start;
-        }
-      }
-    }
-  }
-
-  for (auto& [key, acc] : devices) {
-    DeviceUse use;
-    const char* prefix = key.first == 0 ? "md" : key.first == 1 ? "bb" : "ost";
-    use.device = prefix + std::to_string(key.second);
-    if (key.first == 0) {
-      use.busy = acc.serial_busy;
-      use.saturation = acc.queue_sum;
-    } else {
-      const Time busy_union = TotalSeconds(UnionOf(std::move(acc.busy)));
-      use.busy = busy_union;
-      use.saturation = acc.busy_sum - busy_union;  // ∫ max(0, inflight-1) dt
-    }
-    use.utilization = elapsed > 0 ? use.busy / elapsed : 0.0;
-    use.degraded = TotalSeconds(UnionOf(std::move(acc.degraded)));
-    use.errors = acc.errors;
-    out->push_back(std::move(use));
-  }
-}
-
 std::string JsonStr(const std::string& s) { return "\"" + json::Escape(s) + "\""; }
 
 }  // namespace
@@ -458,7 +395,6 @@ Report Analyze(const Recorder& recorder, const std::vector<JobSpec>& jobs, Time 
     }
   }
 
-  CollectDeviceUse(db, elapsed, &report.devices);
   return report;
 }
 

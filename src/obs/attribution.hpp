@@ -56,13 +56,15 @@ struct PathSegment {
   Time duration() const { return end - start; }
 };
 
-/// USE-method rollup for one device (OST, BB node, or metadata server).
+/// USE-method rollup for one device (OST, BB node, or metadata server),
+/// read from the device's own counters (workload::AnalyzeRun), never from
+/// spans, so it does not depend on the span cap.
 struct DeviceUse {
   std::string device;      // "ost3", "bb0", "md1"
-  double utilization = 0;  // busy-union / run elapsed
+  double utilization = 0;  // busy / run elapsed
   double saturation = 0;   // queue-depth-seconds: ∫ max(0, inflight-1) dt
-  int errors = 0;          // degradation windows recorded on the track
-  Time busy = 0;           // union of busy intervals
+  int errors = 0;          // degradation windows opened
+  Time busy = 0;           // seconds the device was serving
   Time degraded = 0;       // total degraded-window seconds
 };
 
@@ -76,11 +78,11 @@ struct Report {
   Time critical_elapsed = 0;
   std::vector<PathSegment> critical_path;
 
-  std::vector<DeviceUse> devices;
+  std::vector<DeviceUse> devices;  // filled by the caller; Analyze leaves it empty
 };
 
 /// Reconstructs the dependency DAG from spans()/links() and produces the
-/// per-rank/per-job attribution, the critical path, and device USE rollups.
+/// per-rank/per-job attribution and the critical path.
 /// Deterministic: identical recorders yield identical reports.
 Report Analyze(const Recorder& recorder, const std::vector<JobSpec>& jobs, Time elapsed);
 

@@ -41,8 +41,7 @@ constexpr struct {
     {kSimulatorProcess, "simulator"},   {kBbProcess, "device"},
     {kOstProcess, "device"},            {kNodeProcess, "md server "},
     {kSimulatorProcess, "flush file "}, {kNodeProcess, "pfs file "},
-    {kNodeProcess, "md queue "},        {kSimulatorProcess, "cluster job "},
-    {kNodeProcess, "rank "},
+    {kSimulatorProcess, "cluster job "}, {kNodeProcess, "rank "},
 };
 static_assert(std::size(kKinds) == static_cast<std::size_t>(Track::Kind::kRank) + 1);
 

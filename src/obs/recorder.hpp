@@ -96,10 +96,9 @@ struct Track {
     kSimulator,   // the simulator-global lane
     kBbNode,      // BB node `node`
     kOst,         // OST `node`
-    kMetaServer,  // metadata server `index` on compute node `node`
+    kMetaServer,  // metadata server `index` of server program `program` on node `node`
     kFlush,       // flush passes of file `index`, in the simulator process
     kPfsFile,     // PFS file handle `index` accessed from compute node `node`
-    kMetaQueue,   // clients queued on metadata server `index` (spans may overlap)
     kClusterJob,  // pending/run spans of cluster job `index`, in the simulator process
     kRank,        // rank `index` of program `program` on compute node `node`
   };
@@ -112,13 +111,10 @@ struct Track {
   static Track Rank(int node, int program, int rank) {
     return {Kind::kRank, node, program, rank};
   }
-  static Track MetaServer(int node, int server_idx) {
-    return {Kind::kMetaServer, node, 0, server_idx};
-  }
-  /// Waiting lane of a metadata server: concurrent clients queued on the
-  /// server's serialized service section (spans here may overlap).
-  static Track MetaServerQueue(int node, int server_idx) {
-    return {Kind::kMetaQueue, node, 0, server_idx};
+  /// Metadata server `server_idx` of the server program `program`, so two
+  /// tenants' servers never share a lane.
+  static Track MetaServer(int node, int program, int server_idx) {
+    return {Kind::kMetaServer, node, program, server_idx};
   }
   static Track Flush(std::uint64_t fid) {
     return {Kind::kFlush, 0, 0, static_cast<std::int64_t>(fid)};

@@ -76,8 +76,6 @@ struct EcLayout {
   int parity_shards = 0;  // m, clamped to osts - 1
   int osts = 1;
   int ost_offset = 0;
-
-  int total_shards() const { return data_shards + parity_shards; }
 };
 
 /// Clamps (k, m) to fit `osts` distinct failure domains: m first (a parity

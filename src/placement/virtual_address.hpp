@@ -36,7 +36,6 @@ class VirtualAddressCodec {
   /// as unbounded.
   explicit VirtualAddressCodec(std::vector<Bytes> log_capacities);
 
-  int layer_count() const { return static_cast<int>(capacities_.size()); }
   Bytes capacity(hw::Layer layer) const {
     return capacities_.at(static_cast<std::size_t>(layer));
   }

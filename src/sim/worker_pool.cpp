@@ -53,7 +53,6 @@ bool WorkerPool::PopTask(std::size_t self, Job& out) {
   if (best == 0) return false;
   out = std::move(queues_[victim].back());
   queues_[victim].pop_back();
-  ++steals_;
   return true;
 }
 
@@ -114,11 +113,6 @@ std::uint64_t WorkerPool::executed() const {
 std::uint64_t WorkerPool::discarded() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return discarded_;
-}
-
-std::uint64_t WorkerPool::steals() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return steals_;
 }
 
 namespace internal {

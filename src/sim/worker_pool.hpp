@@ -77,8 +77,6 @@ class WorkerPool {
   std::uint64_t executed() const;
   /// Tasks discarded unrun by Shutdown().
   std::uint64_t discarded() const;
-  /// Tasks a worker took from another worker's queue.
-  std::uint64_t steals() const;
 
  private:
   void WorkerLoop(std::size_t self);
@@ -97,7 +95,6 @@ class WorkerPool {
   std::uint64_t submitted_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t discarded_ = 0;
-  std::uint64_t steals_ = 0;
 };
 
 namespace internal {

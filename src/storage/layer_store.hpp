@@ -41,7 +41,6 @@ class LayerStore : public ChunkBudget {
   Bytes used() const { return chunk_size_ * consumed_chunks_; }
   Bytes available() const { return capacity() - used(); }
   Bytes chunk_size() const { return chunk_size_; }
-  std::size_t log_count() const { return logs_.size(); }
 
   /// Opens (or returns the existing) log for `key` with the given virtual
   /// capacity; appends draw physical chunks from this store on demand.

@@ -559,7 +559,6 @@ void Pfs::FailOst(int ost) {
     return;
   ost_failed_[static_cast<std::size_t>(ost)] = true;
   ++failed_osts_;
-  peak_failed_osts_ = std::max(peak_failed_osts_, failed_osts_);
   obs::Count("storage.pfs.ec.ost_failures");
   for (const auto& file : files_) {
     if (file->stripe.parity_shards <= 0) continue;
@@ -568,8 +567,6 @@ void Pfs::FailOst(int ost) {
 }
 
 int Pfs::failed_ost_count() const { return failed_osts_; }
-
-int Pfs::peak_failed_osts() const { return peak_failed_osts_; }
 
 bool Pfs::InjectLatentError(int ost) {
   if (ost < 0 || ost >= static_cast<int>(ost_failed_.size())) return false;

@@ -154,7 +154,6 @@ class Pfs {
   /// not tracked (they have no redundancy model to account against).
   void FailOst(int ost);
   int failed_ost_count() const;
-  int peak_failed_osts() const;
   /// True once any stripe ever had more than its m shards dead or
   /// latent-corrupt at once — the moment lost bytes become legitimate.
   bool ec_redundancy_exceeded() const { return ec_redundancy_exceeded_; }
@@ -272,7 +271,6 @@ class Pfs {
 
   std::vector<bool> ost_failed_;
   int failed_osts_ = 0;
-  int peak_failed_osts_ = 0;
   bool ec_redundancy_exceeded_ = false;
   EcStats ec_stats_;
   /// (file, stripe, shard) keys already counted into lost_bytes.

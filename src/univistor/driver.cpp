@@ -21,7 +21,6 @@ UniviStorDriver::State& UniviStorDriver::StateOf(vmpi::File& file) {
 
 sim::Task UniviStorDriver::Open(vmpi::File& file, int rank, obs::SpanRef op) {
   State& state = StateOf(file);
-  system_->ConnectProgram(file.program());  // MPI_Init-time connection hook
   const bool writer = file.options().mode == vmpi::FileMode::kWriteOnly;
   sim::Engine& engine = file.runtime().engine();
   const obs::Track track = RankTrack(file, rank);

@@ -61,6 +61,7 @@ UniviStor::UniviStor(vmpi::Runtime& runtime, storage::Pfs& pfs,
   md_queue_.reserve(static_cast<std::size_t>(total_servers_));
   for (int s = 0; s < total_servers_; ++s)
     md_queue_.push_back(std::make_unique<sim::Mutex>(cluster.engine()));
+  md_load_.resize(static_cast<std::size_t>(total_servers_));
 
   // Dedicated stream for retry-backoff jitter so recovery draws never
   // perturb the cluster's placement RNG.
@@ -68,13 +69,6 @@ UniviStor::UniviStor(vmpi::Runtime& runtime, storage::Pfs& pfs,
 }
 
 UniviStor::~UniviStor() = default;
-
-void UniviStor::ConnectProgram(vmpi::ProgramId program) {
-  connected_.insert(program);
-  had_client_ = true;
-}
-
-void UniviStor::DisconnectProgram(vmpi::ProgramId program) { connected_.erase(program); }
 
 storage::FileId UniviStor::OpenOrCreate(const std::string& name) {
   if (auto it = names_.find(name); it != names_.end()) return it->second;
@@ -178,23 +172,23 @@ sim::Task UniviStor::MetadataRpc(int client_node, int server_idx, int ops,
     // Span covers only the serialized service section so spans on one
     // server's lane never overlap.
     obs::SpanTimer span(engine, "meta", "rpc.service",
-                        obs::Track::MetaServer(server_node, server_idx), obs::kNoBytes,
-                        {.parent = parent});
+                        obs::Track::MetaServer(server_node, server_program_, server_idx),
+                        obs::kNoBytes, {.parent = parent});
     co_await engine.Delay(static_cast<double>(ops) * cluster.params().rpc_service_time);
   }
+  // The server's USE counters: busy is its service time, saturation the
+  // time its clients spent queued (overlapping waits add up). No named
+  // local: every local of a coroutine lives in its heap frame.
+  md_load_[static_cast<std::size_t>(server_idx)].service += engine.Now() - serviced;
+  md_load_[static_cast<std::size_t>(server_idx)].wait += serviced - queued;
   if (obs::Recorder* r = obs::Recorder::Current()) {
     // Rank-side decomposition of the RPC: network round-trip, wait for the
     // server's serialized service queue, then the service time itself.
     r->AddSpanTagged("meta", "md.roundtrip", rank_track, start, queued, obs::kNoBytes,
                      {.cat = obs::Category::kNet, .parent = parent});
-    if (serviced > queued) {
+    if (serviced > queued)
       r->AddSpanTagged("meta", "md.queue", rank_track, queued, serviced, obs::kNoBytes,
                        {.cat = obs::Category::kQueue, .parent = parent});
-      // Mirror on the server's queue lane: the USE saturation integral is
-      // the sum of these (overlapping) waiter spans.
-      r->AddSpanTagged("meta", "md.queue", obs::Track::MetaServerQueue(server_node, server_idx),
-                       queued, serviced, obs::kNoBytes, {});
-    }
     r->AddSpanTagged("meta", "md.service", rank_track, serviced, engine.Now(), obs::kNoBytes,
                      {.cat = obs::Category::kMeta, .parent = parent});
   }

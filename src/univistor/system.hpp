@@ -4,8 +4,7 @@
 // the per-layer stores (node DRAM, optional node SSD, shared BB), the
 // distributed metadata service, the per-node shared metadata buffers, the
 // DHP writer chains, and the server-side flush service. The MPI-IO client
-// driver (driver.hpp) calls into this object; connection management mirrors
-// the paper's MPI_Init/MPI_Finalize hooks.
+// driver (driver.hpp) calls into this object.
 #pragma once
 
 #include <array>
@@ -72,13 +71,6 @@ class UniviStor {
   storage::Pfs& pfs() { return *pfs_; }
   int total_servers() const { return total_servers_; }
 
-  // --- Connection management (MPI_Init / MPI_Finalize hooks, §II-A). ---
-  void ConnectProgram(vmpi::ProgramId program);
-  void DisconnectProgram(vmpi::ProgramId program);
-  int connected_programs() const { return static_cast<int>(connected_.size()); }
-  /// Servers terminate once every client application has exited.
-  bool shut_down() const { return had_client_ && connected_.empty(); }
-
   // --- File namespace. ---
   storage::FileId OpenOrCreate(const std::string& name);
   Bytes LogicalSize(storage::FileId fid) const;
@@ -133,6 +125,15 @@ class UniviStor {
   /// Registers layer-occupancy gauges (DRAM/SSD/BB/read-cache used bytes)
   /// with a periodic sampler.
   void RegisterGauges(obs::Sampler& sampler);
+
+  /// One metadata server's own counters: seconds in its serialized service
+  /// section (its `rpc.service` spans) and client seconds queued for it.
+  struct MdServerLoad {
+    Time service = 0;
+    Time wait = 0;
+  };
+  /// Per server index; the device USE rows of the metadata servers.
+  const std::vector<MdServerLoad>& md_load() const { return md_load_; }
 
   // --- Resilience extension (§V future work). ---
   /// Marks a compute node's volatile layers (DRAM/SSD) as lost. Reads of
@@ -217,7 +218,7 @@ class UniviStor {
   /// Metadata RPC from a client node to metadata server `server_idx`
   /// (service time is serialized per server). Emits the rank-side
   /// md.roundtrip / md.queue / md.service decomposition on `rank_track`
-  /// plus a queue-wait mirror on the server's MetaServerQueue lane.
+  /// and adds the service and queue time to the server's md_load().
   sim::Task MetadataRpc(int client_node, int server_idx, int ops, obs::Track rank_track,
                         obs::SpanRef parent);
 
@@ -284,14 +285,11 @@ class UniviStor {
   std::unique_ptr<meta::DistributedMetadataService> metadata_;
   std::vector<meta::RecordIndex> node_md_buffer_;     // per node (§II-B4)
   std::vector<std::unique_ptr<sim::Mutex>> md_queue_;  // per server service queue
+  std::vector<MdServerLoad> md_load_;                  // per server
 
   // Namespace.
   std::map<std::string, storage::FileId> names_;
   std::vector<std::unique_ptr<FileInfo>> files_;
-
-  // Connection management.
-  std::set<vmpi::ProgramId> connected_;
-  bool had_client_ = false;
 
   // Extensions.
   std::set<int> failed_nodes_;

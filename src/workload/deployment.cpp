@@ -60,4 +60,42 @@ void RunFinalScrub(Scenario& scenario, Time interval) {
   scenario.engine().Run();
 }
 
+obs::Report AnalyzeRun(const obs::Recorder& recorder, Scenario& scenario,
+                       const univistor::UniviStor* univistor) {
+  vmpi::Runtime& runtime = scenario.runtime();
+  std::vector<obs::JobSpec> jobs;
+  for (int p = 0; p < runtime.program_count(); ++p)
+    jobs.push_back({p, runtime.ProgramName(p), runtime.IsServer(p), runtime.ProgramSize(p)});
+  const Time elapsed = scenario.engine().Now();
+  obs::Report report = obs::Analyze(recorder, jobs, elapsed);
+
+  const auto add = [&](std::string device, Time busy, double saturation, Time degraded,
+                       int errors) {
+    report.devices.push_back({.device = std::move(device),
+                              .utilization = elapsed > 0 ? busy / elapsed : 0.0,
+                              .saturation = saturation,
+                              .errors = errors,
+                              .busy = busy,
+                              .degraded = degraded});
+  };
+  if (univistor != nullptr) {
+    const auto& servers = univistor->md_load();
+    for (std::size_t s = 0; s < servers.size(); ++s)
+      if (servers[s].service > 0)
+        add("md" + std::to_string(s), servers[s].service, servers[s].wait, 0, 0);
+  }
+  // A pool's busy time excludes the access latency an access span covers.
+  const auto add_array = [&](const char* prefix, hw::DeviceArray& array) {
+    for (int i = 0; i < array.size(); ++i) {
+      const sim::FairSharePool& pool = array.pool(i);
+      if (pool.total_bytes() == 0 && array.degrade_windows(i) == 0) continue;
+      add(prefix + std::to_string(i), pool.busy_time(), pool.queue_depth_seconds(),
+          array.degraded_seconds(i), array.degrade_windows(i));
+    }
+  };
+  add_array("bb", scenario.cluster().burst_buffer());
+  add_array("ost", scenario.cluster().pfs());
+  return report;
+}
+
 }  // namespace uvs::workload

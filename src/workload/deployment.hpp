@@ -2,13 +2,15 @@
 // Scenario's machine, and the wiring of an armed fault plan into it. uvsim,
 // the fuzzer's runner, the figure benches and cluster::ClusterSim all build
 // their systems here, so a bench, a fuzz seed and a cluster tenant of the
-// same shape run the same code.
+// same shape run the same code. A finished run's attribution report, whose
+// device rows read the deployment's own counters, is built here too.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
 #include "src/baselines/data_elevator.hpp"
+#include "src/obs/attribution.hpp"
 #include "src/univistor/config.hpp"
 #include "src/univistor/system.hpp"
 #include "src/vmpi/file.hpp"
@@ -55,5 +57,14 @@ void WireFaults(fault::Injector& injector, Scenario& scenario, univistor::UniviS
 
 /// Runs one full background scrub pass after the workload drained.
 void RunFinalScrub(Scenario& scenario, Time interval);
+
+/// The attribution report of a finished run (`uvsim --attribution`):
+/// obs::Analyze over every program the runtime launched, plus the device
+/// USE rows, read from the devices' own counters so no span cap changes
+/// them. Rows come in order md, bb, ost, for every metadata server of
+/// `univistor` (nullable) that served RPCs and every BB node and OST that
+/// served bytes or was degraded.
+obs::Report AnalyzeRun(const obs::Recorder& recorder, Scenario& scenario,
+                       const univistor::UniviStor* univistor);
 
 }  // namespace uvs::workload

@@ -49,7 +49,6 @@ class VpicRun {
   const VpicResult& result() const { return result_; }
   /// Per-step file name, shared with the reader side of a workflow.
   std::string StepFileName(int step) const;
-  h5lite::H5File& step_file(int step) { return *files_.at(static_cast<std::size_t>(step)); }
 
  private:
   sim::Task RankLoop(int rank);

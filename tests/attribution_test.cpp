@@ -1,14 +1,20 @@
 // Tests for obs::attribution: the category decomposition is an exact
 // partition of each rank's wall clock, the critical path is deterministic,
-// device USE rollups are sane, and degradation windows surface as spans.
+// device USE rows are sane and read the devices' own counters, and
+// degradation windows surface as spans.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <map>
 
 #include "src/obs/attribution.hpp"
 #include "src/obs/recorder.hpp"
 #include "src/univistor/driver.hpp"
 #include "src/univistor/system.hpp"
+#include "src/workload/deployment.hpp"
 #include "src/workload/hdf_micro.hpp"
 #include "src/workload/scenario.hpp"
 #include "src/workload/vpic.hpp"
@@ -21,17 +27,13 @@ using workload::RunHdfMicro;
 using workload::Scenario;
 using workload::ScenarioOptions;
 
-std::vector<obs::JobSpec> JobsOf(vmpi::Runtime& runtime) {
-  std::vector<obs::JobSpec> jobs;
-  for (int p = 0; p < runtime.program_count(); ++p)
-    jobs.push_back({p, runtime.ProgramName(p), runtime.IsServer(p), runtime.ProgramSize(p)});
-  return jobs;
-}
+/// Sees a finished run and its report before the run is torn down.
+using Inspect = std::function<void(Scenario&, const obs::Report&)>;
 
-/// Runs the micro-write workload traced and analyzed; `degrade_ost` < 0
-/// leaves the hardware healthy.
+/// Runs the micro-write workload traced and analyzed the way uvsim
+/// --attribution does; `degrade_ost` < 0 leaves the hardware healthy.
 obs::Report RunMicroAttributed(obs::Recorder& recorder, int degrade_ost = -1,
-                               std::string* json_out = nullptr) {
+                               std::string* json_out = nullptr, const Inspect& inspect = {}) {
   recorder.Install();
   obs::Report report;
   {
@@ -55,7 +57,8 @@ obs::Report RunMicroAttributed(obs::Recorder& recorder, int degrade_ost = -1,
                 MicroParams{.bytes_per_proc = 64_MiB, .file_name = "a.h5"});
     scenario.cluster().pfs().FlushDegradeSpans();
     scenario.cluster().burst_buffer().FlushDegradeSpans();
-    report = obs::Analyze(recorder, JobsOf(scenario.runtime()), scenario.engine().Now());
+    report = workload::AnalyzeRun(recorder, scenario, &system);
+    if (inspect) inspect(scenario, report);
   }
   recorder.Uninstall();
   if (json_out != nullptr) *json_out = obs::AttributionJson(report);
@@ -82,7 +85,7 @@ obs::Report RunVpicAttributed(obs::Recorder& recorder) {
                                            .bytes_per_var = 4_MiB,
                                            .compute_time = 5.0,
                                            .file_prefix = "g"});
-    report = obs::Analyze(recorder, JobsOf(scenario.runtime()), scenario.engine().Now());
+    report = workload::AnalyzeRun(recorder, scenario, &system);
   }
   recorder.Uninstall();
   return report;
@@ -173,29 +176,48 @@ TEST(Attribution, DeviceUseRollupsAreSane) {
   obs::Recorder recorder;
   const auto report = RunMicroAttributed(recorder);
   bool saw_ost = false, saw_md = false;
+  std::vector<std::pair<int, int>> order;  // (md 0 / bb 1 / ost 2, index)
   for (const obs::DeviceUse& use : report.devices) {
-    EXPECT_GE(use.utilization, 0.0) << use.device;
-    EXPECT_LE(use.utilization, 1.0 + 1e-9) << use.device;
-    EXPECT_GE(use.saturation, 0.0) << use.device;
+    EXPECT_GT(use.busy, 0.0) << use.device << ": only devices that served are listed";
     EXPECT_LE(use.busy, report.elapsed + 1e-9) << use.device;
+    EXPECT_DOUBLE_EQ(use.utilization, use.busy / report.elapsed) << use.device;
+    EXPECT_GE(use.saturation, 0.0) << use.device;
     EXPECT_EQ(use.errors, 0) << use.device << ": healthy run";
-    if (use.device.rfind("ost", 0) == 0) saw_ost = true;
-    if (use.device.rfind("md", 0) == 0) saw_md = true;
+    EXPECT_EQ(use.degraded, 0.0) << use.device;
+    const int cls = use.device.rfind("md", 0) == 0 ? 0 : use.device.rfind("bb", 0) == 0 ? 1 : 2;
+    order.emplace_back(cls, std::stoi(use.device.substr(cls == 2 ? 3 : 2)));
+    saw_md |= cls == 0;
+    saw_ost |= cls == 2;
   }
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end())) << "md, bb, ost, each by index";
   EXPECT_TRUE(saw_ost) << "flush reached the OSTs";
   EXPECT_TRUE(saw_md) << "metadata servers saw RPCs";
 }
 
 TEST(Attribution, DegradedWindowsSurfaceAsSpansAndCategory) {
   obs::Recorder recorder;
-  const auto report = RunMicroAttributed(recorder, /*degrade_ost=*/0);
+  Time window_end = 0;
+  const auto report = RunMicroAttributed(recorder, /*degrade_ost=*/0, nullptr,
+                                         [&](Scenario& scenario, const obs::Report&) {
+                                           window_end = scenario.engine().Now();
+                                         });
 
   const obs::DeviceUse* ost0 = nullptr;
   for (const obs::DeviceUse& use : report.devices)
     if (use.device == "ost0") ost0 = &use;
   ASSERT_NE(ost0, nullptr);
-  EXPECT_GE(ost0->errors, 1) << "open degrade window closed by FlushDegradeSpans";
-  EXPECT_GT(ost0->degraded, 0.0);
+  // One window opened at 0.01 s and still open at the end of the run.
+  EXPECT_EQ(ost0->errors, 1);
+  EXPECT_NEAR(ost0->degraded, window_end - 0.01, 1e-12);
+
+  // FlushDegradeSpans closed the open window into a span on OST 0.
+  int degraded_spans = 0;
+  for (std::size_t i = 0; i < recorder.spans().size(); ++i) {
+    const auto& span = recorder.spans()[i];
+    if (recorder.track(span) == obs::Track::Ost(0) && span.cat == obs::Category::kDegraded)
+      ++degraded_spans;
+  }
+  EXPECT_GE(degraded_spans, 1);
 
   // Time spent transferring through the degraded window lands in the
   // degraded category for whoever waited on it.
@@ -204,6 +226,57 @@ TEST(Attribution, DegradedWindowsSurfaceAsSpansAndCategory) {
     degraded += job.seconds[static_cast<std::size_t>(obs::Category::kDegraded)];
   EXPECT_GT(degraded, 0.0);
   ExpectExactPartition(report);
+}
+
+/// The report's device rows exactly as the run report serializes them.
+std::string DeviceRowsJson(const obs::Report& report) {
+  const std::string json = obs::AttributionJson(report);
+  return json.substr(json.find("\"devices\":"));
+}
+
+TEST(Attribution, DeviceRowsDoNotDependOnTheSpanCap) {
+  // A degraded OST too, so the degraded and error columns are covered.
+  std::vector<std::string> rows;
+  for (const std::size_t limit : {std::size_t{0}, std::size_t{16},
+                                  std::numeric_limits<std::size_t>::max()}) {
+    obs::Recorder recorder;
+    recorder.SetSpanLimit(limit);
+    const Inspect check_against_counters = [&](Scenario& scenario, const obs::Report& report) {
+      // With every span kept, a metadata server's busy time is the sum of
+      // its rpc.service spans, added in emission order, bit for bit, and an
+      // OST's busy time is its pool's.
+      std::map<std::int64_t, Time> service;
+      for (std::size_t i = 0; i < recorder.spans().size(); ++i) {
+        const auto& span = recorder.spans()[i];
+        const obs::Track& track = recorder.track(span);
+        if (track.kind == obs::Track::Kind::kMetaServer)
+          service[track.index] += span.end - span.start;
+      }
+      int md_rows = 0, ost_rows = 0;
+      for (const obs::DeviceUse& use : report.devices) {
+        if (use.device.rfind("md", 0) == 0) {
+          EXPECT_EQ(use.busy, service.at(std::stoi(use.device.substr(2)))) << use.device;
+          ++md_rows;
+        } else if (use.device.rfind("ost", 0) == 0) {
+          const int ost = std::stoi(use.device.substr(3));
+          EXPECT_EQ(use.busy, scenario.cluster().pfs().pool(ost).busy_time()) << use.device;
+          ++ost_rows;
+        }
+      }
+      EXPECT_EQ(md_rows, static_cast<int>(service.size()));
+      EXPECT_GT(ost_rows, 0);
+    };
+    const obs::Report report =
+        RunMicroAttributed(recorder, /*degrade_ost=*/0, nullptr,
+                           limit == std::numeric_limits<std::size_t>::max()
+                               ? check_against_counters
+                               : Inspect{});
+    EXPECT_EQ(recorder.spans_dropped() > 0, limit != std::numeric_limits<std::size_t>::max());
+    rows.push_back(DeviceRowsJson(report));
+  }
+  EXPECT_NE(rows[2].find("\"ost0\""), std::string::npos);
+  EXPECT_EQ(rows[0], rows[2]) << "no span stored";
+  EXPECT_EQ(rows[1], rows[2]) << "16 spans stored";
 }
 
 TEST(Attribution, SpanCapDropsAreCountedAndAnalysisSurvives) {
@@ -224,7 +297,7 @@ TEST(Attribution, CausalDescentFollowsLinksAndParentIds) {
   obs::Recorder recorder;
   const obs::Track rank = obs::Track::Rank(0, 0, 0);
   recorder.AddSpanTagged("vmpi", "close", rank, 0.0, 10.0, obs::kNoBytes, {.self = {1}});
-  recorder.AddSpanTagged("meta", "rpc.service", obs::Track::MetaServer(0, 0), 0.0, 4.0,
+  recorder.AddSpanTagged("meta", "rpc.service", obs::Track::MetaServer(0, 1, 0), 0.0, 4.0,
                          obs::kNoBytes, {.cat = Category::kMeta, .parent = {1}});
   recorder.AddSpanTagged("hw", "ost.access", obs::Track::Ost(0), 4.0, 10.0, 64,
                          {.cat = Category::kPfs, .self = {2}});

@@ -2,12 +2,17 @@
 // scheduler policy unit tests, arrival sampling/parsing, deterministic
 // same-seed replays, conservation invariants, the BB-aware-vs-FCFS QoS
 // ordering on two reference mixes, the node-crash targeting regression (a
-// crash only kills extents of jobs placed on that node), and job-scoped
-// process lifetime (a finished tenant leaves the node schedulers).
+// crash only kills extents of jobs placed on that node), job-scoped
+// process lifetime (a finished tenant leaves the node schedulers), and one
+// trace lane per tenant metadata server.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/arrival.hpp"
@@ -322,6 +327,40 @@ TEST(ClusterSim, EmitsPerTenantObservability) {
   recorder.Uninstall();
   // One pending + one run span per job on the per-tenant cluster tracks.
   EXPECT_GE(recorder.span_count(), 2u * 4u);
+}
+
+TEST(ClusterSim, MetadataServerLanesNeverOverlap) {
+  // The uvsim --cluster reference mix (--seed=12 --jobs=12 --bb-bound
+  // --bb-mb=128 --osts=1). Every UniviStor tenant numbers its metadata
+  // servers from 0 on the same nodes; each server program has its own
+  // lanes, so the serialized rpc.service spans on one lane never overlap.
+  obs::Recorder recorder;
+  recorder.Install();
+  MixParams params;
+  params.jobs = 12;
+  params.bb_bound = true;
+  const auto run = RunMix(SampleJobMix(12, params), Policy::kBbAware,
+                          MachineShape{.procs = 256, .seed = 12});
+  recorder.Uninstall();
+  ASSERT_EQ(run.sim->completed_jobs(), 12);
+  ASSERT_EQ(recorder.spans_dropped(), 0u);
+
+  std::map<std::uint32_t, std::vector<std::pair<Time, Time>>> lanes;
+  for (std::size_t i = 0; i < recorder.spans().size(); ++i) {
+    const obs::Recorder::SpanEvent& span = recorder.spans()[i];
+    if (recorder.track(span).kind == obs::Track::Kind::kMetaServer)
+      lanes[span.lane].emplace_back(span.start, span.end);
+  }
+  std::set<int> programs;
+  int overlaps = 0;
+  for (auto& [lane, spans] : lanes) {
+    programs.insert(recorder.lanes()[lane].program);
+    std::sort(spans.begin(), spans.end());
+    for (std::size_t i = 1; i < spans.size(); ++i)
+      if (spans[i].first < spans[i - 1].second) ++overlaps;
+  }
+  EXPECT_GT(programs.size(), 1u) << "several tenants' servers served RPCs";
+  EXPECT_EQ(overlaps, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include "src/sim/fair_share.hpp"
 #include "src/univistor/driver.hpp"
 #include "src/univistor/system.hpp"
+#include "src/workload/deployment.hpp"
 #include "src/workload/hdf_micro.hpp"
 #include "src/workload/scenario.hpp"
 #include "src/workload/vpic.hpp"
@@ -126,13 +127,11 @@ void CheckDigest(const char* what, std::uint64_t digest, std::uint64_t golden) {
 }
 
 /// Exact analysis output: the attribution run-report block plus the text
-/// tables, so the span index behind obs::Analyze is pinned byte for byte.
-std::uint64_t AnalysisDigest(const obs::Recorder& recorder, vmpi::Runtime& runtime,
-                             Time elapsed) {
-  std::vector<obs::JobSpec> jobs;
-  for (int p = 0; p < runtime.program_count(); ++p)
-    jobs.push_back({p, runtime.ProgramName(p), runtime.IsServer(p), runtime.ProgramSize(p)});
-  const obs::Report report = obs::Analyze(recorder, jobs, elapsed);
+/// tables, so the span index behind obs::Analyze and the device rows are
+/// pinned byte for byte.
+std::uint64_t AnalysisDigest(const obs::Recorder& recorder, workload::Scenario& scenario,
+                             const univistor::UniviStor* system) {
+  const obs::Report report = workload::AnalyzeRun(recorder, scenario, system);
   return Fnv1a(obs::AttributionJson(report) + obs::ToText(report));
 }
 
@@ -141,7 +140,7 @@ TEST(GoldenTrace, MicroWriteTraceDigestIsStable) {
   recorder.Install();
   RunOnce(42, sched::PlacementPolicy::kInterferenceAware);
   recorder.Uninstall();
-  CheckDigest("micro_write_ia", Fnv1a(recorder.ChromeTraceJson()), 0xd1b43cf82747093aull);
+  CheckDigest("micro_write_ia", Fnv1a(recorder.ChromeTraceJson()), 0xa5260d3100db9da7ull);
 }
 
 TEST(GoldenTrace, VpicTraceDigestIsStable) {
@@ -169,11 +168,11 @@ TEST(GoldenTrace, VpicTraceDigestIsStable) {
                                            .compute_time = 5.0,
                                            .file_prefix = "g"});
     CheckDigest("vpic_ia_analysis",
-                AnalysisDigest(recorder, scenario.runtime(), scenario.engine().Now()),
-                0x2d7a5eb10501ae52ull);
+                AnalysisDigest(recorder, scenario, &system),
+                0x2a74e56bd99eac32ull);
   }
   recorder.Uninstall();
-  CheckDigest("vpic_ia", Fnv1a(recorder.ChromeTraceJson()), 0x9c89ddb1a73bfd4full);
+  CheckDigest("vpic_ia", Fnv1a(recorder.ChromeTraceJson()), 0x58e62621c5a87f46ull);
 }
 
 TEST(GoldenTrace, PrunedClusterTraceAndAnalysisDigestsAreStable) {
@@ -207,11 +206,11 @@ TEST(GoldenTrace, PrunedClusterTraceAndAnalysisDigestsAreStable) {
     EXPECT_GT(recorder.spans_pruned(), 0u) << "the cap must force tail-based eviction";
     EXPECT_FALSE(recorder.links().empty()) << "closes link their flushes";
     CheckDigest("cluster_pruned_analysis",
-                AnalysisDigest(recorder, scenario.runtime(), scenario.engine().Now()),
-                0x70e480de6ea0454aull);
+                AnalysisDigest(recorder, scenario, nullptr),
+                0xdd648c95edbc8e3dull);
   }
   recorder.Uninstall();
-  CheckDigest("cluster_pruned", Fnv1a(recorder.ChromeTraceJson()), 0xf1d461327e0fc26dull);
+  CheckDigest("cluster_pruned", Fnv1a(recorder.ChromeTraceJson()), 0x03d0ad8f87e1c038ull);
 }
 
 /// One traced cluster run; telemetry (sketches + SLO trackers) feeds only

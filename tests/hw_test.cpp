@@ -190,6 +190,10 @@ TEST(DeviceArray, BothKindsShareOneModelUnderTheirOwnNames) {
       array.Restore(1);
       EXPECT_NEAR(degraded, 4.5, 1e-6);
       EXPECT_NEAR(array.degraded_seconds(), 2.25, 1e-6);
+      EXPECT_EQ(array.degraded_seconds(1), array.degraded_seconds());
+      EXPECT_EQ(array.degraded_seconds(0), 0.0);
+      EXPECT_EQ(array.degrade_windows(1), 1);
+      EXPECT_EQ(array.degrade_windows(0), 0);
     }
     recorder.Uninstall();
 

@@ -311,7 +311,7 @@ TEST(SpanLog, EraseSpansIfMatchesAVectorReference) {
 TEST(Track, SelfDescribingNames) {
   EXPECT_EQ(obs::Track::Rank(3, 1, 42).PidName(), "node 3");
   EXPECT_EQ(obs::Track::Rank(3, 1, 42).TidName(), "rank 42 (prog 1)");
-  EXPECT_EQ(obs::Track::MetaServer(0, 7).TidName(), "md server 7");
+  EXPECT_EQ(obs::Track::MetaServer(0, 1, 7).TidName(), "md server 7");
   EXPECT_EQ(obs::Track::Flush(2).PidName(), "simulator");
   EXPECT_EQ(obs::Track::Flush(2).TidName(), "flush file 2");
   EXPECT_EQ(obs::Track::PfsIo(1, 0).TidName(), "pfs file 0");

@@ -10,6 +10,7 @@
 #include "src/obs/report.hpp"
 #include "src/univistor/driver.hpp"
 #include "src/univistor/system.hpp"
+#include "src/workload/deployment.hpp"
 #include "src/workload/hdf_micro.hpp"
 #include "src/workload/scenario.hpp"
 
@@ -95,12 +96,7 @@ std::string RunAndSerialize(obs::Recorder& recorder, std::uint64_t seed,
                                                 .file_name = "r.h5"});
     scenario.cluster().pfs().FlushDegradeSpans();
     scenario.cluster().burst_buffer().FlushDegradeSpans();
-    std::vector<obs::JobSpec> jobs;
-    for (int p = 0; p < scenario.runtime().program_count(); ++p)
-      jobs.push_back({p, scenario.runtime().ProgramName(p), scenario.runtime().IsServer(p),
-                      scenario.runtime().ProgramSize(p)});
-    const obs::Report report =
-        obs::Analyze(recorder, jobs, scenario.engine().Now());
+    const obs::Report report = workload::AnalyzeRun(recorder, scenario, &system);
     metrics_json =
         recorder.MetricsJson(scenario.engine().Now(), obs::AttributionJson(report));
   }

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "src/obs/recorder.hpp"
 #include "src/obs/sketch.hpp"
 #include "src/obs/slo.hpp"
+#include "src/univistor/system.hpp"
 #include "src/workload/scenario.hpp"
 
 namespace uvs {
@@ -425,6 +427,30 @@ TEST(ClusterTelemetry, TailRetentionPrunesBoringJobsUnderACap) {
   auto doc = json::Parse(recorder.MetricsJson(scenario.engine().Now()));
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   EXPECT_GT(doc->NumberOr("spans_pruned", 0), 0.0);
+
+  // A job whose client rank spans were all evicted keeps none of its
+  // storage servers' spans either, on their rank or metadata-server lanes.
+  std::map<int, std::size_t> spans_of;  // program -> spans left on its lanes
+  for (std::size_t i = 0; i < recorder.spans().size(); ++i) {
+    const obs::Track& track = recorder.track(recorder.spans()[i]);
+    if (track.kind == obs::Track::Kind::kRank || track.kind == obs::Track::Kind::kMetaServer)
+      ++spans_of[track.program];
+  }
+  const vmpi::Runtime& runtime = scenario.runtime();
+  int evicted = 0;
+  for (int j = 0; j < sim.job_count(); ++j) {
+    const univistor::UniviStor* system = sim.system(j);
+    if (system == nullptr) continue;
+    int client = -1;
+    for (int p = 0; p < runtime.program_count(); ++p)
+      if (runtime.ProgramName(p) == sim.spec(j).Name()) client = p;
+    ASSERT_GE(client, 0) << sim.spec(j).Name();
+    if (spans_of[client] != 0) continue;
+    ++evicted;
+    EXPECT_EQ(spans_of[system->server_program()], 0u)
+        << sim.spec(j).Name() << ": its servers' spans outlived its clients'";
+  }
+  EXPECT_GT(evicted, 0) << "some job lost all its client rank spans";
 }
 
 }  // namespace

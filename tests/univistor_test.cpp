@@ -157,17 +157,6 @@ TEST(UniviStorSystem, CollectiveOpenCloseScalesBetter) {
   EXPECT_LT(run(true), run(false));
 }
 
-TEST(UniviStorSystem, ConnectionManagementTracksPrograms) {
-  Fixture f;
-  EXPECT_EQ(f.system.connected_programs(), 0);
-  EXPECT_FALSE(f.system.shut_down());
-  RunHdfMicro(f.scenario, f.app, f.driver,
-              MicroParams{.bytes_per_proc = 1_MiB, .file_name = "c.h5"});
-  EXPECT_EQ(f.system.connected_programs(), 1);
-  f.system.DisconnectProgram(f.app);
-  EXPECT_TRUE(f.system.shut_down()) << "servers terminate after all clients exit";
-}
-
 TEST(UniviStorSystem, LogicalSizeTracksWrites) {
   Fixture f;
   RunHdfMicro(f.scenario, f.app, f.driver,

@@ -1,5 +1,5 @@
 // Performance-trajectory runner: measures kernel microbenchmark
-// throughput plus wall-clock smoke times for two figure workloads, and
+// throughput plus wall-clock smoke times for the fig5a workload, and
 // appends the results as one labelled entry to a machine-readable JSON
 // file (default: BENCH_sim.json). Re-running at different commits with
 // different labels builds up a before/after trajectory of simulator
@@ -20,14 +20,9 @@
 // sim::WorkerPool, plus the speedup ratios. Both parallel paths are
 // bit-identical to their serial twins by construction (see
 // docs/PERFORMANCE.md), so the ratio is pure scheduling gain.
-//
-// Compile with -DUVS_BENCH_NO_CANCEL to build against a kernel that
-// predates Engine::ScheduleCancellable (used to produce "before" entries
-// from older commits); the timer_cancel metric is then omitted.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -45,7 +40,6 @@
 #include "src/testkit/batch.hpp"
 #include "src/workload/hdf_micro.hpp"
 #include "src/workload/scenario.hpp"
-#include "src/workload/vpic.hpp"
 
 using namespace uvs;
 using namespace uvs::sim;
@@ -59,25 +53,6 @@ double Seconds(Clock::time_point t0, Clock::time_point t1) {
 }
 
 // --- kernel microbenchmarks (same workloads as bench/micro_sim) ---------
-
-struct ChainLink {
-  Engine* engine;
-  long* remaining;
-  void operator()() const {
-    if (--*remaining > 0) engine->Schedule(engine->Now() + 1.0, *this);
-  }
-};
-
-double EngineEventsPerSec(int chains, long events) {
-  Engine engine;
-  long remaining = events;
-  for (int i = 0; i < chains; ++i)
-    engine.Schedule(1.0 + 1e-4 * i, ChainLink{&engine, &remaining});
-  const auto t0 = Clock::now();
-  engine.Run();
-  const auto t1 = Clock::now();
-  return static_cast<double>(engine.processed_events()) / Seconds(t0, t1);
-}
 
 Task Sleeper(Engine& engine, Time dt) { co_await engine.Delay(dt); }
 
@@ -130,23 +105,6 @@ double FairShareFlowsPerSec(int flows, int rounds) {
   return static_cast<double>(n) / Seconds(t0, t1);
 }
 
-#ifndef UVS_BENCH_NO_CANCEL
-double TimerCancelOpsPerSec(int live, long ops) {
-  Engine engine;
-  std::deque<TimerHandle> timers;
-  Time at = 1.0;
-  for (int i = 0; i < live; ++i)
-    timers.push_back(engine.ScheduleCancellable(at += 1.0, [] {}));
-  const auto t0 = Clock::now();
-  for (long i = 0; i < ops; ++i) {
-    timers.front().Cancel();
-    timers.pop_front();
-    timers.push_back(engine.ScheduleCancellable(at += 1.0, [] {}));
-  }
-  const auto t1 = Clock::now();
-  return static_cast<double>(ops) / Seconds(t0, t1);
-}
-#endif
 
 // --- figure-workload smokes (wall-clock, end to end) --------------------
 
@@ -156,21 +114,6 @@ double Fig5aSmokeWallSec(int procs, Bytes bytes_per_proc) {
   auto setup = bench::MakeUniviStor(procs, config);
   workload::RunHdfMicro(*setup.scenario, setup.app, *setup.system.driver,
                         {.bytes_per_proc = bytes_per_proc, .file_name = "traj.h5"});
-  const auto t1 = Clock::now();
-  return Seconds(t0, t1);
-}
-
-double VpicSpillSmokeWallSec(int procs, int steps, Bytes bytes_per_var) {
-  const auto t0 = Clock::now();
-  univistor::Config config;
-  config.first_cache_layer = hw::Layer::kDram;
-  auto setup = bench::MakeUniviStor(procs, config);
-  workload::RunVpic(*setup.scenario, setup.app, *setup.system.driver,
-                    {.steps = steps,
-                     .vars = 8,
-                     .bytes_per_var = bytes_per_var,
-                     .compute_time = 60.0,
-                     .file_prefix = "traj_vpic"});
   const auto t1 = Clock::now();
   return Seconds(t0, t1);
 }
@@ -316,13 +259,10 @@ int main(int argc, char** argv) {
   }
   const int workers = jobs > 0 ? jobs : sim::WorkerPool::HardwareThreads();
 
-  const long chain_events = smoke ? 400000 : 2000000;
   const int sj_rounds = smoke ? 5 : 30;
   const int when_all_fanouts = smoke ? 20000 : 200000;
   const int fs_rounds = smoke ? 20 : 100;
   const Bytes fig5a_bytes = smoke ? 16_MiB : 256_MiB;
-  const int vpic_steps = smoke ? 2 : 10;
-  const Bytes vpic_var_bytes = smoke ? 4_MiB : 32_MiB;
 
   std::vector<Metric> metrics;
   const auto add = [&](const char* name, double value) {
@@ -330,21 +270,13 @@ int main(int argc, char** argv) {
     std::printf("%-40s %.6g\n", name, value);
   };
 
-  add("engine_chain64_events_per_sec", EngineEventsPerSec(64, chain_events));
-  add("engine_chain4096_events_per_sec", EngineEventsPerSec(4096, chain_events));
   add("spawn_join_procs_per_sec", SpawnJoinPerSec(10000, sj_rounds));
   add("when_all_legs_per_sec", WhenAllLegsPerSec(16, when_all_fanouts));
   add("fair_share_staggered_flows_per_sec", FairShareFlowsPerSec(1024, fs_rounds));
-#ifndef UVS_BENCH_NO_CANCEL
-  add("timer_cancel_ops_per_sec",
-      TimerCancelOpsPerSec(4096, smoke ? 400000 : 2000000));
-#endif
   for (int procs : {64, 256}) {
     char name[64];
     std::snprintf(name, sizeof(name), "fig5a_ia_smoke_wall_sec_p%d", procs);
     add(name, Fig5aSmokeWallSec(procs, fig5a_bytes));
-    std::snprintf(name, sizeof(name), "vpic_spill_smoke_wall_sec_p%d", procs);
-    add(name, VpicSpillSmokeWallSec(procs, vpic_steps, vpic_var_bytes));
   }
   // Extreme-scale smoke: 8192 ranks with a small per-rank payload, so the
   // cost is event-scheduling volume rather than simulated bytes.

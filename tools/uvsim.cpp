@@ -715,12 +715,7 @@ int Run(const Args& args, std::uint64_t& events) {
 
   std::string attribution_json;
   if (args.attribution) {
-    std::vector<obs::JobSpec> jobs;
-    vmpi::Runtime& runtime = scenario.runtime();
-    for (int p = 0; p < runtime.program_count(); ++p)
-      jobs.push_back({p, runtime.ProgramName(p), runtime.IsServer(p), runtime.ProgramSize(p)});
-    const obs::Report attribution =
-        obs::Analyze(recorder, jobs, scenario.engine().Now());
+    const obs::Report attribution = workload::AnalyzeRun(recorder, scenario, uvs_system);
     std::printf("%s", obs::ToText(attribution).c_str());
     if (recorder.spans_dropped() > 0)
       std::printf("attribution: %llu spans dropped at cap %zu — categories "
