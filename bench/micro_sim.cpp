@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the discrete-event kernel itself:
-// event dispatch throughput, coroutine spawn/join, and the fair-share
-// pool under churn. These bound how large a simulated machine the figure
-// benches can afford.
+// event dispatch throughput, coroutine spawn/join, the fair-share pool
+// under churn, and mutex hand-over. These bound how large a simulated
+// machine the figure benches can afford.
 #include <benchmark/benchmark.h>
 
 #include <deque>
@@ -9,6 +9,7 @@
 #include "src/sim/combinators.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/fair_share.hpp"
+#include "src/sim/sync.hpp"
 
 namespace uvs::sim {
 namespace {
@@ -130,6 +131,28 @@ void BM_WhenAllFanout(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * width);
 }
 BENCHMARK(BM_WhenAllFanout)->Arg(1)->Arg(16)->Arg(256);
+
+Task LockRounds(Mutex& mutex, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    auto guard = co_await mutex.Lock();
+  }
+}
+
+// N waiters hand one mutex along: each releases with the others queued,
+// so every release is a FIFO hand-over (one resume event), and the
+// releaser queues again at the tail.
+void BM_MutexHandover(benchmark::State& state) {
+  const int waiters = static_cast<int>(state.range(0));
+  constexpr int kRounds = 64;
+  for (auto _ : state) {
+    Engine engine;
+    Mutex mutex(engine);
+    for (int i = 0; i < waiters; ++i) engine.Spawn(LockRounds(mutex, kRounds));
+    engine.Run();
+  }
+  state.SetItemsProcessed(state.iterations() * waiters * kRounds);
+}
+BENCHMARK(BM_MutexHandover)->Arg(2)->Arg(64)->Arg(1024);
 
 }  // namespace
 }  // namespace uvs::sim

@@ -1,9 +1,12 @@
 // google-benchmark microbenchmarks for the core data structures: the
 // log-structured store, virtual-address codec, range partitioner, metadata
 // record index and distributed metadata service, adaptive striping
-// planner, and the obs span log and attribution pass.
+// planner, the obs span log and attribution pass, and one UniviStor
+// deployment.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
+#include <memory>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -17,6 +20,8 @@
 #include "src/placement/striping.hpp"
 #include "src/placement/virtual_address.hpp"
 #include "src/storage/log_file.hpp"
+#include "src/univistor/system.hpp"
+#include "src/workload/scenario.hpp"
 
 namespace uvs {
 namespace {
@@ -232,6 +237,41 @@ void BM_Analyze(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * rec.span_count()));
 }
 BENCHMARK(BM_Analyze)->ArgName("ops")->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
+
+// Builds and destroys one UniviStor on perfbench cluster_mix's machine
+// (1024 ranks at 4 per node: 256 nodes, 512 servers), as each tenant of a
+// cluster run does. held_heap_bytes is the heap the deployment holds once
+// built (glibc mallinfo2), server-program registration included.
+void BM_UniviStorDeploy(benchmark::State& state) {
+  workload::ScenarioOptions options;
+  options.procs = 1024;
+  options.cluster_params = hw::CoriPreset(1024, 4);
+  options.cluster_params.node.cores = 8;
+  options.cluster_params.node.dram_cache_capacity = 32_MiB;
+  options.cluster_params.bb.bb_nodes = 2;
+  options.cluster_params.bb.capacity_per_bb_node = 64_MiB;
+  options.cluster_params.pfs.osts = 4;
+  univistor::Config config;
+  config.chunk_size = 1_MiB;
+  std::size_t held = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto scenario = std::make_unique<workload::Scenario>(options);
+    const std::size_t before = mallinfo2().uordblks;
+    state.ResumeTiming();
+    auto system = std::make_unique<univistor::UniviStor>(scenario->runtime(), scenario->pfs(),
+                                                         scenario->workflow(), config);
+    state.PauseTiming();
+    held = mallinfo2().uordblks - before;
+    state.ResumeTiming();
+    system.reset();
+    state.PauseTiming();
+    scenario.reset();
+    state.ResumeTiming();
+  }
+  state.counters["held_heap_bytes"] = static_cast<double>(held);
+}
+BENCHMARK(BM_UniviStorDeploy)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace uvs

@@ -69,7 +69,8 @@ class KeyValues {
       std::string want;
       for (int i = 0; i < count; ++i) {
         if (v == name(static_cast<E>(i))) return static_cast<E>(i);
-        want += (i > 0 ? "|" : "") + std::string(name(static_cast<E>(i)));
+        if (i > 0) want += '|';
+        want += name(static_cast<E>(i));
       }
       return InvalidArgumentError("unknown value '" + v + "' (want " + want + ")");
     });

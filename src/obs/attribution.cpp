@@ -258,10 +258,10 @@ std::span<const std::uint32_t> RankLanes(const SpanDb& db, int program) {
 }
 
 std::string WhereLabel(const Track& track) {
-  const std::string pid = track.PidName();
+  std::string where = track.PidName();
   const std::string tid = track.TidName();
-  if (tid.empty() || tid == pid) return pid;
-  return pid + " / " + tid;
+  if (tid.empty() || tid == where) return where;
+  return where.append(" / ").append(tid);
 }
 
 /// Backward walk from the end of the slowest rank's window: at each
@@ -336,7 +336,10 @@ std::vector<PathSegment> CriticalPath(const SpanDb& db, std::span<const SpanInde
   return path;
 }
 
-std::string JsonStr(const std::string& s) { return "\"" + json::Escape(s) + "\""; }
+std::string JsonStr(const std::string& s) {
+  std::string quoted = "\"";
+  return quoted.append(json::Escape(s)).append("\"");
+}
 
 }  // namespace
 

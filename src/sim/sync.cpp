@@ -1,7 +1,5 @@
 #include "src/sim/sync.hpp"
 
-#include <algorithm>
-
 #include "src/sim/engine.hpp"
 
 namespace uvs::sim {
@@ -13,24 +11,33 @@ void LockGuard::Release() {
   }
 }
 
+std::size_t Mutex::waiters() const {
+  std::size_t count = 0;
+  for (const Awaiter* w = head_; w != nullptr; w = w->next_) ++count;
+  return count;
+}
+
 void Mutex::Unlock() {
-  if (waiters_.empty()) {
+  Awaiter* const next = head_;
+  if (next == nullptr) {
     locked_ = false;
     return;
   }
   // Hand the lock to the oldest waiter; locked_ stays true.
-  auto handle = waiters_.front();
-  waiters_.pop_front();
-  engine_->ScheduleResumeNow(handle);
+  head_ = next->next_;
+  if (head_ == nullptr) tail_ = nullptr;
+  engine_->ScheduleResumeNow(next->waiting_);
 }
 
-void Mutex::Abandoned(std::coroutine_handle<> waiter) {
-  const auto it = std::find(waiters_.begin(), waiters_.end(), waiter);
-  if (it != waiters_.end()) {
-    waiters_.erase(it);
-  } else {
-    Unlock();  // Unlock() had handed it the lock; hand it on
+void Mutex::Abandoned(Awaiter* waiter) {
+  Awaiter* prev = nullptr;
+  for (Awaiter* w = head_; w != nullptr; prev = w, w = w->next_) {
+    if (w != waiter) continue;
+    (prev != nullptr ? prev->next_ : head_) = w->next_;
+    if (tail_ == w) tail_ = prev;
+    return;
   }
+  Unlock();  // Unlock() had handed it the lock; hand it on
 }
 
 }  // namespace uvs::sim

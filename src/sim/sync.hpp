@@ -5,7 +5,6 @@
 
 #include <coroutine>
 #include <cstddef>
-#include <deque>
 #include <utility>
 
 namespace uvs::sim {
@@ -36,53 +35,67 @@ class [[nodiscard]] LockGuard {
   Mutex* mutex_ = nullptr;
 };
 
+/// Never allocates: waiters queue in an intrusive FIFO whose nodes are the
+/// Lock() awaiters, which live in the waiting coroutine frames.
 class Mutex {
  public:
   explicit Mutex(Engine& engine) : engine_(&engine) {}
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  bool locked() const { return locked_; }
-  std::size_t waiters() const { return waiters_.size(); }
+  /// A pending Lock(); while it waits it is a node of the waiter queue.
+  class [[nodiscard]] Awaiter {
+   public:
+    explicit Awaiter(Mutex* mutex) : mutex_(mutex) {}
+    // Queued by address, so it must stay where it was built.
+    Awaiter(const Awaiter&) = delete;
+    Awaiter& operator=(const Awaiter&) = delete;
+    ~Awaiter() {
+      if (waiting_) mutex_->Abandoned(this);
+    }
+    bool await_ready() {
+      if (!mutex_->locked_) {
+        mutex_->locked_ = true;
+        return true;
+      }
+      return false;
+    }
+    void await_suspend(std::coroutine_handle<> h) {
+      waiting_ = h;
+      (mutex_->tail_ != nullptr ? mutex_->tail_->next_ : mutex_->head_) = this;
+      mutex_->tail_ = this;
+    }
+    LockGuard await_resume() {
+      waiting_ = {};
+      return LockGuard{mutex_};
+    }
+
+   private:
+    friend class Mutex;
+    Mutex* mutex_;
+    std::coroutine_handle<> waiting_;  // set from suspension to resumption
+    Awaiter* next_ = nullptr;          // the waiter queued after this one
+  };
 
   /// `auto guard = co_await mutex.Lock();` — suspends until acquired. A
   /// waiter whose frame is destroyed before it resumes (Engine::Abandon)
   /// leaves the queue, or passes the lock on if it was already handed it.
-  auto Lock() {
-    struct Awaiter {
-      Mutex* mutex;
-      std::coroutine_handle<> waiting;  // set from suspension to resumption
-      ~Awaiter() {
-        if (waiting) mutex->Abandoned(waiting);
-      }
-      bool await_ready() {
-        if (!mutex->locked_) {
-          mutex->locked_ = true;
-          return true;
-        }
-        return false;
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        waiting = h;
-        mutex->waiters_.push_back(h);
-      }
-      LockGuard await_resume() {
-        waiting = {};
-        return LockGuard{mutex};
-      }
-    };
-    return Awaiter{this};
-  }
+  Awaiter Lock() { return Awaiter{this}; }
+
+  bool locked() const { return locked_; }
+  /// Processes queued for the lock. O(waiters).
+  std::size_t waiters() const;
 
  private:
   friend class LockGuard;
   void Unlock();
   /// The frame of `waiter` was destroyed before it resumed.
-  void Abandoned(std::coroutine_handle<> waiter);
+  void Abandoned(Awaiter* waiter);
 
   Engine* engine_;
+  Awaiter* head_ = nullptr;  // oldest waiter: the next owner
+  Awaiter* tail_ = nullptr;  // newest waiter
   bool locked_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace uvs::sim

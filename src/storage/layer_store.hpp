@@ -56,15 +56,8 @@ class LayerStore : public ChunkBudget {
   bool TryConsume() override;
   void Release() override;
 
-  /// Marks every log in this store unreadable (the owning node died).
-  /// Purely informational — re-read paths consult the system's failure
-  /// accounting; this flag lets audits distinguish "lost" from "empty".
-  void MarkLost() { lost_ = true; }
-  bool lost() const { return lost_; }
-
  private:
   hw::Layer layer_;
-  bool lost_ = false;
   Bytes chunk_size_;
   Bytes total_chunks_ = 0;
   Bytes consumed_chunks_ = 0;

@@ -34,15 +34,7 @@ UniviStor::UniviStor(vmpi::Runtime& runtime, storage::Pfs& pfs,
                                           /*is_server=*/true);
   for (int s = 0; s < total_servers_; ++s) runtime.SetRankBusy(server_program_, s, false);
 
-  for (int n = 0; n < nodes; ++n) {
-    node_dram_.push_back(std::make_unique<storage::LayerStore>(
-        hw::Layer::kDram, cluster.params().node.dram_cache_capacity, config_.chunk_size));
-    node_ssd_.push_back(cluster.params().node.has_local_ssd
-                            ? std::make_unique<storage::LayerStore>(
-                                  hw::Layer::kNodeLocalSsd,
-                                  cluster.params().node.ssd_capacity, config_.chunk_size)
-                            : nullptr);
-  }
+  nodes_.resize(static_cast<std::size_t>(nodes));
   const Bytes bb_capacity =
       config_.bb_capacity_limit > 0
           ? std::min(config_.bb_capacity_limit, cluster.burst_buffer().total_capacity())
@@ -52,15 +44,7 @@ UniviStor::UniviStor(vmpi::Runtime& runtime, storage::Pfs& pfs,
 
   metadata_ = std::make_unique<meta::DistributedMetadataService>(total_servers_,
                                                                  config_.metadata_range_size);
-  node_md_buffer_.resize(static_cast<std::size_t>(nodes));
-  read_cache_index_.resize(static_cast<std::size_t>(nodes));
-  for (int n = 0; n < nodes; ++n) {
-    read_cache_.push_back(std::make_unique<storage::LayerStore>(
-        hw::Layer::kDram, config_.read_cache_capacity_per_node, config_.chunk_size));
-  }
-  md_queue_.reserve(static_cast<std::size_t>(total_servers_));
-  for (int s = 0; s < total_servers_; ++s)
-    md_queue_.push_back(std::make_unique<sim::Mutex>(cluster.engine()));
+  for (int s = 0; s < total_servers_; ++s) md_queue_.emplace_back(cluster.engine());
   md_load_.resize(static_cast<std::size_t>(total_servers_));
 
   // Dedicated stream for retry-backoff jitter so recovery draws never
@@ -69,6 +53,33 @@ UniviStor::UniviStor(vmpi::Runtime& runtime, storage::Pfs& pfs,
 }
 
 UniviStor::~UniviStor() = default;
+
+UniviStor::NodeState::NodeState(const hw::ClusterParams& params, const Config& config)
+    : dram(hw::Layer::kDram, params.node.dram_cache_capacity, config.chunk_size),
+      read_cache(hw::Layer::kDram, config.read_cache_capacity_per_node, config.chunk_size) {
+  if (params.node.has_local_ssd)
+    ssd.emplace(hw::Layer::kNodeLocalSsd, params.node.ssd_capacity, config.chunk_size);
+}
+
+UniviStor::NodeState& UniviStor::Node(int node) {
+  std::unique_ptr<NodeState>& state = nodes_[static_cast<std::size_t>(node)];
+  if (state == nullptr) state = std::make_unique<NodeState>(runtime_->cluster().params(), config_);
+  return *state;
+}
+
+std::vector<meta::MetadataRecord> UniviStor::BufferedRecords(int node, storage::FileId fid,
+                                                             Bytes offset, Bytes len) const {
+  const NodeState* state = nodes_[static_cast<std::size_t>(node)].get();
+  return state != nullptr ? state->md_buffer.Query(fid, offset, len)
+                          : std::vector<meta::MetadataRecord>{};
+}
+
+std::vector<meta::MetadataRecord> UniviStor::CachedRecords(int node, storage::FileId fid,
+                                                           Bytes offset, Bytes len) const {
+  const NodeState* state = nodes_[static_cast<std::size_t>(node)].get();
+  return state != nullptr ? state->read_cache_index.Query(fid, offset, len)
+                          : std::vector<meta::MetadataRecord>{};
+}
 
 storage::FileId UniviStor::OpenOrCreate(const std::string& name) {
   if (auto it = names_.find(name); it != names_.end()) return it->second;
@@ -132,13 +143,12 @@ placement::DhpWriterChain& UniviStor::Chain(FileInfo& info, vmpi::ProgramId prog
   std::vector<storage::LayerStore*> stores;
   std::vector<Bytes> requested;
   if (config_.first_cache_layer == hw::Layer::kDram) {
-    storage::LayerStore& dram = *node_dram_[static_cast<std::size_t>(node)];
-    stores.push_back(&dram);
-    requested.push_back(placement::DefaultLogCapacity(dram.capacity(), local_clients));
-    if (node_ssd_[static_cast<std::size_t>(node)] != nullptr) {
-      storage::LayerStore& ssd = *node_ssd_[static_cast<std::size_t>(node)];
-      stores.push_back(&ssd);
-      requested.push_back(placement::DefaultLogCapacity(ssd.capacity(), local_clients));
+    NodeState& local = Node(node);
+    stores.push_back(&local.dram);
+    requested.push_back(placement::DefaultLogCapacity(local.dram.capacity(), local_clients));
+    if (local.ssd) {
+      stores.push_back(&*local.ssd);
+      requested.push_back(placement::DefaultLogCapacity(local.ssd->capacity(), local_clients));
     }
   }
   if (config_.first_cache_layer == hw::Layer::kDram ||
@@ -166,7 +176,7 @@ sim::Task UniviStor::MetadataRpc(int client_node, int server_idx, int ops,
   obs::Count("meta.rpc.ops", static_cast<std::uint64_t>(ops));
   co_await cluster.network().RoundTrip(client_node, server_node);
   const Time queued = engine.Now();
-  auto guard = co_await md_queue_[static_cast<std::size_t>(server_idx)]->Lock();
+  auto guard = co_await md_queue_[static_cast<std::size_t>(server_idx)].Lock();
   const Time serviced = engine.Now();
   {
     // Span covers only the serialized service section so spans on one
@@ -289,7 +299,7 @@ sim::Task UniviStor::Write(vmpi::ProgramId program, int rank, storage::FileId fi
     for (int server : metadata_->Insert(record))
       if (std::find(touched.begin(), touched.end(), server) == touched.end())
         touched.push_back(server);
-    node_md_buffer_[static_cast<std::size_t>(node)].Insert(record);
+    Node(node).md_buffer.Insert(record);
     cursor += placement.extent.len;
   }
   // A zero-length write extends nothing, as on the PFS.
@@ -360,11 +370,6 @@ sim::Task UniviStor::ReplicateTask(int node, storage::FileId fid, ProducerId pro
 void UniviStor::FailNode(int node) {
   if (!failed_nodes_.insert(node).second) return;
   obs::Count("fault.node_failures");
-  if (node >= 0 && node < static_cast<int>(node_dram_.size())) {
-    node_dram_[static_cast<std::size_t>(node)]->MarkLost();
-    if (node_ssd_[static_cast<std::size_t>(node)] != nullptr)
-      node_ssd_[static_cast<std::size_t>(node)]->MarkLost();
-  }
   if (!config_.recovery.enabled) return;
 
   // Metadata range-repartitioning: retire every metadata server hosted on
@@ -491,17 +496,17 @@ sim::Task UniviStor::AwaitTransferClearance() {
 }
 
 void UniviStor::Promote(int node, const meta::MetadataRecord& record) {
-  storage::LayerStore& cache = *read_cache_[static_cast<std::size_t>(node)];
+  NodeState& local = Node(node);
   // One synthetic producer per node keys the cache log for this file.
   const storage::LogKey key{record.fid, -(node + 1)};
-  storage::LogFile* log = cache.OpenLog(key, config_.read_cache_capacity_per_node);
+  storage::LogFile* log = local.read_cache.OpenLog(key, config_.read_cache_capacity_per_node);
   if (log == nullptr) return;
   Bytes granted = 0;
   for (const auto& extent : log->AppendUpTo(record.len)) granted += extent.len;
   if (granted == 0) return;  // cache full: best effort, no eviction
   meta::MetadataRecord cached = record;
   cached.len = granted;
-  read_cache_index_[static_cast<std::size_t>(node)].Insert(cached);
+  local.read_cache_index.Insert(cached);
   promoted_bytes_ += granted;
 }
 
@@ -652,12 +657,11 @@ sim::Task UniviStor::Read(vmpi::ProgramId program, int rank, storage::FileId fid
   // Proactive-placement read cache first: promoted segments are DRAM-local
   // regardless of where their canonical copy lives.
   if (config_.promote_hot_reads) {
-    auto& cache_index = read_cache_index_[static_cast<std::size_t>(node)];
     std::vector<std::pair<Bytes, Bytes>> misses;
     obs::Legs hit_legs(engine, "univistor", track, parent);
     for (const auto& [piece_offset, piece_len] : pieces) {
       Bytes cursor = piece_offset;
-      for (const auto& hit : cache_index.Query(fid, piece_offset, piece_len)) {
+      for (const auto& hit : CachedRecords(node, fid, piece_offset, piece_len)) {
         if (hit.offset > cursor) misses.emplace_back(cursor, hit.offset - cursor);
         hit_legs.Pool("cpu.copy", obs::Category::kNet, runtime_->RankCpu(program, rank),
                       hit.len);
@@ -681,9 +685,7 @@ sim::Task UniviStor::Read(vmpi::ProgramId program, int rank, storage::FileId fid
     // servers entirely (§II-B4).
     for (const auto& [piece_offset, piece_len] : pieces) {
       Bytes cursor = piece_offset;
-      for (const auto& hit :
-           node_md_buffer_[static_cast<std::size_t>(node)].Query(fid, piece_offset,
-                                                                 piece_len)) {
+      for (const auto& hit : BufferedRecords(node, fid, piece_offset, piece_len)) {
         if (hit.offset > cursor) uncovered.emplace_back(cursor, hit.offset - cursor);
         to_read.push_back(hit);
         cursor = hit.end();
@@ -882,13 +884,13 @@ sim::Task UniviStor::WaitAllFlushes() {
 
 void UniviStor::RegisterGauges(obs::Sampler& sampler) {
   sampler.AddSource([this] {
-    Bytes dram = 0, ssd = 0;
-    for (std::size_t n = 0; n < node_dram_.size(); ++n) {
-      dram += node_dram_[n]->used();
-      if (node_ssd_[n] != nullptr) ssd += node_ssd_[n]->used();
+    Bytes dram = 0, ssd = 0, read_cache = 0;
+    for (const auto& state : nodes_) {
+      if (state == nullptr) continue;
+      dram += state->dram.used();
+      if (state->ssd) ssd += state->ssd->used();
+      read_cache += state->read_cache.used();
     }
-    Bytes read_cache = 0;
-    for (const auto& cache : read_cache_) read_cache += cache->used();
     obs::SetGauge("storage.dram.used_bytes", static_cast<double>(dram));
     obs::SetGauge("storage.ssd.used_bytes", static_cast<double>(ssd));
     obs::SetGauge("storage.bb.used_bytes", static_cast<double>(bb_store_->used()));

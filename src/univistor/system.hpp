@@ -3,14 +3,17 @@
 // Owns the server program (servers_per_node ranks on every compute node),
 // the per-layer stores (node DRAM, optional node SSD, shared BB), the
 // distributed metadata service, the per-node shared metadata buffers, the
-// DHP writer chains, and the server-side flush service. The MPI-IO client
-// driver (driver.hpp) calls into this object.
+// DHP writer chains, and the server-side flush service. A node's stores
+// and buffers are built when the node is first written from or promoted
+// into. The MPI-IO client driver (driver.hpp) calls into this object.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -196,6 +199,18 @@ class UniviStor {
     std::array<std::map<Bytes, Bytes>, hw::kLayerCount> pending_replicas;  // start -> len
   };
 
+  /// One compute node's state: its DRAM and node-SSD stores, its shared
+  /// metadata buffer (§II-B4) and its read cache. Built by the node's
+  /// first write or promotion, so a tenant costs the nodes it touches.
+  struct NodeState {
+    NodeState(const hw::ClusterParams& params, const Config& config);
+    storage::LayerStore dram;
+    std::optional<storage::LayerStore> ssd;  // only with a node-local SSD
+    meta::RecordIndex md_buffer;
+    storage::LayerStore read_cache;
+    meta::RecordIndex read_cache_index;
+  };
+
   struct FileInfo {
     std::string name;
     Bytes logical_size = 0;
@@ -211,6 +226,15 @@ class UniviStor {
 
   FileInfo& Info(storage::FileId fid);
   const FileInfo* FindInfo(storage::FileId fid) const;
+
+  /// The node's state, built on first use.
+  NodeState& Node(int node);
+  /// Records of `fid` in [offset, offset+len) in `node`'s metadata buffer,
+  /// or in its read cache; none, and nothing built, on an untouched node.
+  std::vector<meta::MetadataRecord> BufferedRecords(int node, storage::FileId fid, Bytes offset,
+                                                    Bytes len) const;
+  std::vector<meta::MetadataRecord> CachedRecords(int node, storage::FileId fid, Bytes offset,
+                                                  Bytes len) const;
 
   /// Lazily builds the producer's DHP chain with c/p log capacities.
   placement::DhpWriterChain& Chain(FileInfo& info, vmpi::ProgramId program, int rank);
@@ -277,15 +301,13 @@ class UniviStor {
   int total_servers_ = 0;
 
   // Storage state.
-  std::vector<std::unique_ptr<storage::LayerStore>> node_dram_;
-  std::vector<std::unique_ptr<storage::LayerStore>> node_ssd_;  // may hold nullptr
+  std::vector<std::unique_ptr<NodeState>> nodes_;  // per node; null until touched
   std::unique_ptr<storage::LayerStore> bb_store_;
 
   // Metadata state.
   std::unique_ptr<meta::DistributedMetadataService> metadata_;
-  std::vector<meta::RecordIndex> node_md_buffer_;     // per node (§II-B4)
-  std::vector<std::unique_ptr<sim::Mutex>> md_queue_;  // per server service queue
-  std::vector<MdServerLoad> md_load_;                  // per server
+  std::deque<sim::Mutex> md_queue_;    // per server service queue; a deque never moves them
+  std::vector<MdServerLoad> md_load_;  // per server
 
   // Namespace.
   std::map<std::string, storage::FileId> names_;
@@ -308,8 +330,6 @@ class UniviStor {
   Time backoff_seconds_ = 0.0;
   Bytes safe_mode_bytes_ = 0;
   std::size_t repartitioned_records_ = 0;
-  std::vector<std::unique_ptr<storage::LayerStore>> read_cache_;  // per node
-  std::vector<meta::RecordIndex> read_cache_index_;               // per node
   Bytes promoted_bytes_ = 0;
   int read_cache_hits_ = 0;
 

@@ -39,7 +39,7 @@ class Runtime {
   /// Launches `nprocs` ranks block-mapped across all nodes (the paper's
   /// servers-on-every-node and clients-across-the-job layouts). Rank r
   /// lands on node r / ceil(nprocs / nodes). Registers each rank with its
-  /// node scheduler; handles the MPI_Init-time connection bookkeeping.
+  /// node scheduler.
   ProgramId LaunchProgram(std::string name, int nprocs, bool is_server = false);
 
   /// Launches `nprocs` ranks block-mapped across an explicit node subset
