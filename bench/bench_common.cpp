@@ -105,33 +105,4 @@ Setup MakeLustre(int procs, int client_programs) {
               client_programs);
 }
 
-Time RunCoupledWorkflow(workload::Scenario& scenario, vmpi::AdioDriver& driver,
-                        vmpi::ProgramId writer, vmpi::ProgramId reader,
-                        const workload::VpicParams& params, bool overlap) {
-  workload::VpicRun vpic(scenario, writer, driver, params);
-  workload::BdcatsRun bdcats(
-      scenario, reader, driver,
-      workload::BdcatsParams{.producer = params,
-                             .producer_ranks = scenario.runtime().ProgramSize(writer)});
-  const Time start = scenario.engine().Now();
-  Time end = start;
-  vpic.Start();
-  if (overlap) {
-    bdcats.Start();
-  } else {
-    scenario.engine().Spawn(
-        [](workload::VpicRun& v, workload::BdcatsRun& b) -> sim::Task {
-          co_await v.done().Wait();
-          b.Start();
-        }(vpic, bdcats));
-  }
-  scenario.engine().Spawn([](workload::BdcatsRun& b, sim::Engine& engine,
-                             Time& done_at) -> sim::Task {
-    co_await b.done().Wait();
-    done_at = engine.Now();
-  }(bdcats, scenario.engine(), end));
-  scenario.engine().Run();
-  return end - start;
-}
-
 }  // namespace uvs::bench

@@ -25,11 +25,8 @@
 #include "src/obs/recorder.hpp"
 #include "src/obs/sampler.hpp"
 #include "src/univistor/system.hpp"
-#include "src/workload/bdcats.hpp"
 #include "src/workload/deployment.hpp"
-#include "src/workload/hdf_micro.hpp"
 #include "src/workload/scenario.hpp"
-#include "src/workload/vpic.hpp"
 
 namespace uvs::bench {
 
@@ -85,13 +82,5 @@ Setup MakeUniviStor(int procs, const univistor::Config& config, bool cfs = false
 /// Data Elevator / Lustre deployments (always CFS, as deployed in §III).
 Setup MakeDataElevator(int procs, int client_programs = 1);
 Setup MakeLustre(int procs, int client_programs = 1);
-
-/// Runs VPIC-IO (writer program) coupled with BD-CATS-IO (reader program)
-/// and returns the workflow's elapsed time (VPIC start -> BD-CATS end).
-/// Overlap starts both together (coordinated by the workflow manager);
-/// nonoverlap starts BD-CATS after VPIC completes.
-Time RunCoupledWorkflow(workload::Scenario& scenario, vmpi::AdioDriver& driver,
-                        vmpi::ProgramId writer, vmpi::ProgramId reader,
-                        const workload::VpicParams& params, bool overlap);
 
 }  // namespace uvs::bench

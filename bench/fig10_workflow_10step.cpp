@@ -28,8 +28,8 @@ Time Run(int procs, hw::Layer layer, bool overlap) {
   auto setup = MakeUniviStor(procs, config, /*cfs=*/false, /*workflow=*/true,
                              /*client_programs=*/2);
   const auto reader = setup.scenario->runtime().LaunchProgram("bdcats", procs / 2);
-  return RunCoupledWorkflow(*setup.scenario, *setup.system.driver, setup.app, reader, Params(),
-                            overlap);
+  return RunWorkflow(*setup.scenario, *setup.system.driver, setup.app, reader, Params(), overlap)
+      .elapsed;
 }
 
 }  // namespace

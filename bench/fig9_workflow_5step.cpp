@@ -22,6 +22,13 @@ VpicParams Params() {
                     .file_prefix = "vpic"};
 }
 
+/// The workflow's elapsed time on `setup`, whose client program is VPIC's.
+Time Elapsed(Setup setup, int procs, bool overlap) {
+  const auto reader = setup.scenario->runtime().LaunchProgram("bdcats", procs / 2);
+  return RunWorkflow(*setup.scenario, *setup.system.driver, setup.app, reader, Params(), overlap)
+      .elapsed;
+}
+
 }  // namespace
 
 int main() {
@@ -31,27 +38,19 @@ int main() {
     auto uvs_run = [&](hw::Layer layer, bool overlap) {
       univistor::Config config;
       config.first_cache_layer = layer;
-      auto setup = MakeUniviStor(procs, config, /*cfs=*/false, /*workflow=*/true,
-                                 /*client_programs=*/2);
-      const auto reader =
-          setup.scenario->runtime().LaunchProgram("bdcats", procs / 2);
-      return RunCoupledWorkflow(*setup.scenario, *setup.system.driver, setup.app, reader,
-                                Params(), overlap);
+      return Elapsed(MakeUniviStor(procs, config, /*cfs=*/false, /*workflow=*/true,
+                                   /*client_programs=*/2),
+                     procs, overlap);
     };
     const Time dram_ovl = uvs_run(hw::Layer::kDram, true);
     const Time dram_non = uvs_run(hw::Layer::kDram, false);
     const Time bb_ovl = uvs_run(hw::Layer::kSharedBurstBuffer, true);
     const Time bb_non = uvs_run(hw::Layer::kSharedBurstBuffer, false);
 
-    auto de = MakeDataElevator(procs, /*client_programs=*/2);
-    const auto de_reader = de.scenario->runtime().LaunchProgram("bdcats", procs / 2);
-    const Time de_time = RunCoupledWorkflow(*de.scenario, *de.system.driver, de.app, de_reader,
-                                            Params(), /*overlap=*/false);
-
-    auto lustre = MakeLustre(procs, /*client_programs=*/2);
-    const auto lu_reader = lustre.scenario->runtime().LaunchProgram("bdcats", procs / 2);
-    const Time lu_time = RunCoupledWorkflow(*lustre.scenario, *lustre.system.driver, lustre.app,
-                                            lu_reader, Params(), /*overlap=*/false);
+    const Time de_time =
+        Elapsed(MakeDataElevator(procs, /*client_programs=*/2), procs, /*overlap=*/false);
+    const Time lu_time =
+        Elapsed(MakeLustre(procs, /*client_programs=*/2), procs, /*overlap=*/false);
 
     table.AddNumericRow({static_cast<double>(procs), dram_ovl, dram_non, bb_ovl, bb_non,
                          de_time, lu_time, dram_non / dram_ovl, bb_non / bb_ovl,

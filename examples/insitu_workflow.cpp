@@ -12,11 +12,8 @@
 #include <cstdio>
 
 #include "src/common/strings.hpp"
-#include "src/univistor/driver.hpp"
-#include "src/univistor/system.hpp"
-#include "src/workload/bdcats.hpp"
+#include "src/workload/deployment.hpp"
 #include "src/workload/scenario.hpp"
-#include "src/workload/vpic.hpp"
 
 using namespace uvs;
 
@@ -35,9 +32,8 @@ Time RunMode(bool overlap) {
   constexpr int kProcs = 128;  // half to the producer, half to the analysis
   workload::Scenario scenario(
       workload::ScenarioOptions{.procs = kProcs, .workflow_enabled = true});
-  univistor::UniviStor univistor(scenario.runtime(), scenario.pfs(), scenario.workflow(),
-                                 univistor::Config{});
-  univistor::UniviStorDriver driver(univistor);
+  const workload::SystemUnderTest sut =
+      workload::BuildSystem(scenario, workload::SystemKind::kUniviStor, univistor::Config{});
 
   const auto producer = scenario.runtime().LaunchProgram("vpic", kProcs / 2);
   const auto consumer = scenario.runtime().LaunchProgram("bdcats", kProcs / 2);
@@ -47,38 +43,17 @@ Time RunMode(bool overlap) {
                                     .bytes_per_var = 32_MiB,
                                     .compute_time = 0.0,
                                     .file_prefix = "insitu"};
-  workload::VpicRun vpic(scenario, producer, driver, params);
-  workload::BdcatsRun bdcats(scenario, consumer, driver,
-                             workload::BdcatsParams{.producer = params,
-                                                    .producer_ranks = kProcs / 2});
-
-  const Time start = scenario.engine().Now();
-  Time end = start;
-  vpic.Start();
-  if (overlap) {
-    bdcats.Start();  // blocks on the workflow locks, not on stale data
-  } else {
-    scenario.engine().Spawn([](workload::VpicRun& v, workload::BdcatsRun& b) -> sim::Task {
-      co_await v.done().Wait();
-      b.Start();
-    }(vpic, bdcats));
-  }
-  scenario.engine().Spawn([](workload::BdcatsRun& b, sim::Engine& engine,
-                             Time& done_at) -> sim::Task {
-    co_await b.done().Wait();
-    done_at = engine.Now();
-  }(bdcats, scenario.engine(), end));
-  scenario.engine().Run();
+  // Overlap blocks BD-CATS on the workflow locks, not on stale data.
+  const workload::WorkflowResult run =
+      workload::RunWorkflow(scenario, *sut.driver, producer, consumer, params, overlap);
 
   std::printf("  %-10s producer writes %s, consumer reads %s, elapsed %s\n",
-              overlap ? "overlap:" : "nonoverlap:",
-              HumanTime(vpic.result().write_time).c_str(),
-              HumanTime(bdcats.result().read_time).c_str(), HumanTime(end - start).c_str());
-  Check(vpic.result().write_time > 0, "producer wrote data");
-  Check(bdcats.result().read_time > 0, "consumer read data");
-  Check(bdcats.result().bytes == vpic.result().bytes,
-        "consumer read back every produced byte");
-  return end - start;
+              overlap ? "overlap:" : "nonoverlap:", HumanTime(run.producer.write_time).c_str(),
+              HumanTime(run.consumer.read_time).c_str(), HumanTime(run.elapsed).c_str());
+  Check(run.producer.write_time > 0, "producer wrote data");
+  Check(run.consumer.read_time > 0, "consumer read data");
+  Check(run.consumer.bytes == run.producer.bytes, "consumer read back every produced byte");
+  return run.elapsed;
 }
 
 }  // namespace

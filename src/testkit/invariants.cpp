@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "src/cluster/simulation.hpp"
 #include "src/hw/params.hpp"
 #include "src/placement/dhp.hpp"
 #include "src/placement/virtual_address.hpp"
@@ -236,6 +237,71 @@ void CheckErasure(const storage::Pfs& pfs, InvariantReport& report) {
            "(failed+latent shards <= m throughout)";
     report.Add("ec-redundancy-bound", out.str());
   }
+}
+
+namespace {
+
+/// Lost-byte accounting of one UniviStor deployment; `who` names it in
+/// violations. Returns the expectation the loss was checked against.
+Bytes CheckLostBytes(const univistor::UniviStor& system, vmpi::Runtime& runtime,
+                     bool faults_armed, Bytes expected, const std::string& who,
+                     InvariantReport& report) {
+  const Bytes lost = system.lost_bytes();
+  if (faults_armed) {
+    // The watermark expectation is an upper bound here: reads that beat
+    // the crash legitimately succeed ("bytes lost never exceed the
+    // un-replicated, un-flushed dirty window of the dead nodes").
+    expected = ExpectedLostBytes(system, runtime);
+    if (lost > expected)
+      report.Add("lost-bound", who + " reports " + std::to_string(lost) +
+                                   " lost bytes, above the metadata-derived bound of " +
+                                   std::to_string(expected));
+  } else if (lost != expected) {
+    report.Add("lost-accounting", who + " reports " + std::to_string(lost) +
+                                      " lost bytes, metadata-derived expectation is " +
+                                      std::to_string(expected));
+  }
+  return expected;
+}
+
+}  // namespace
+
+Bytes CheckSingleRun(workload::Scenario& scenario, const univistor::UniviStor* system,
+                     bool faults_armed, Bytes expected_lost, InvariantReport& report) {
+  CheckQuiescence(scenario.engine(), report);
+  CheckPoolConservation(scenario, report);
+  CheckErasure(scenario.pfs(), report);
+  if (system == nullptr) return expected_lost;
+  CheckUniviStor(*system, report);
+  return CheckLostBytes(*system, scenario.runtime(), faults_armed, expected_lost, "system",
+                        report);
+}
+
+Bytes CheckClusterRun(workload::Scenario& scenario, const cluster::ClusterSim& sim,
+                      bool faults_armed, InvariantReport& report) {
+  CheckQuiescence(scenario.engine(), report);
+  CheckPoolConservation(scenario, report);
+  CheckProcessesRetired(scenario, report);
+  if (sim.arrived_jobs() != sim.job_count())
+    report.Add("cluster-conservation", std::to_string(sim.arrived_jobs()) + " of " +
+                                           std::to_string(sim.job_count()) + " jobs arrived");
+  if (sim.completed_jobs() != sim.arrived_jobs())
+    report.Add("cluster-starvation", std::to_string(sim.arrived_jobs() - sim.completed_jobs()) +
+                                         " arrived jobs never completed (queued or stranded)");
+  if (sim.peak_bb_reserved() > sim.bb_capacity())
+    report.Add("cluster-bb-capacity",
+               "peak BB reservation " + std::to_string(sim.peak_bb_reserved()) +
+                   " exceeds capacity " + std::to_string(sim.bb_capacity()));
+  CheckErasure(scenario.pfs(), report);
+  Bytes expected_lost = 0;
+  for (int j = 0; j < sim.job_count(); ++j) {
+    const univistor::UniviStor* system = sim.system(j);
+    if (system == nullptr) continue;
+    CheckUniviStor(*system, report);
+    expected_lost += CheckLostBytes(*system, scenario.runtime(), faults_armed, 0,
+                                    "job " + std::to_string(j), report);
+  }
+  return expected_lost;
 }
 
 }  // namespace uvs::testkit

@@ -17,7 +17,9 @@
 //    left stranded (a stranded process is a deadlock).
 //
 // The narrow checkers take plain data so unit tests can feed synthetic
-// violations; the aggregate ones walk a live system.
+// violations; the aggregate ones walk a live system. CheckSingleRun and
+// CheckClusterRun are the batteries a finished run gets, the same from
+// `uvsim --check` and from the fuzzer.
 #pragma once
 
 #include <string>
@@ -30,6 +32,10 @@
 #include "src/storage/pfs.hpp"
 #include "src/univistor/system.hpp"
 #include "src/workload/scenario.hpp"
+
+namespace uvs::cluster {
+class ClusterSim;
+}
 
 namespace uvs::testkit {
 
@@ -97,5 +103,23 @@ void CheckErasure(const storage::Pfs& pfs, InvariantReport& report);
 /// upper bound for seed-timed plans, where reads that beat the crash
 /// succeed but still qualify here.
 Bytes ExpectedLostBytes(const univistor::UniviStor& system, vmpi::Runtime& runtime);
+
+/// The battery after a single run drained: quiescence, pool conservation,
+/// erasure coding, and for a UniviStor deployment (`system`, nullable) its
+/// invariants and lost-byte accounting. With `faults_armed`, a plan's
+/// crashes landed at arbitrary points relative to the reads, so the loss
+/// may not exceed the ExpectedLostBytes bound; otherwise it must equal
+/// `expected_lost` (derived when a failure was injected at a drained point,
+/// else 0). Returns the expectation the loss was checked against.
+Bytes CheckSingleRun(workload::Scenario& scenario, const univistor::UniviStor* system,
+                     bool faults_armed, Bytes expected_lost, InvariantReport& report);
+
+/// The battery after a cluster::ClusterSim run drained: quiescence, pool
+/// conservation, process lifetime, every job arrived and completed, BB
+/// reservations within capacity, erasure coding, and per tenant the
+/// UniviStor invariants and lost-byte accounting (bounded per tenant with
+/// `faults_armed`, else zero). Returns the summed lost-byte expectation.
+Bytes CheckClusterRun(workload::Scenario& scenario, const cluster::ClusterSim& sim,
+                      bool faults_armed, InvariantReport& report);
 
 }  // namespace uvs::testkit

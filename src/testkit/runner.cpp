@@ -18,9 +18,7 @@
 #include "src/univistor/system.hpp"
 #include "src/workload/bdcats.hpp"
 #include "src/workload/deployment.hpp"
-#include "src/workload/hdf_micro.hpp"
 #include "src/workload/scenario.hpp"
-#include "src/workload/vpic.hpp"
 
 namespace uvs::testkit {
 
@@ -28,9 +26,7 @@ namespace {
 
 using workload::SystemKind;
 using workload::SystemUnderTest;
-
-constexpr const char* kMicroFileName = "fuzz.h5";
-constexpr const char* kVpicPrefix = "fuzz_vpic";
+using workload::WorkloadKind;
 
 hw::ClusterParams BuildClusterParams(const ScenarioSpec& spec) {
   hw::ClusterParams params = hw::CoriPreset(spec.procs, spec.procs_per_node);
@@ -69,105 +65,35 @@ univistor::Config BuildConfig(const ScenarioSpec& spec) {
   return config;
 }
 
+/// Arms the spec's fail=plan fault plan; nullptr otherwise, or when the plan
+/// does not parse (reported as a violation).
+std::unique_ptr<fault::Injector> ArmSpecPlan(const ScenarioSpec& spec,
+                                             workload::Scenario& scenario,
+                                             univistor::UniviStor* univistor,
+                                             RunOutcome& outcome) {
+  if (spec.failure != FailureMode::kPlan) return nullptr;
+  auto plan = fault::ParsePlan(spec.fault_plan);
+  if (!plan.ok()) {
+    outcome.report.Add("fault-plan", plan.status().message());
+    return nullptr;
+  }
+  return workload::ArmFaults(scenario, *plan, univistor, spec.recovery,
+                             workload::kScrubStripeInterval);
+}
+
 /// Fails the spec'd node at the spec'd point and records the exact
 /// expected data loss for the read phase that follows.
 void InjectFailure(const ScenarioSpec& spec, workload::Scenario& scenario,
-                   univistor::UniviStor& system, const std::vector<std::string>& names,
-                   RunOutcome& outcome) {
+                   univistor::UniviStor& system, RunOutcome& outcome) {
   if (spec.failure == FailureMode::kDuringFlush) {
-    // Start a fresh flush and fail the node while it is in flight.
-    for (const auto& name : names) system.TriggerFlush(system.OpenOrCreate(name));
+    // Start a fresh flush of every file and fail the node while in flight.
+    for (int f = 0; f < system.file_count(); ++f)
+      system.TriggerFlush(static_cast<storage::FileId>(f));
     scenario.engine().RunUntil(scenario.engine().Now() + 1e-4);
   }
   system.FailNode(spec.failed_node);
   scenario.engine().Run();  // drain in-flight flushes and replication
   outcome.expected_lost_bytes = ExpectedLostBytes(system, scenario.runtime());
-}
-
-/// Drives the spec's workload; returns the names of the files it wrote.
-std::vector<std::string> RunWorkload(const ScenarioSpec& spec, workload::Scenario& scenario,
-                                     SystemUnderTest& sut, RunOutcome& outcome) {
-  // kPlan crashes are scheduled by the armed fault::Injector, not injected
-  // at a workload milestone — only the legacy point modes go through
-  // InjectFailure.
-  const bool inject = (spec.failure == FailureMode::kAfterWrites ||
-                       spec.failure == FailureMode::kDuringFlush) &&
-                      sut.univistor != nullptr;
-  const bool plan_readback = spec.failure == FailureMode::kPlan && sut.univistor != nullptr;
-
-  switch (spec.workload) {
-    case WorkloadKind::kMicro:
-    case WorkloadKind::kMicroReadBack: {
-      const auto app = scenario.runtime().LaunchProgram("fuzz-app", spec.procs);
-      workload::MicroParams params{
-          .bytes_per_proc = spec.bytes_per_rank, .read = false, .file_name = kMicroFileName};
-      workload::RunHdfMicro(scenario, app, *sut.driver, params);
-      if (spec.workload == WorkloadKind::kMicroReadBack) {
-        if (inject) InjectFailure(spec, scenario, *sut.univistor, {kMicroFileName}, outcome);
-        params.read = true;
-        workload::RunHdfMicro(scenario, app, *sut.driver, params);
-      }
-      return {kMicroFileName};
-    }
-
-    case WorkloadKind::kVpic: {
-      const auto app = scenario.runtime().LaunchProgram("fuzz-vpic", spec.procs);
-      const workload::VpicParams params{.steps = spec.steps,
-                                        .vars = 2,
-                                        .bytes_per_var = spec.bytes_per_rank / 2,
-                                        .compute_time = spec.compute_time,
-                                        .file_prefix = kVpicPrefix};
-      workload::VpicRun vpic(scenario, app, *sut.driver, params);
-      vpic.Start();
-      scenario.engine().Run();
-      std::vector<std::string> names;
-      for (int s = 0; s < params.steps; ++s) names.push_back(vpic.StepFileName(s));
-      if (inject) InjectFailure(spec, scenario, *sut.univistor, names, outcome);
-      if (inject || plan_readback) {
-        // Read everything back through BD-CATS to exercise the loss path.
-        const auto reader = scenario.runtime().LaunchProgram("fuzz-bdcats", spec.procs);
-        workload::RunBdcats(scenario, reader, *sut.driver,
-                            workload::BdcatsParams{.producer = params,
-                                                   .producer_ranks = spec.procs});
-      }
-      return names;
-    }
-
-    case WorkloadKind::kWorkflow: {
-      const int producers = spec.procs / 2;
-      const int consumers = spec.procs - producers;
-      const auto producer = scenario.runtime().LaunchProgram("fuzz-vpic", producers);
-      const auto consumer = scenario.runtime().LaunchProgram("fuzz-bdcats", consumers);
-      const workload::VpicParams params{.steps = spec.steps,
-                                        .vars = 2,
-                                        .bytes_per_var = spec.bytes_per_rank / 2,
-                                        .compute_time = spec.compute_time,
-                                        .file_prefix = kVpicPrefix};
-      workload::VpicRun vpic(scenario, producer, *sut.driver, params);
-      workload::BdcatsRun bdcats(
-          scenario, consumer, *sut.driver,
-          workload::BdcatsParams{.producer = params, .producer_ranks = producers});
-      vpic.Start();
-      if (sut.univistor != nullptr) {
-        // Workflow locks serialize per-file access; overlap is safe.
-        bdcats.Start();
-      } else {
-        // Baselines have no workflow management: run sequentially so the
-        // consumer never reads a half-written file.
-        scenario.engine().Spawn(
-            [](workload::VpicRun& v, workload::BdcatsRun& b) -> sim::Task {
-              co_await v.done().Wait();
-              b.Start();
-            }(vpic, bdcats),
-            "fuzz-workflow-chain");
-      }
-      scenario.engine().Run();
-      std::vector<std::string> names;
-      for (int s = 0; s < params.steps; ++s) names.push_back(vpic.StepFileName(s));
-      return names;
-    }
-  }
-  return {};
 }
 
 void CollectFileSizes(const std::vector<std::string>& names, SystemUnderTest& sut,
@@ -244,9 +170,8 @@ std::vector<cluster::JobSpec> BuildJobMix(const ScenarioSpec& spec) {
 }
 
 /// The jobs>1 path: one shared machine, one ClusterSim, per-job UniviStor
-/// instances contending through it. Cluster-level invariants (starvation
-/// horizon, BB reservation conservation, per-job lost-byte accounting)
-/// ride on top of the per-system checks.
+/// instances contending through it. The starvation horizon, which bounds
+/// sampled mixes only, rides on top of the cluster battery.
 RunOutcome RunClusterScenario(const ScenarioSpec& spec) {
   RunOutcome outcome;
   outcome.spec = spec;
@@ -265,19 +190,9 @@ RunOutcome RunClusterScenario(const ScenarioSpec& spec) {
     cluster_options.procs_per_node = spec.procs_per_node;
     cluster::ClusterSim sim(scenario, BuildJobMix(spec), cluster_options);
 
-    std::unique_ptr<fault::Injector> injector;
-    if (spec.failure == FailureMode::kPlan) {
-      auto plan = fault::ParsePlan(spec.fault_plan);
-      if (!plan.ok()) {
-        outcome.report.Add("fault-plan", plan.status().message());
-        return outcome;
-      }
-      injector = std::make_unique<fault::Injector>(scenario.engine(), *plan);
-      sim.AttachInjector(*injector);
-      workload::WireFaults(*injector, scenario, nullptr, spec.recovery,
-                           workload::kScrubStripeInterval);
-      injector->Arm();
-    }
+    const auto injector = ArmSpecPlan(spec, scenario, nullptr, outcome);
+    if (!outcome.ok()) return outcome;
+    if (injector != nullptr) sim.AttachInjector(*injector);
 
     sim.Run();
     if (spec.ec_k > 0 && spec.scrub)
@@ -293,53 +208,13 @@ RunOutcome RunClusterScenario(const ScenarioSpec& spec) {
       }
     }
 
-    CheckQuiescence(scenario.engine(), outcome.report);
-    CheckPoolConservation(scenario, outcome.report);
-    CheckProcessesRetired(scenario, outcome.report);
-    if (sim.arrived_jobs() != sim.job_count()) {
-      outcome.report.Add("cluster-conservation",
-                         std::to_string(sim.arrived_jobs()) + " of " +
-                             std::to_string(sim.job_count()) + " jobs arrived");
-    }
-    if (sim.completed_jobs() != sim.arrived_jobs()) {
-      outcome.report.Add("cluster-starvation",
-                         std::to_string(sim.arrived_jobs() - sim.completed_jobs()) +
-                             " arrived jobs never completed (queued or stranded)");
-    }
+    outcome.expected_lost_bytes =
+        CheckClusterRun(scenario, sim, injector != nullptr, outcome.report);
     if (outcome.sim_time > sim.StarvationHorizon()) {
       outcome.report.Add("cluster-starvation",
                          "mix drained at t=" + std::to_string(outcome.sim_time) +
                              ", past the bounded horizon " +
                              std::to_string(sim.StarvationHorizon()));
-    }
-    if (sim.peak_bb_reserved() > sim.bb_capacity()) {
-      outcome.report.Add("cluster-bb-capacity",
-                         "peak BB reservation " + std::to_string(sim.peak_bb_reserved()) +
-                             " exceeds capacity " + std::to_string(sim.bb_capacity()));
-    }
-    if (spec.ec_k > 0) CheckErasure(scenario.pfs(), outcome.report);
-    for (int j = 0; j < sim.job_count(); ++j) {
-      const univistor::UniviStor* sys = sim.system(j);
-      if (sys == nullptr) continue;
-      CheckUniviStor(*sys, outcome.report);
-      const std::string label = "job " + std::to_string(j);
-      const Bytes lost = sys->lost_bytes();
-      if (spec.failure == FailureMode::kPlan) {
-        // Plan crashes land at arbitrary points, so the metadata-derived
-        // expectation is an upper bound per tenant (see ExpectedLostBytes).
-        const Bytes bound = ExpectedLostBytes(*sys, scenario.runtime());
-        outcome.expected_lost_bytes += bound;
-        if (lost > bound) {
-          outcome.report.Add("cluster-lost-bound",
-                             label + " reports " + std::to_string(lost) +
-                                 " lost bytes, above its metadata-derived bound of " +
-                                 std::to_string(bound));
-        }
-      } else if (lost != 0) {
-        outcome.report.Add("cluster-lost-accounting",
-                           label + " reports " + std::to_string(lost) +
-                               " lost bytes with no fault injected");
-      }
     }
   } catch (const std::exception& e) {
     outcome.report.Add("exception", e.what());
@@ -361,54 +236,46 @@ RunOutcome RunSingleScenario(const ScenarioSpec& spec, const RunOptions& options
         .cluster_params = BuildClusterParams(spec)};
     workload::Scenario scenario(scenario_options);
     SystemUnderTest sut = workload::BuildSystem(scenario, spec.system, BuildConfig(spec));
+    univistor::UniviStor* const system = sut.univistor.get();
 
-    // Seed-timed fault plans: arm the injector before the workload starts
-    // so its events interleave with writes, flushes, and reads.
-    std::unique_ptr<fault::Injector> injector;
-    if (spec.failure == FailureMode::kPlan && sut.univistor != nullptr) {
-      auto plan = fault::ParsePlan(spec.fault_plan);
-      if (!plan.ok()) {
-        outcome.report.Add("fault-plan", plan.status().message());
-        return outcome;
+    const auto injector = ArmSpecPlan(spec, scenario, system, outcome);
+    if (!outcome.ok()) return outcome;
+
+    // Point failures land at a drained milestone: between micro_read's
+    // phases, or after VPIC's last step; plan crashes are the injector's.
+    const bool inject = (spec.failure == FailureMode::kAfterWrites ||
+                         spec.failure == FailureMode::kDuringFlush) &&
+                        system != nullptr;
+    const auto fail = [&] {
+      if (inject) InjectFailure(spec, scenario, *system, outcome);
+    };
+    const workload::WorkloadParams params{.kind = spec.workload,
+                                          .procs = spec.procs,
+                                          .bytes_per_rank = spec.bytes_per_rank,
+                                          .steps = spec.steps,
+                                          .vpic_vars = 2,
+                                          .compute_time = spec.compute_time};
+    const workload::WorkloadResult result =
+        workload::DriveWorkload(scenario, sut, params, fail);
+    if (spec.workload == WorkloadKind::kVpic) {
+      fail();
+      if (inject || (injector != nullptr && system != nullptr)) {
+        // Read everything back through BD-CATS to exercise the loss path.
+        const auto reader = scenario.runtime().LaunchProgram("bdcats", spec.procs);
+        workload::RunBdcats(
+            scenario, reader, *sut.driver,
+            workload::BdcatsParams{.producer = params.Vpic(), .producer_ranks = spec.procs});
       }
-      injector = std::make_unique<fault::Injector>(scenario.engine(), *plan);
-      workload::WireFaults(*injector, scenario, sut.univistor.get(), spec.recovery,
-                           workload::kScrubStripeInterval);
-      injector->Arm();
     }
-
-    const auto names = RunWorkload(spec, scenario, sut, outcome);
     scenario.engine().Run();  // final drain (asynchronous flushes)
     if (spec.ec_k > 0 && spec.scrub)
       workload::RunFinalScrub(scenario, workload::kScrubStripeInterval);
     outcome.sim_time = scenario.engine().Now();
-    CollectFileSizes(names, sut, scenario, outcome);
-    if (sut.univistor != nullptr) outcome.lost_bytes = sut.univistor->lost_bytes();
-    if (spec.failure == FailureMode::kPlan && sut.univistor != nullptr) {
-      outcome.expected_lost_bytes = ExpectedLostBytes(*sut.univistor, scenario.runtime());
-    }
+    CollectFileSizes(result.files, sut, scenario, outcome);
+    if (system != nullptr) outcome.lost_bytes = system->lost_bytes();
 
-    CheckQuiescence(scenario.engine(), outcome.report);
-    CheckPoolConservation(scenario, outcome.report);
-    if (sut.univistor != nullptr) CheckUniviStor(*sut.univistor, outcome.report);
-    if (spec.ec_k > 0) CheckErasure(scenario.pfs(), outcome.report);
-    if (spec.failure == FailureMode::kPlan) {
-      // Plan crashes land at arbitrary points relative to the reads, so
-      // reads that beat the crash legitimately succeed; the watermark
-      // expectation is an upper bound ("bytes lost never exceed the
-      // un-replicated, un-flushed dirty window of the dead nodes").
-      if (outcome.lost_bytes > outcome.expected_lost_bytes) {
-        outcome.report.Add("lost-bound",
-                           "system reports " + std::to_string(outcome.lost_bytes) +
-                               " lost bytes, above the metadata-derived bound of " +
-                               std::to_string(outcome.expected_lost_bytes));
-      }
-    } else if (outcome.lost_bytes != outcome.expected_lost_bytes) {
-      outcome.report.Add("lost-accounting",
-                         "system reports " + std::to_string(outcome.lost_bytes) +
-                             " lost bytes, metadata-derived expectation is " +
-                             std::to_string(outcome.expected_lost_bytes));
-    }
+    outcome.expected_lost_bytes = CheckSingleRun(scenario, system, injector != nullptr,
+                                                 outcome.expected_lost_bytes, outcome.report);
     if (options.differential && spec.system == SystemKind::kUniviStor &&
         spec.failure == FailureMode::kNone) {
       RunDifferential(spec, outcome);

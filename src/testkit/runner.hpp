@@ -1,12 +1,14 @@
 // Executes one ScenarioSpec end to end and checks every invariant.
 //
 // The runner builds the cluster and the system under test from the spec,
-// drives the chosen workload (with optional node-failure injection at a
-// deterministic point), drains the simulation, and runs the whole-system
-// checks from invariants.hpp. For UniviStor specs without failure it also
-// replays the identical workload through the Lustre baseline and compares
-// the resulting per-file sizes (differential read-back: both systems must
-// expose exactly the bytes the application wrote).
+// arms its fault plan and drives its workload through the run path uvsim
+// shares (workload::ArmFaults, workload::DriveWorkload), injects a point
+// node failure at a deterministic milestone, drains the simulation, and
+// runs the battery from invariants.hpp that `uvsim --check` runs too. For
+// UniviStor specs without failure it also replays the identical workload
+// through the Lustre baseline and compares the resulting per-file sizes
+// (differential read-back: both systems must expose exactly the bytes the
+// application wrote).
 #pragma once
 
 #include <cstdint>

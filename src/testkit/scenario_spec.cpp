@@ -12,16 +12,7 @@
 namespace uvs::testkit {
 
 using workload::SystemKind;
-
-const char* WorkloadKindName(WorkloadKind kind) {
-  switch (kind) {
-    case WorkloadKind::kMicro: return "micro";
-    case WorkloadKind::kMicroReadBack: return "micro_read";
-    case WorkloadKind::kVpic: return "vpic";
-    case WorkloadKind::kWorkflow: return "workflow";
-  }
-  return "?";
-}
+using workload::WorkloadKind;
 
 const char* FailureModeName(FailureMode mode) {
   switch (mode) {
@@ -209,7 +200,7 @@ Result<ScenarioSpec> ParseScenarioSpec(const std::string& text) {
   // Chunk and metadata-range sizes divide offsets, so they must be positive.
   kv.MiB("chunk_mb", &spec.chunk_size, 1);
   kv.MiB("md_mb", &spec.metadata_range_size, 1);
-  kv.Choice("workload", &spec.workload, WorkloadKindName, 4);
+  kv.Choice("workload", &spec.workload, workload::WorkloadKindName, 4);
   kv.MiB("mb", &spec.bytes_per_rank, 0);
   kv.Number("steps", &spec.steps, 1);
   kv.Number("compute", &spec.compute_time, 0.0);

@@ -17,10 +17,8 @@
 
 namespace uvs::testkit {
 
-enum class WorkloadKind : std::uint8_t { kMicro = 0, kMicroReadBack, kVpic, kWorkflow };
 enum class FailureMode : std::uint8_t { kNone = 0, kAfterWrites, kDuringFlush, kPlan };
 
-const char* WorkloadKindName(WorkloadKind kind);
 const char* FailureModeName(FailureMode mode);
 
 struct ScenarioSpec {
@@ -52,7 +50,7 @@ struct ScenarioSpec {
   Bytes metadata_range_size = 2_MiB;
 
   // --- Workload. ---
-  WorkloadKind workload = WorkloadKind::kMicroReadBack;
+  workload::WorkloadKind workload = uvs::workload::WorkloadKind::kMicroReadBack;
   Bytes bytes_per_rank = 4_MiB;  // per step for vpic/workflow
   int steps = 2;                 // vpic/workflow only
   double compute_time = 0.0;     // vpic inter-checkpoint sleep (sim seconds)

@@ -7,6 +7,8 @@ namespace uvs::testkit {
 
 namespace {
 
+using workload::WorkloadKind;
+
 /// Keeps a transformed spec self-consistent (sampler guarantees).
 void Normalize(ScenarioSpec& spec) {
   spec.procs = std::max(spec.procs, 1);

@@ -16,11 +16,11 @@ BdcatsRun::BdcatsRun(Scenario& scenario, vmpi::ProgramId program, vmpi::AdioDriv
       step_end_(static_cast<std::size_t>(params_.producer.steps), 0.0),
       done_(std::make_unique<sim::Event>(scenario.engine())) {
   for (int step = 0; step < params_.producer.steps; ++step) {
-    const std::string name =
-        params_.producer.file_prefix + "_t" + std::to_string(step) + ".h5";
     files_.push_back(std::make_unique<vmpi::File>(
         scenario.runtime(), program,
-        vmpi::FileOptions{name, vmpi::FileMode::kReadOnly, /*hdf5=*/true}, driver));
+        vmpi::FileOptions{params_.producer.StepFileName(step), vmpi::FileMode::kReadOnly,
+                          /*hdf5=*/true},
+        driver));
   }
 }
 

@@ -15,6 +15,16 @@ const char* SystemKindName(SystemKind kind) {
   return "?";
 }
 
+const char* WorkloadKindName(WorkloadKind kind) {
+  switch (kind) {
+    case WorkloadKind::kMicro: return "micro";
+    case WorkloadKind::kMicroReadBack: return "micro_read";
+    case WorkloadKind::kVpic: return "vpic";
+    case WorkloadKind::kWorkflow: return "workflow";
+  }
+  return "?";
+}
+
 SystemUnderTest BuildSystem(Scenario& scenario, SystemKind kind,
                             const univistor::Config& config) {
   SystemUnderTest sut;
@@ -36,28 +46,98 @@ SystemUnderTest BuildSystem(Scenario& scenario, SystemKind kind,
   return sut;
 }
 
-void WireFaults(fault::Injector& injector, Scenario& scenario, univistor::UniviStor* univistor,
-                bool recover, Time scrub_interval) {
-  injector.set_cluster(&scenario.cluster());
+std::unique_ptr<fault::Injector> ArmFaults(Scenario& scenario, const fault::Plan& plan,
+                                           univistor::UniviStor* univistor, bool recover,
+                                           Time scrub_interval) {
+  auto injector = std::make_unique<fault::Injector>(scenario.engine(), plan);
+  injector->set_cluster(&scenario.cluster());
   if (univistor != nullptr) {
-    injector.SetCrashHandler([univistor](int node) { univistor->FailNode(node); });
-    univistor->AttachFaults(&injector);
+    injector->SetCrashHandler([univistor](int node) { univistor->FailNode(node); });
+    univistor->AttachFaults(injector.get());
   }
   storage::Pfs* pfs = &scenario.pfs();
   sim::Engine* engine = &scenario.engine();
-  injector.AddOstFailHandler([pfs, engine, recover](int ost) {
+  injector->AddOstFailHandler([pfs, engine, recover](int ost) {
     pfs->FailOst(ost);
     if (recover) engine->Spawn(pfs->RebuildOst(ost), "ec-rebuild");
   });
-  injector.AddLatentHandler([pfs](int ost) { pfs->InjectLatentError(ost); });
-  injector.AddScrubHandler([pfs, engine, scrub_interval] {
+  injector->AddLatentHandler([pfs](int ost) { pfs->InjectLatentError(ost); });
+  injector->AddScrubHandler([pfs, engine, scrub_interval] {
     engine->Spawn(pfs->ScrubPass(scrub_interval), "ec-scrub");
   });
+  injector->Arm();
+  return injector;
 }
 
 void RunFinalScrub(Scenario& scenario, Time interval) {
   scenario.engine().Spawn(scenario.pfs().ScrubPass(interval), "ec-scrub-final");
   scenario.engine().Run();
+}
+
+VpicParams WorkloadParams::Vpic() const {
+  return VpicParams{.steps = steps,
+                    .vars = vpic_vars,
+                    .bytes_per_var = bytes_per_rank / static_cast<Bytes>(vpic_vars),
+                    .compute_time = compute_time};
+}
+
+WorkloadResult DriveWorkload(Scenario& scenario, const SystemUnderTest& sut,
+                             const WorkloadParams& params,
+                             const std::function<void()>& between_phases) {
+  vmpi::Runtime& runtime = scenario.runtime();
+  vmpi::AdioDriver& driver = *sut.driver;
+  WorkloadResult result;
+  if (params.kind == WorkloadKind::kMicro || params.kind == WorkloadKind::kMicroReadBack) {
+    const vmpi::ProgramId app = runtime.LaunchProgram("app", params.procs);
+    MicroParams micro{.bytes_per_proc = params.bytes_per_rank};
+    result.micro = RunHdfMicro(scenario, app, driver, micro);
+    if (params.kind == WorkloadKind::kMicroReadBack) {
+      if (between_phases) between_phases();
+      micro.read = true;
+      result.micro = RunHdfMicro(scenario, app, driver, micro);
+    }
+    result.files = {micro.file_name};
+    return result;
+  }
+  const VpicParams vpic = params.Vpic();
+  if (params.kind == WorkloadKind::kVpic) {
+    result.vpic = RunVpic(scenario, runtime.LaunchProgram("vpic", params.procs), driver, vpic);
+  } else {
+    const int writers = params.procs / 2;
+    const vmpi::ProgramId writer = runtime.LaunchProgram("vpic", writers);
+    const vmpi::ProgramId reader = runtime.LaunchProgram("bdcats", params.procs - writers);
+    result.workflow =
+        RunWorkflow(scenario, driver, writer, reader, vpic, sut.univistor != nullptr);
+  }
+  for (int step = 0; step < vpic.steps; ++step) result.files.push_back(vpic.StepFileName(step));
+  return result;
+}
+
+WorkflowResult RunWorkflow(Scenario& scenario, vmpi::AdioDriver& driver, vmpi::ProgramId writer,
+                           vmpi::ProgramId reader, const VpicParams& params, bool overlap) {
+  sim::Engine& engine = scenario.engine();
+  VpicRun vpic(scenario, writer, driver, params);
+  BdcatsRun bdcats(
+      scenario, reader, driver,
+      BdcatsParams{.producer = params, .producer_ranks = scenario.runtime().ProgramSize(writer)});
+  const Time start = engine.Now();
+  Time end = start;
+  vpic.Start();
+  if (overlap) {
+    bdcats.Start();
+  } else {
+    engine.Spawn([](VpicRun& v, BdcatsRun& b) -> sim::Task {
+      co_await v.done().Wait();
+      b.Start();
+    }(vpic, bdcats));
+  }
+  engine.Spawn([](BdcatsRun& b, sim::Engine& e, Time& done_at) -> sim::Task {
+    co_await b.done().Wait();
+    done_at = e.Now();
+  }(bdcats, engine, end));
+  engine.Run();
+  return WorkflowResult{.producer = vpic.result(), .consumer = bdcats.result(),
+                        .elapsed = end - start};
 }
 
 obs::Report AnalyzeRun(const obs::Recorder& recorder, Scenario& scenario,

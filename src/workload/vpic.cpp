@@ -22,8 +22,8 @@ VpicRun::VpicRun(Scenario& scenario, vmpi::ProgramId program, vmpi::AdioDriver& 
   }
 }
 
-std::string VpicRun::StepFileName(int step) const {
-  return params_.file_prefix + "_t" + std::to_string(step) + ".h5";
+std::string VpicParams::StepFileName(int step) const {
+  return file_prefix + "_t" + std::to_string(step) + ".h5";
 }
 
 sim::Task VpicRun::RankLoop(int rank) {

@@ -21,6 +21,9 @@ struct VpicParams {
   Bytes bytes_per_var = 32_MiB;  // 8 x 32 MiB = 256 MiB per rank per step
   Time compute_time = 60_sec;    // sleep between checkpoints (§III-C)
   std::string file_prefix = "vpic";
+
+  /// Per-step file name, shared with the reader side of a workflow.
+  std::string StepFileName(int step) const;
 };
 
 struct VpicResult {
@@ -47,8 +50,7 @@ class VpicRun {
   sim::Event& done() { return *done_; }
   bool finished() const { return finished_; }
   const VpicResult& result() const { return result_; }
-  /// Per-step file name, shared with the reader side of a workflow.
-  std::string StepFileName(int step) const;
+  std::string StepFileName(int step) const { return params_.StepFileName(step); }
 
  private:
   sim::Task RankLoop(int rank);

@@ -1,5 +1,5 @@
 // Tests for the shared deployment builder (workload::BuildSystem) and the
-// fault wiring every front end uses (workload::WireFaults).
+// fault arming every front end uses (workload::ArmFaults).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -62,34 +62,31 @@ TEST(BuildSystem, LustreStripesSharedFilesAcrossEveryOst) {
   }
 }
 
-TEST(WireFaults, OstFailureReachesThePfsWithOrWithoutUniviStor) {
+TEST(ArmFaults, OstFailureReachesThePfsWithOrWithoutUniviStor) {
   for (SystemKind kind : {SystemKind::kUniviStor, SystemKind::kLustre}) {
     Scenario scenario(SmallMachine());
     const SystemUnderTest sut = BuildSystem(scenario, kind, {});
-    fault::Injector injector(scenario.engine(), Plan("ostfail@0.001:ost=3"));
-    WireFaults(injector, scenario, sut.univistor.get(), /*recover=*/false,
-               kScrubStripeInterval);
-    injector.Arm();
+    const auto injector = ArmFaults(scenario, Plan("ostfail@0.001:ost=3"), sut.univistor.get(),
+                                    /*recover=*/false, kScrubStripeInterval);
     scenario.engine().Run();
     EXPECT_EQ(scenario.pfs().failed_ost_count(), 1) << SystemKindName(kind);
   }
 }
 
-TEST(WireFaults, CrashesReachFailNodeOnlyWhenAUniviStorIsGiven) {
+TEST(ArmFaults, CrashesReachFailNodeOnlyWhenAUniviStorIsGiven) {
   for (bool wired : {true, false}) {
     Scenario scenario(SmallMachine());
     const SystemUnderTest sut = BuildSystem(scenario, SystemKind::kUniviStor, {});
-    fault::Injector injector(scenario.engine(), Plan("crash@0.001:node=1"));
-    WireFaults(injector, scenario, wired ? sut.univistor.get() : nullptr, /*recover=*/false,
-               kScrubStripeInterval);
-    injector.Arm();
+    const auto injector =
+        ArmFaults(scenario, Plan("crash@0.001:node=1"), wired ? sut.univistor.get() : nullptr,
+                  /*recover=*/false, kScrubStripeInterval);
     scenario.engine().Run();
-    EXPECT_EQ(injector.stats().crashes, 1u);
+    EXPECT_EQ(injector->stats().crashes, 1u);
     EXPECT_EQ(sut.univistor->NodeFailed(1), wired);
   }
 }
 
-TEST(WireFaults, RecoverRebuildsAFailedOstUnderAnErasureCodedFile) {
+TEST(ArmFaults, RecoverRebuildsAFailedOstUnderAnErasureCodedFile) {
   for (bool recover : {true, false}) {
     Scenario scenario(SmallMachine());
     univistor::Config config;
@@ -99,9 +96,8 @@ TEST(WireFaults, RecoverRebuildsAFailedOstUnderAnErasureCodedFile) {
     const auto app = scenario.runtime().LaunchProgram("app", 8);
     RunHdfMicro(scenario, app, *sut.driver, {.bytes_per_proc = 8_MiB, .file_name = "ec.h5"});
     // Fails an OST after the flush made the file erasure-coded on the PFS.
-    fault::Injector injector(scenario.engine(), Plan("ostfail@0:ost=0"));
-    WireFaults(injector, scenario, sut.univistor.get(), recover, kScrubStripeInterval);
-    injector.Arm();
+    const auto injector = ArmFaults(scenario, Plan("ostfail@0:ost=0"), sut.univistor.get(),
+                                    recover, kScrubStripeInterval);
     scenario.engine().Run();
     EXPECT_EQ(scenario.pfs().failed_ost_count(), 1);
     if (recover) EXPECT_GT(scenario.pfs().ec_stats().rebuilt_bytes, 0u);

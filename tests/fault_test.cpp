@@ -507,7 +507,7 @@ TEST(FaultDeterminism, ScenarioOutcomesReplayExactly) {
   spec.seed = 1234;
   spec.procs = 8;
   spec.procs_per_node = 4;
-  spec.workload = testkit::WorkloadKind::kMicroReadBack;
+  spec.workload = workload::WorkloadKind::kMicroReadBack;
   spec.replicate_volatile = true;
   spec.recovery = true;
   spec.failure = testkit::FailureMode::kPlan;
@@ -563,7 +563,7 @@ TEST(FaultFuzz, ShrinkerMinimizesFaultPlans) {
   failing.procs = 16;
   failing.procs_per_node = 4;
   failing.steps = 3;
-  failing.workload = testkit::WorkloadKind::kVpic;
+  failing.workload = workload::WorkloadKind::kVpic;
   failing.recovery = true;
   failing.failure = testkit::FailureMode::kPlan;
   failing.fault_plan = "crash@0.002:node=1;ost@0.001+0.05:ost=3,factor=0.1;timeout@0.005+0.1";
@@ -583,7 +583,7 @@ TEST(FaultFuzz, ShrinkerMinimizesFaultPlans) {
   EXPECT_EQ(result.spec.procs, 1);
   EXPECT_EQ(result.spec.steps, 1);
   EXPECT_FALSE(result.spec.recovery);
-  EXPECT_EQ(result.spec.workload, testkit::WorkloadKind::kMicro);
+  EXPECT_EQ(result.spec.workload, workload::WorkloadKind::kMicro);
 }
 
 TEST(FaultFuzz, PlanScenariosRunCleanUnderTheInvariantChecks) {

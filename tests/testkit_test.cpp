@@ -241,7 +241,7 @@ TEST(ShrinkTest, ReachesMinimalSpecForAlwaysFailingPredicate) {
   const auto result = Shrink(big, [](const ScenarioSpec&) { return true; }, 256);
   EXPECT_LE(result.spec.procs, 2);
   EXPECT_EQ(result.spec.steps, 1);
-  EXPECT_EQ(result.spec.workload, WorkloadKind::kMicro);
+  EXPECT_EQ(result.spec.workload, workload::WorkloadKind::kMicro);
   EXPECT_EQ(result.spec.failure, FailureMode::kNone);
   EXPECT_EQ(result.spec.bytes_per_rank, 1_MiB);
 }
@@ -324,7 +324,7 @@ TEST(RunnerTest, RunScenarioIsDeterministic) {
 TEST(RunnerTest, FailureInjectionAccountsLostBytesExactly) {
   ScenarioSpec spec = SampleScenario(2);
   spec.system = SystemKind::kUniviStor;
-  spec.workload = WorkloadKind::kMicroReadBack;
+  spec.workload = workload::WorkloadKind::kMicroReadBack;
   spec.failure = FailureMode::kAfterWrites;  // point failure: single-job only
   spec.jobs = 1;
   spec.failed_node = 0;
@@ -340,7 +340,7 @@ TEST(RunnerTest, FailureInjectionAccountsLostBytesExactly) {
 TEST(RunnerTest, ReplicationPreventsDataLoss) {
   ScenarioSpec spec = SampleScenario(2);
   spec.system = SystemKind::kUniviStor;
-  spec.workload = WorkloadKind::kMicroReadBack;
+  spec.workload = workload::WorkloadKind::kMicroReadBack;
   spec.failure = FailureMode::kAfterWrites;  // point failure: single-job only
   spec.jobs = 1;
   spec.failed_node = 0;
@@ -350,6 +350,18 @@ TEST(RunnerTest, ReplicationPreventsDataLoss) {
   const RunOutcome outcome = RunScenario(spec);
   EXPECT_TRUE(outcome.ok()) << outcome.report.ToString();
   EXPECT_EQ(outcome.lost_bytes, 0u);
+}
+
+TEST(RunnerTest, FaultPlansArmOnEverySystem) {
+  // An OST degraded to 1% for the first simulated second: armed on Lustre
+  // too, so the run's clock covers the whole window.
+  const auto spec = ParseScenarioSpec(
+      "procs=4 system=lustre workload=vpic steps=1 mb=1 fail=plan "
+      "fplan=ost@0+1:ost=0,factor=0.01");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  const RunOutcome outcome = RunScenario(*spec);
+  EXPECT_TRUE(outcome.ok()) << outcome.report.ToString();
+  EXPECT_GE(outcome.sim_time, 1.0);
 }
 
 }  // namespace

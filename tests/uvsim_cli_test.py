@@ -73,8 +73,15 @@ def cases(tools, scratch):
         for flag in ("procs", "mb", "steps", "scrub", "sample-interval", "span-limit"):
             for v in VALUES:
                 yield "uvsim", SINGLE + [f"--{flag}={v}"], {}, f"--{flag}", ANY
+        for v in VALUES:
+            yield "uvsim", SINGLE + ["--ec=2+1", f"--scrub={v}"], {}, "--scrub", ANY
         for v in ["0+1", "1+0", "3x+1", "-1+1", "4+", "99999999999+1", "2147483647+1"]:
             yield "uvsim", SINGLE + [f"--ec={v}"], {}, "--ec", REJECT
+        # Flags that would select nothing in a single run: an unknown layer,
+        # a scrub with no erasure code, a read-back of a workload with none.
+        for flag, name in (("--layer=foo", "--layer"), ("--scrub", "--scrub"),
+                           ("--read", "--read")):
+            yield "uvsim", SINGLE + [flag], {}, name, REJECT
         yield "uvsim", SINGLE + ["--faults=crash@0.002:node=1,node=0"], {}, "node", REJECT
         # Observed runs take the traced leg paths of every layer.
         for layer in ("dram", "bb", "disk"):

@@ -1,12 +1,17 @@
-// Integration tests of the workload runners (VPIC-IO, BD-CATS-IO, and the
-// coupled workflow) across the three storage systems.
+// Integration tests of the workload runners (VPIC-IO, BD-CATS-IO, the
+// coupled workflow and the driver every front end shares) across the
+// three storage systems.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "src/baselines/data_elevator.hpp"
 #include "src/baselines/lustre_driver.hpp"
 #include "src/univistor/driver.hpp"
 #include "src/univistor/system.hpp"
 #include "src/workload/bdcats.hpp"
+#include "src/workload/deployment.hpp"
 #include "src/workload/hdf_micro.hpp"
 #include "src/workload/scenario.hpp"
 #include "src/workload/vpic.hpp"
@@ -124,55 +129,60 @@ TEST(Bdcats, ReadsBackVpicOutput) {
 TEST(WorkflowCoupling, OverlapBeatsNonoverlap) {
   auto run = [](bool overlap) {
     Scenario scenario(SmallOptions(8, /*workflow=*/true));
-    univistor::UniviStor system(scenario.runtime(), scenario.pfs(), scenario.workflow(),
-                                SmallConfig());
-    univistor::UniviStorDriver driver(system);
+    const SystemUnderTest sut = BuildSystem(scenario, SystemKind::kUniviStor, SmallConfig());
     auto writer = scenario.runtime().LaunchProgram("vpic", 4);
     auto reader = scenario.runtime().LaunchProgram("bdcats", 4);
     auto params = SmallVpic(3);
     params.compute_time = 10.0;
-    VpicRun vpic(scenario, writer, driver, params);
-    BdcatsRun bdcats(scenario, reader, driver,
-                     BdcatsParams{.producer = params, .producer_ranks = 4});
-    const Time start = scenario.engine().Now();
-    vpic.Start();
-    if (overlap) {
-      bdcats.Start();
-    } else {
-      scenario.engine().Spawn([](VpicRun& v, BdcatsRun& b) -> sim::Task {
-        co_await v.done().Wait();
-        b.Start();
-      }(vpic, bdcats));
-    }
-    scenario.engine().Run();
-    EXPECT_TRUE(vpic.finished());
-    EXPECT_TRUE(bdcats.finished());
-    // Elapsed time of the whole workflow.
-    return std::max(vpic.result().elapsed, scenario.engine().Now() - start);
+    const WorkflowResult result =
+        RunWorkflow(scenario, *sut.driver, writer, reader, params, overlap);
+    EXPECT_EQ(result.consumer.bytes, result.producer.bytes);
+    EXPECT_GE(result.elapsed, result.producer.elapsed);
+    return result.elapsed;
   };
   const Time overlap = run(true);
   const Time nonoverlap = run(false);
   EXPECT_LT(overlap, nonoverlap);
 }
 
+TEST(WorkflowCoupling, DriverChainsBaselinesAndOverlapsUniviStor) {
+  for (SystemKind kind : {SystemKind::kUniviStor, SystemKind::kLustre, SystemKind::kDataElevator}) {
+    Scenario scenario(SmallOptions(8, /*workflow=*/true));
+    const SystemUnderTest sut = BuildSystem(scenario, kind, SmallConfig());
+    const WorkloadResult result = DriveWorkload(
+        scenario, sut,
+        WorkloadParams{.kind = WorkloadKind::kWorkflow, .procs = 8, .bytes_per_rank = 16_MiB,
+                       .steps = 2, .vpic_vars = 4});
+    const WorkflowResult& run = result.workflow;
+    EXPECT_EQ(run.consumer.bytes, run.producer.bytes) << SystemKindName(kind);
+    EXPECT_EQ(result.files, (std::vector<std::string>{"vpic_t0.h5", "vpic_t1.h5"}));
+    // BD-CATS started `elapsed - consumer.elapsed` after VPIC did.
+    const Time consumer_start = run.elapsed - run.consumer.elapsed;
+    if (kind == SystemKind::kUniviStor) {
+      EXPECT_DOUBLE_EQ(consumer_start, 0.0) << "both programs start together";
+      EXPECT_LT(run.elapsed, run.producer.elapsed + run.consumer.elapsed)
+          << "the reader runs while the writer still writes";
+    } else {
+      EXPECT_GE(consumer_start,
+                run.producer.elapsed + run.producer.final_flush_wait - 1e-9)
+          << SystemKindName(kind) << ": BD-CATS starts only after VPIC is done";
+    }
+  }
+}
+
 TEST(WorkflowCoupling, ReaderNeverReadsFileBeingWritten) {
   // With workflow enabled, the reader's open of step t waits for the
   // writer's close of step t; sanity-check it completes (no deadlock) and
-  // respects ordering.
+  // reads back every byte.
   Scenario scenario(SmallOptions(8, /*workflow=*/true));
-  univistor::UniviStor system(scenario.runtime(), scenario.pfs(), scenario.workflow(),
-                              SmallConfig());
-  univistor::UniviStorDriver driver(system);
+  const SystemUnderTest sut = BuildSystem(scenario, SystemKind::kUniviStor, SmallConfig());
   auto writer = scenario.runtime().LaunchProgram("vpic", 4);
   auto reader = scenario.runtime().LaunchProgram("bdcats", 4);
-  auto params = SmallVpic(2);
-  VpicRun vpic(scenario, writer, driver, params);
-  BdcatsRun bdcats(scenario, reader, driver,
-                   BdcatsParams{.producer = params, .producer_ranks = 4});
-  vpic.Start();
-  bdcats.Start();
-  scenario.engine().Run();
-  EXPECT_TRUE(bdcats.finished());
+  const WorkflowResult result =
+      RunWorkflow(scenario, *sut.driver, writer, reader, SmallVpic(2), /*overlap=*/true);
+  EXPECT_GT(result.consumer.read_time, 0.0);
+  EXPECT_EQ(result.consumer.bytes, result.producer.bytes);
+  EXPECT_EQ(scenario.engine().live_processes(), 0u);
 }
 
 TEST(HdfMicro, TimingFieldsAreConsistent) {

@@ -138,7 +138,7 @@ bool RunOne(const testkit::ScenarioSpec& spec, const Args& args,
       for (const auto& [name, size] : outcome.file_sizes) total += size;
       std::printf("seed %llu ok (%s on %s, %d procs, %.1f MiB, sim %.3fs)\n",
                   static_cast<unsigned long long>(spec.seed),
-                  testkit::WorkloadKindName(spec.workload), workload::SystemKindName(spec.system),
+                  workload::WorkloadKindName(spec.workload), workload::SystemKindName(spec.system),
                   spec.procs, static_cast<double>(total) / (1_MiB), outcome.sim_time);
     }
     return true;
@@ -224,7 +224,7 @@ int main(int argc, char** argv) {
       if (!args.quiet)
         std::printf("seed %llu ok (%s on %s, %d procs, %.1f MiB, sim %.3fs)\n",
                     static_cast<unsigned long long>(run.seed),
-                    testkit::WorkloadKindName(run.spec.workload),
+                    workload::WorkloadKindName(run.spec.workload),
                     workload::SystemKindName(run.spec.system), run.spec.procs,
                     static_cast<double>(run.total_bytes()) / (1_MiB), run.sim_time);
       ++completed;

@@ -39,11 +39,8 @@
 #include "src/storage/pfs.hpp"
 #include "src/testkit/invariants.hpp"
 #include "src/univistor/system.hpp"
-#include "src/workload/bdcats.hpp"
 #include "src/workload/deployment.hpp"
-#include "src/workload/hdf_micro.hpp"
 #include "src/workload/scenario.hpp"
-#include "src/workload/vpic.hpp"
 
 using namespace uvs;
 
@@ -55,6 +52,7 @@ struct Args {
   std::string system = "univistor";
   workload::SystemKind kind = workload::SystemKind::kUniviStor;
   std::string layer = "dram";
+  hw::Layer first_layer = hw::Layer::kDram;
   std::string workload = "micro";
   int procs = 256;
   int mb = 256;
@@ -281,12 +279,19 @@ Args Parse(int argc, char** argv) {
   else if (args.system == "de") args.kind = workload::SystemKind::kDataElevator;
   else if (args.system == "lustre") args.kind = workload::SystemKind::kLustre;
   else BadFlag(kTool, "--system", "unknown system '" + args.system + "'");
+  if (args.layer == "bb") args.first_layer = hw::Layer::kSharedBurstBuffer;
+  else if (args.layer == "disk") args.first_layer = hw::Layer::kPfs;
+  else if (args.layer != "dram") BadFlag(kTool, "--layer", "unknown layer '" + args.layer + "'");
   if (args.workload != "micro" && args.workload != "vpic" && args.workload != "workflow")
     BadFlag(kTool, "--workload", "unknown workload '" + args.workload + "'");
-  if (!args.cluster && args.workload == "workflow" && args.procs < 2)
+  if (args.cluster) return args;
+  // A single run rejects flags that would select nothing.
+  if (args.workload == "workflow" && args.procs < 2)
     BadFlag(kTool, "--procs", "workflow needs >= 2 ranks (writers and readers)");
-  if (!args.cluster && args.ec_k > 0 && args.kind != workload::SystemKind::kUniviStor)
+  if (args.ec_k > 0 && args.kind != workload::SystemKind::kUniviStor)
     BadFlag(kTool, "--ec", "needs --system=univistor");
+  if (args.scrub && args.ec_k == 0) BadFlag(kTool, "--scrub", "needs --ec=K+M");
+  if (args.read && args.workload != "micro") BadFlag(kTool, "--read", "needs --workload=micro");
   return args;
 }
 
@@ -444,10 +449,9 @@ int RunCluster(const Args& args, std::uint64_t& events) {
 
   std::unique_ptr<fault::Injector> injector;
   if (!args.faults.empty()) {
-    injector = std::make_unique<fault::Injector>(scenario.engine(), args.faults);
+    injector = workload::ArmFaults(scenario, args.faults, nullptr, args.recover,
+                                   ScrubInterval(args));
     sim.AttachInjector(*injector);
-    workload::WireFaults(*injector, scenario, nullptr, args.recover, ScrubInterval(args));
-    injector->Arm();
     std::printf("faults: %s\n", args.faults.ToString().c_str());
   }
 
@@ -502,22 +506,7 @@ int RunCluster(const Args& args, std::uint64_t& events) {
 
   if (args.check) {
     testkit::InvariantReport check_report;
-    testkit::CheckQuiescence(scenario.engine(), check_report);
-    testkit::CheckPoolConservation(scenario, check_report);
-    testkit::CheckProcessesRetired(scenario, check_report);
-    for (int j = 0; j < sim.job_count(); ++j)
-      if (const univistor::UniviStor* sys = sim.system(j))
-        testkit::CheckUniviStor(*sys, check_report);
-    if (sim.completed_jobs() != sim.job_count() && injector == nullptr) {
-      check_report.Add("cluster-starvation",
-                       std::to_string(sim.job_count() - sim.completed_jobs()) +
-                           " jobs never completed");
-    }
-    if (sim.peak_bb_reserved() > sim.bb_capacity()) {
-      check_report.Add("cluster-bb-capacity",
-                       "peak BB reservation " + std::to_string(sim.peak_bb_reserved()) +
-                           " exceeds capacity " + std::to_string(sim.bb_capacity()));
-    }
+    testkit::CheckClusterRun(scenario, sim, injector != nullptr, check_report);
     if (!ReportCheck(check_report, scenario.engine().Now())) return 1;
   }
 
@@ -558,9 +547,10 @@ int Run(const Args& args, std::uint64_t& events) {
   if (args.span_limit >= 0) recorder.SetSpanLimit(static_cast<std::size_t>(args.span_limit));
   if (obs_on) recorder.Install();
 
+  const bool workflow = args.workload == "workflow";
   workload::ScenarioOptions options;
   options.procs = args.procs;
-  options.workflow_enabled = args.workload == "workflow";
+  options.workflow_enabled = workflow;
   options.policy = (args.kind == workload::SystemKind::kUniviStor && args.ia)
                        ? sched::PlacementPolicy::kInterferenceAware
                        : sched::PlacementPolicy::kCfs;
@@ -577,9 +567,7 @@ int Run(const Args& args, std::uint64_t& events) {
   config.adaptive_striping = args.adpt;
   config.location_aware_reads = args.la;
   config.interference_aware_flush = args.ia;
-  config.first_cache_layer = args.layer == "bb"     ? hw::Layer::kSharedBurstBuffer
-                             : args.layer == "disk" ? hw::Layer::kPfs
-                                                    : hw::Layer::kDram;
+  config.first_cache_layer = args.first_layer;
   config.recovery.enabled = args.recover;
   if (args.recover) config.replicate_volatile = true;
   if (args.ec_k > 0) {
@@ -589,70 +577,49 @@ int Run(const Args& args, std::uint64_t& events) {
   }
   workload::SystemUnderTest sut = workload::BuildSystem(scenario, args.kind, config);
   univistor::UniviStor* uvs_system = sut.univistor.get();
-  vmpi::AdioDriver& driver = *sut.driver;
   if (obs_on && uvs_system != nullptr) uvs_system->RegisterGauges(sampler);
 
   std::printf("uvsim: system=%s layer=%s workload=%s procs=%d\n", args.system.c_str(),
               args.layer.c_str(), args.workload.c_str(), args.procs);
 
-  // Arm the fault plan before the workload starts so its events interleave
-  // with writes, flushes, and reads (docs/FAULTS.md).
   std::unique_ptr<fault::Injector> injector;
   if (!args.faults.empty()) {
-    injector = std::make_unique<fault::Injector>(scenario.engine(), args.faults);
-    workload::WireFaults(*injector, scenario, uvs_system, args.recover, ScrubInterval(args));
-    injector->Arm();
+    injector = workload::ArmFaults(scenario, args.faults, uvs_system, args.recover,
+                                   ScrubInterval(args));
     std::printf("faults: %s\n", args.faults.ToString().c_str());
   }
 
+  const workload::WorkloadParams params{
+      .kind = workflow                  ? workload::WorkloadKind::kWorkflow
+              : args.workload == "vpic" ? workload::WorkloadKind::kVpic
+              : args.read               ? workload::WorkloadKind::kMicroReadBack
+                                        : workload::WorkloadKind::kMicro,
+      .procs = args.procs,
+      .bytes_per_rank = static_cast<Bytes>(args.mb) * 1_MiB,
+      .steps = args.steps,
+      .vpic_vars = 8,
+      .compute_time = workflow ? 0.0 : 60.0};
+  sampler.Kick();
+  const workload::WorkloadResult r =
+      workload::DriveWorkload(scenario, sut, params, [&sampler] { sampler.Kick(); });
   if (args.workload == "micro") {
-    const auto app = scenario.runtime().LaunchProgram("app", args.procs);
-    workload::MicroParams params{.bytes_per_proc = static_cast<Bytes>(args.mb) * 1_MiB,
-                                 .file_name = "uvsim.h5"};
-    if (args.read) {
-      sampler.Kick();
-      workload::RunHdfMicro(scenario, app, driver, params);
-      params.read = true;
-    }
-    sampler.Kick();
-    const auto t = workload::RunHdfMicro(scenario, app, driver, params);
     std::printf("open %s | io %s | close %s | elapsed %s | rate %s\n",
-                HumanTime(t.open).c_str(), HumanTime(t.io).c_str(),
-                HumanTime(t.close).c_str(), HumanTime(t.elapsed).c_str(),
-                HumanRate(t.rate()).c_str());
-  } else if (args.workload == "vpic") {
-    const auto app = scenario.runtime().LaunchProgram("vpic", args.procs);
-    const workload::VpicParams params{.steps = args.steps,
-                                      .vars = 8,
-                                      .bytes_per_var = static_cast<Bytes>(args.mb) * 1_MiB / 8,
-                                      .compute_time = 60.0};
-    sampler.Kick();
-    const auto r = workload::RunVpic(scenario, app, driver, params);
+                HumanTime(r.micro.open).c_str(), HumanTime(r.micro.io).c_str(),
+                HumanTime(r.micro.close).c_str(), HumanTime(r.micro.elapsed).c_str(),
+                HumanRate(r.micro.rate()).c_str());
+  } else if (!workflow) {
     std::printf("write %s | final flush wait %s | total I/O %s | elapsed %s\n",
-                HumanTime(r.write_time).c_str(), HumanTime(r.final_flush_wait).c_str(),
-                HumanTime(r.total_io_time).c_str(), HumanTime(r.elapsed).c_str());
-  } else {  // workflow
-    const auto writer = scenario.runtime().LaunchProgram("vpic", args.procs / 2);
-    const auto reader = scenario.runtime().LaunchProgram("bdcats", args.procs / 2);
-    const workload::VpicParams params{.steps = args.steps,
-                                      .vars = 8,
-                                      .bytes_per_var = static_cast<Bytes>(args.mb) * 1_MiB / 8,
-                                      .compute_time = 0.0};
-    workload::VpicRun vpic(scenario, writer, driver, params);
-    workload::BdcatsRun bdcats(scenario, reader, driver,
-                               workload::BdcatsParams{.producer = params,
-                                                      .producer_ranks = args.procs / 2});
-    vpic.Start();
-    bdcats.Start();
-    sampler.Kick();
-    scenario.engine().Run();
+                HumanTime(r.vpic.write_time).c_str(),
+                HumanTime(r.vpic.final_flush_wait).c_str(),
+                HumanTime(r.vpic.total_io_time).c_str(), HumanTime(r.vpic.elapsed).c_str());
+  } else {
     std::printf("producer writes %s | consumer reads %s | workflow elapsed %s\n",
-                HumanTime(vpic.result().write_time).c_str(),
-                HumanTime(bdcats.result().read_time).c_str(),
-                HumanTime(scenario.engine().Now()).c_str());
+                HumanTime(r.workflow.producer.write_time).c_str(),
+                HumanTime(r.workflow.consumer.read_time).c_str(),
+                HumanTime(r.workflow.elapsed).c_str());
   }
 
-  if (args.scrub && args.ec_k > 0) workload::RunFinalScrub(scenario, ScrubInterval(args));
+  if (args.scrub) workload::RunFinalScrub(scenario, ScrubInterval(args));
 
   if (uvs_system != nullptr && uvs_system->flush_stats().flushes > 0) {
     const auto& f = uvs_system->flush_stats();
@@ -698,9 +665,7 @@ int Run(const Args& args, std::uint64_t& events) {
   }
   if (args.check) {
     testkit::InvariantReport check_report;
-    testkit::CheckQuiescence(scenario.engine(), check_report);
-    testkit::CheckPoolConservation(scenario, check_report);
-    if (uvs_system != nullptr) testkit::CheckUniviStor(*uvs_system, check_report);
+    testkit::CheckSingleRun(scenario, uvs_system, injector != nullptr, 0, check_report);
     if (!ReportCheck(check_report, scenario.engine().Now())) return 1;
   }
   if (args.report)
