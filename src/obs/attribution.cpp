@@ -66,12 +66,14 @@ bool Covers(const std::vector<Interval>& sorted_union, Time a, Time b) {
   return false;
 }
 
-using SpanIndex = std::uint32_t;
+using SpanIndex = Recorder::SpanId;
 constexpr SpanIndex kNoSpan = static_cast<SpanIndex>(-1);
 
 /// Spans grouped per lane plus the causal index shared by the attribution
 /// sweep and the critical-path walk, all in flat arrays: a CSR list of
-/// span indices per lane id, and a CSR list of children per parent id.
+/// span ids per lane id, and a CSR list of children per parent id. Span ids
+/// order as the spans were emitted, so every tie-break on them keeps
+/// emission order.
 struct SpanDb {
   const Recorder* recorder = nullptr;
   std::vector<std::uint32_t> lanes;          // lanes with spans, by (kind, program, index, node)
@@ -82,7 +84,7 @@ struct SpanDb {
   std::vector<SpanIndex> children;           // per parent id, ascending
   std::vector<Interval> degraded;            // union over every device's windows
 
-  const Recorder::SpanEvent& at(SpanIndex i) const { return recorder->spans()[i]; }
+  Recorder::SpanEvent at(SpanIndex i) const { return recorder->span(i); }
   const Track& track(std::uint32_t lane) const { return recorder->lanes()[lane]; }
   std::span<const SpanIndex> LaneSpans(std::uint32_t lane) const {
     return {lane_spans.data() + lane_begin[lane], lane_spans.data() + lane_begin[lane + 1]};
@@ -95,23 +97,22 @@ struct SpanDb {
 SpanDb BuildDb(const Recorder& recorder) {
   SpanDb db;
   db.recorder = &recorder;
-  const Recorder::SpanLog& spans = recorder.spans();
-  const SpanIndex n = static_cast<SpanIndex>(spans.size());
   const std::size_t lanes = recorder.lanes().size();
 
   // Pass 1: spans per lane, the id range, and the number of children per
   // parent id (links included).
   db.lane_begin.assign(lanes + 1, 0);
   std::uint32_t max_id = 0;
-  for (SpanIndex i = 0; i < n; ++i) {
-    ++db.lane_begin[spans[i].lane + 1];
-    max_id = std::max({max_id, spans[i].self.id, spans[i].parent.id});
-  }
+  recorder.ForEachSpan([&](SpanIndex, const Recorder::SpanEvent& s) {
+    ++db.lane_begin[s.lane + 1];
+    max_id = std::max({max_id, s.self.id, s.parent.id});
+  });
   for (const CausalLink& link : recorder.links())
     max_id = std::max({max_id, link.parent, link.child});
   db.child_end.assign(std::size_t{max_id} + 1, 0);
-  for (SpanIndex i = 0; i < n; ++i)
-    if (spans[i].parent) ++db.child_end[spans[i].parent.id];
+  recorder.ForEachSpan([&](SpanIndex, const Recorder::SpanEvent& s) {
+    if (s.parent) ++db.child_end[s.parent.id];
+  });
   for (const CausalLink& link : recorder.links()) ++db.child_end[link.parent];
   db.child_begin.resize(db.child_end.size());
   std::exclusive_scan(db.child_end.begin(), db.child_end.end(), db.child_begin.begin(), 0u);
@@ -133,15 +134,14 @@ SpanDb BuildDb(const Recorder& recorder) {
 
   // Pass 2: fill the lists in span order, so each is ascending, and the
   // dense self-id table, where the first span carrying an id owns it.
-  db.lane_spans.resize(n);
+  db.lane_spans.resize(recorder.span_count());
   std::vector<SpanIndex> by_self_id(std::size_t{max_id} + 1, kNoSpan);
-  for (SpanIndex i = 0; i < n; ++i) {
-    const auto& s = spans[i];
+  recorder.ForEachSpan([&](SpanIndex i, const Recorder::SpanEvent& s) {
     db.lane_spans[cursor[s.lane]++] = i;
     if (s.self && by_self_id[s.self.id] == kNoSpan) by_self_id[s.self.id] = i;
     if (s.parent) db.children[db.child_end[s.parent.id]++] = i;
     if (s.cat == Category::kDegraded) db.degraded.push_back({s.start, s.end});
-  }
+  });
 
   // Cross-lane causal edges (e.g. close -> flush) append their children.
   // Links may name span ids that were never emitted (a zero-byte flush
@@ -167,22 +167,43 @@ SpanDb BuildDb(const Recorder& recorder) {
   return db;
 }
 
+/// Scratch of the per-rank sweep, reused across ranks so that an analysis
+/// allocates it once.
+struct Sweep {
+  /// What the sweep reads of one tagged span. `order` is its place in the
+  /// lane's emission order, the tie-break its span id gave.
+  struct Tagged {
+    Time start;
+    Time end;
+    double ideal;
+    std::uint32_t order;
+    Category cat;
+  };
+  std::vector<Tagged> tagged;
+  std::vector<Time> bounds;
+  std::vector<std::uint32_t> active;  // positions in `tagged`
+};
+
 /// Exact partition of one rank's window [min span start, max span end]:
 /// interval sweep over its tagged spans; the highest-priority active span
 /// wins each elementary interval and splits it ideal/(ideal+queue)-style;
 /// uncovered time is compute. See docs/OBSERVABILITY.md.
-RankBreakdown AnalyzeRank(const SpanDb& db, std::span<const SpanIndex> lane_spans, int rank) {
+RankBreakdown AnalyzeRank(const SpanDb& db, std::span<const SpanIndex> lane_spans, int rank,
+                          Sweep& sweep) {
   RankBreakdown out;
   out.rank = rank;
   if (lane_spans.empty()) return out;
 
+  // Each of the lane's spans is expanded once, here.
   Time lo = db.at(lane_spans.front()).start, hi = db.at(lane_spans.front()).end;
-  std::vector<SpanIndex> tagged;
+  std::vector<Sweep::Tagged>& tagged = sweep.tagged;
+  tagged.clear();
   for (SpanIndex i : lane_spans) {
-    const auto& s = db.at(i);
+    const Recorder::SpanEvent s = db.at(i);
     lo = std::min(lo, s.start);
     hi = std::max(hi, s.end);
-    if (s.cat != Category::kNone && s.cat != Category::kDegraded) tagged.push_back(i);
+    if (s.cat != Category::kNone && s.cat != Category::kDegraded)
+      tagged.push_back({s.start, s.end, s.ideal, static_cast<std::uint32_t>(tagged.size()), s.cat});
   }
   out.window_start = lo;
   out.window_end = hi;
@@ -191,9 +212,9 @@ RankBreakdown AnalyzeRank(const SpanDb& db, std::span<const SpanIndex> lane_span
   // Elementary boundaries: every tagged-span endpoint plus every degraded
   // boundary inside the window, so each elementary interval is either
   // fully in or fully out of any span and of the degraded union.
-  std::vector<Time> bounds{lo, hi};
-  for (SpanIndex i : tagged) {
-    const auto& s = db.at(i);
+  std::vector<Time>& bounds = sweep.bounds;
+  bounds.assign({lo, hi});
+  for (const Sweep::Tagged& s : tagged) {
     if (s.start > lo && s.start < hi) bounds.push_back(s.start);
     if (s.end > lo && s.end < hi) bounds.push_back(s.end);
   }
@@ -208,32 +229,32 @@ RankBreakdown AnalyzeRank(const SpanDb& db, std::span<const SpanIndex> lane_span
 
   // Sweep with an active set; boundaries include every span end, so after
   // pruning, every active span covers the whole elementary interval.
-  std::sort(tagged.begin(), tagged.end(), [&](SpanIndex x, SpanIndex y) {
-    const auto &sx = db.at(x), &sy = db.at(y);
-    if (sx.start != sy.start) return sx.start < sy.start;
-    return x < y;
+  std::sort(tagged.begin(), tagged.end(), [](const Sweep::Tagged& x, const Sweep::Tagged& y) {
+    if (x.start != y.start) return x.start < y.start;
+    return x.order < y.order;
   });
-  std::vector<SpanIndex> active;
-  std::size_t next = 0;
+  std::vector<std::uint32_t>& active = sweep.active;
+  active.clear();
+  std::uint32_t next = 0;
   for (std::size_t bi = 0; bi + 1 < bounds.size(); ++bi) {
     const Time x = bounds[bi], y = bounds[bi + 1];
-    while (next < tagged.size() && db.at(tagged[next]).start <= x + kEps)
-      active.push_back(tagged[next++]);
+    while (next < tagged.size() && tagged[next].start <= x + kEps) active.push_back(next++);
     active.erase(std::remove_if(active.begin(), active.end(),
-                                [&](SpanIndex i) { return db.at(i).end <= x + kEps; }),
+                                [&](std::uint32_t i) { return tagged[i].end <= x + kEps; }),
                  active.end());
     const Time dur = y - x;
     if (active.empty()) {
       out.seconds[static_cast<std::size_t>(Category::kCompute)] += dur;
       continue;
     }
-    SpanIndex win = active.front();
-    for (SpanIndex i : active) {
-      const auto &a = db.at(i), &b = db.at(win);
+    std::uint32_t win = active.front();
+    for (std::uint32_t i : active) {
+      const Sweep::Tagged &a = tagged[i], &b = tagged[win];
       const int pa = Priority(a.cat), pb = Priority(b.cat);
-      if (pa != pb ? pa > pb : (a.start != b.start ? a.start < b.start : i < win)) win = i;
+      if (pa != pb ? pa > pb : (a.start != b.start ? a.start < b.start : a.order < b.order))
+        win = i;
     }
-    const auto& w = db.at(win);
+    const Sweep::Tagged& w = tagged[win];
     const Time span_dur = w.end - w.start;
     // The winner's `ideal` is its contention-free service time: that
     // fraction is genuine transfer, the excess is fair-share queuing.
@@ -353,6 +374,7 @@ Report Analyze(const Recorder& recorder, const std::vector<JobSpec>& jobs, Time 
   Report report;
   report.elapsed = elapsed;
   const SpanDb db = BuildDb(recorder);
+  Sweep sweep;
 
   for (const JobSpec& spec : jobs) {
     JobBreakdown job;
@@ -360,7 +382,7 @@ Report Analyze(const Recorder& recorder, const std::vector<JobSpec>& jobs, Time 
     bool first = true;
     for (std::uint32_t lane : RankLanes(db, spec.program)) {
       RankBreakdown rank =
-          AnalyzeRank(db, db.LaneSpans(lane), static_cast<int>(db.track(lane).index));
+          AnalyzeRank(db, db.LaneSpans(lane), static_cast<int>(db.track(lane).index), sweep);
       if (first) {
         job.window_start = rank.window_start;
         job.window_end = rank.window_end;

@@ -1,5 +1,5 @@
 // obs::attribution — causal critical-path and wait-state analysis over the
-// span recorder. Pure post-processing: consumes Recorder::spans()/links()
+// span recorder. Pure post-processing: consumes Recorder::ForEachSpan()/links()
 // after a run and never touches the simulation, so enabling it cannot
 // perturb timing. See docs/OBSERVABILITY.md for the attribution model.
 #pragma once
@@ -81,7 +81,7 @@ struct Report {
   std::vector<DeviceUse> devices;  // filled by the caller; Analyze leaves it empty
 };
 
-/// Reconstructs the dependency DAG from spans()/links() and produces the
+/// Reconstructs the dependency DAG from the spans and links() and produces the
 /// per-rank/per-job attribution and the critical path.
 /// Deterministic: identical recorders yield identical reports.
 Report Analyze(const Recorder& recorder, const std::vector<JobSpec>& jobs, Time elapsed);

@@ -96,6 +96,11 @@ std::string Track::TidName() const {
   return kind <= Kind::kOst ? label : label + std::to_string(index);
 }
 
+Recorder::Recorder() {
+  for (std::size_t part = 0; part < std::size(kRpcParts); ++part)
+    rpc_kinds_[part] = KindOf("meta", kRpcParts[part].name);
+}
+
 Recorder::~Recorder() { Uninstall(); }
 
 void Recorder::Install() {
@@ -119,7 +124,7 @@ Recorder::Kind Recorder::InternKind(const char* category, const char* name) {
   for (const Kind& kind : kinds_)
     if (kind.category == category && kind.name == name) return kind;
   // Names are static literals, so kinds are bounded by the span call sites.
-  assert(kinds_.size() <= UINT16_MAX && "more distinct span kinds than a SpanEvent can index");
+  assert(kinds_.size() < kRpcKind && "more distinct span kinds than a SpanEvent can index");
   return kinds_.emplace_back(Kind{category, name, static_cast<std::uint16_t>(kinds_.size())});
 }
 
@@ -140,21 +145,63 @@ std::uint32_t Recorder::LaneOf(const Track& track) {
   return lane_slots_[i] - 1;
 }
 
-std::size_t Recorder::SpanLog::EraseIf(const std::function<bool(const SpanEvent&)>& drop) {
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < size_; ++i) {
-    if (drop((*this)[i])) continue;
-    if (kept != i) at(kept) = (*this)[i];
-    ++kept;
-  }
-  const std::size_t removed = size_ - kept;
+void Recorder::SpanLog::Truncate(std::size_t kept) {
   size_ = kept;
   blocks_.resize((kept + kBlockSpans - 1) >> kBlockShift);
-  return removed;
+}
+
+void Recorder::AddMetadataRpc(const Track& rank, const Track& server, SpanRef parent,
+                              RpcTimes times, std::uint8_t parts) {
+  std::size_t slot = kMaxSlots;  // none yet
+  std::uint64_t pruned_at_slot = 0;
+  for (unsigned part = 0; part < std::size(kRpcParts); ++part) {
+    if ((parts >> part & 1) == 0) continue;
+    const Time start = times.*kRpcParts[part].from, end = times.*kRpcParts[part].to;
+    if (FlightRecorder* fr = FlightRecorder::Current())
+      fr->Note(end, "span", kRpcParts[part].name, end - start);
+    if (span_count_ >= span_limit_ && !MakeRoom()) {
+      ++spans_dropped_;
+      continue;
+    }
+    // A prune between two parts may have moved or evicted this RPC's slot;
+    // the later parts then take a slot of their own.
+    if (slot == kMaxSlots || spans_pruned_ != pruned_at_slot) {
+      const std::uint32_t server_lane = LaneOf(server);
+      slot = spans_.size();
+      spans_.push_back(std::bit_cast<SpanEvent>(
+          RpcRecord{times, LaneOf(rank), server_lane, parent, kRpcKind, 0}));
+      pruned_at_slot = spans_pruned_;
+    }
+    auto rpc = std::bit_cast<RpcRecord>(spans_[slot]);
+    rpc.parts |= static_cast<std::uint8_t>(1u << part);
+    spans_.at(slot) = std::bit_cast<SpanEvent>(rpc);
+    ++span_count_;
+  }
 }
 
 std::size_t Recorder::EraseSpansIf(const std::function<bool(const SpanEvent&)>& drop) {
-  const std::size_t removed = spans_.EraseIf(drop);
+  std::size_t removed = 0, kept = 0;
+  for (std::size_t i = 0; i < spans_.size(); ++i) {
+    SpanEvent slot = spans_[i];
+    if (slot.kind != kRpcKind) {
+      if (drop(slot)) {
+        ++removed;
+        continue;
+      }
+    } else {
+      auto rpc = std::bit_cast<RpcRecord>(slot);
+      for (unsigned part = 0; part < std::size(kRpcParts); ++part) {
+        if ((rpc.parts >> part & 1) == 0 || !drop(RpcSpan(rpc, part))) continue;
+        rpc.parts &= static_cast<std::uint8_t>(~(1u << part));
+        ++removed;
+      }
+      if (rpc.parts == 0) continue;
+      slot = std::bit_cast<SpanEvent>(rpc);
+    }
+    spans_.at(kept++) = slot;
+  }
+  spans_.Truncate(kept);
+  span_count_ -= removed;
   spans_pruned_ += removed;
   return removed;
 }
@@ -181,7 +228,7 @@ void Recorder::WriteChromeTrace(std::ostream& os) const {
   // the sampled counters go, and lanes are tids 1, 2, ...
   std::vector<int> pid(lanes_.size()), tid(lanes_.size(), 0);
   std::vector<std::uint32_t> order;
-  for (std::size_t i = 0; i < spans_.size(); ++i) tid[spans_[i].lane] = 1;
+  ForEachSpan([&](SpanId, const SpanEvent& span) { tid[span.lane] = 1; });
   for (std::uint32_t lane = 0; lane < lanes_.size(); ++lane)
     if (tid[lane] != 0) order.push_back(lane);
   std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
@@ -208,8 +255,7 @@ void Recorder::WriteChromeTrace(std::ostream& os) const {
        << json::Escape(lanes_[lane].TidName()) << "\"}}";
   }
 
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
-    const SpanEvent& span = spans_[i];
+  ForEachSpan([&](SpanId, const SpanEvent& span) {
     sep();
     os << "{\"ph\":\"X\",\"cat\":\"" << category(span) << "\",\"name\":\"" << name(span)
        << "\",\"pid\":" << pid[span.lane] << ",\"tid\":" << tid[span.lane]
@@ -231,7 +277,7 @@ void Recorder::WriteChromeTrace(std::ostream& os) const {
       os << "}";
     }
     os << "}";
-  }
+  });
 
   // Sampled series as counter events on the simulator-global track.
   for (const auto& point : series_) {
@@ -256,7 +302,7 @@ std::string Recorder::MetricsJson(Time sim_elapsed, const std::string& attributi
   std::ostringstream os;
   os << "{\n\"schema\":\"univistor.metrics.v3\",\n";
   os << "\"sim_elapsed_seconds\":" << json::Number(sim_elapsed) << ",\n";
-  os << "\"span_count\":" << spans_.size() << ",\n";
+  os << "\"span_count\":" << span_count_ << ",\n";
   os << "\"span_limit\":" << span_limit_ << ",\n";
   os << "\"spans_dropped\":" << spans_dropped_ << ",\n";
   os << "\"spans_pruned\":" << spans_pruned_ << ",\n";

@@ -3,7 +3,9 @@
 // A Recorder collects three coordinated surfaces from one simulation run:
 //   * spans — scoped begin/end intervals (rank I/O calls, metadata RPC
 //     service, flush passes, per-OST transfers) exported as Chrome
-//     trace-event JSON, loadable in chrome://tracing and Perfetto;
+//     trace-event JSON, loadable in chrome://tracing and Perfetto. A
+//     metadata RPC's four spans are stored as one record and expanded
+//     back into spans for every reader (AddMetadataRpc, ForEachSpan);
 //   * metrics — a registry of named counters/gauges/distributions;
 //   * a time series — periodic snapshots of every counter and gauge taken
 //     by an obs::Sampler, exported as JSON and CSV (and as Chrome "C"
@@ -26,7 +28,10 @@
 // processes it observes (construct it before the Scenario).
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -138,11 +143,11 @@ struct Track {
 class Recorder {
  public:
   /// Default cap on recorded spans (docs/OBSERVABILITY.md, "Span memory
-  /// bound"): 4 Mi spans of 48 bytes ≈ 192 MiB. Beyond it spans are counted
-  /// in `spans_dropped()` instead of growing without limit.
+  /// bound"): 4 Mi spans, at most 48 bytes each ≈ 192 MiB. Beyond it spans
+  /// are counted in `spans_dropped()` instead of growing without limit.
   static constexpr std::size_t kDefaultSpanLimit = 4u << 20;
 
-  Recorder() = default;
+  Recorder();
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
   ~Recorder();
@@ -163,10 +168,10 @@ class Recorder {
   bool installed() const { return current_ == this; }
 
   // --- span tracing ------------------------------------------------------
-  /// One recorded span. The (category, name) literal pair is interned into
-  /// `kind` (read back through category() / name()), the track into `lane`
-  /// (read back through track()), and the attribution tag is stored flat,
-  /// so a span costs 48 bytes.
+  /// One recorded span, as every reader sees it. The (category, name)
+  /// literal pair is interned into `kind` (read back through category() /
+  /// name()), the track into `lane` (read back through track()), and the
+  /// attribution tag is stored flat, so a span costs 48 bytes.
   struct SpanEvent {
     Time start;
     Time end;
@@ -182,12 +187,12 @@ class Recorder {
   static_assert(std::is_trivially_copyable_v<SpanEvent> &&
                 std::is_trivially_destructible_v<SpanEvent>);
 
-  /// The recorded spans, in emission order, stored in fixed-size blocks:
+  /// The recorded slots, in emission order, stored in fixed-size blocks:
   /// growth adds a block and never copies, and a block's untouched tail
-  /// stays non-resident.
+  /// stays non-resident. A slot holds one span or one metadata-RPC record.
   class SpanLog {
    public:
-    static constexpr std::size_t kBlockShift = 15;  // 32 Ki spans per block
+    static constexpr std::size_t kBlockShift = 15;  // 32 Ki slots per block
     static constexpr std::size_t kBlockSpans = std::size_t{1} << kBlockShift;
 
     std::size_t size() const { return size_; }
@@ -211,12 +216,19 @@ class Recorder {
       std::construct_at(&at(size_), span);
       ++size_;
     }
-    /// Stable in-place compaction; releases the blocks left empty.
-    std::size_t EraseIf(const std::function<bool(const SpanEvent&)>& drop);
+    /// Keeps the first `kept` slots; releases the blocks left empty.
+    void Truncate(std::size_t kept);
 
     std::vector<Block> blocks_;
     std::size_t size_ = 0;
   };
+
+  /// Identity of one recorded span: its slot shifted left by two, plus its
+  /// part for a metadata-RPC record (0 for any other span). Ids order as the
+  /// spans were emitted; an eviction renumbers them.
+  using SpanId = std::uint32_t;
+  /// Slots a SpanId can name, less one so that no id is SpanId(-1).
+  static constexpr std::size_t kMaxSlots = (std::size_t{1} << 30) - 1;
 
   SpanRef AddSpan(const char* category, const char* name, Track track, Time start, Time end,
                   Bytes bytes = kNoBytes) {
@@ -225,13 +237,64 @@ class Recorder {
   SpanRef AddSpanTagged(const char* category, const char* name, Track track, Time start,
                         Time end, Bytes bytes, SpanTag tag) {
     if (FlightRecorder* fr = FlightRecorder::Current()) fr->Note(end, "span", name, end - start);
-    if (spans_.size() >= span_limit_ && !MakeRoom()) {
+    if (span_count_ >= span_limit_ && !MakeRoom()) {
       ++spans_dropped_;
       return SpanRef{};
     }
     spans_.push_back(SpanEvent{start, end, bytes, tag.ideal, LaneOf(track), tag.self,
                                tag.parent, KindOf(category, name), tag.cat});
+    ++span_count_;
     return tag.self;
+  }
+
+  // --- metadata RPCs ----------------------------------------------------
+  /// The spans of one metadata RPC, as bits of AddMetadataRpc's `parts`, in
+  /// the order they are emitted. All four are category "meta", untagged
+  /// but for `parent` and their attribution category.
+  static constexpr std::uint8_t kRpcService = 1;      // `rpc.service`: server lane, service
+  static constexpr std::uint8_t kRpcRoundtrip = 2;    // `md.roundtrip`: rank lane, net
+  static constexpr std::uint8_t kRpcQueue = 4;        // `md.queue`: rank lane, queued
+  static constexpr std::uint8_t kRpcRankService = 8;  // `md.service`: rank lane, meta
+
+  /// The instants of one metadata RPC.
+  struct RpcTimes {
+    Time start;     // the rank issued it
+    Time queued;    // it reached the server's service queue
+    Time serviced;  // its service began
+    Time end;       // its service ended
+  };
+
+  /// Records the `parts` of one metadata RPC in a single slot of the span
+  /// log: its instants, `rank`'s and `server`'s lanes and its causal
+  /// parent. Every reader sees exactly the spans that AddSpanTagged calls
+  /// for those parts, in part order, would have left: the flight recorder
+  /// notes each part, the cap counts, drops and prunes each part on its
+  /// own, and ForEachSpan hands out each part as a span.
+  void AddMetadataRpc(const Track& rank, const Track& server, SpanRef parent, RpcTimes times,
+                      std::uint8_t parts);
+
+  // --- reading spans ------------------------------------------------------
+  /// Calls fn(id, span) for every recorded span in emission order,
+  /// expanding each metadata-RPC record into its parts.
+  template <class Fn>
+  void ForEachSpan(Fn&& fn) const {
+    for (std::size_t slot = 0; slot < spans_.size(); ++slot) {
+      const SpanEvent& span = spans_[slot];
+      const auto id = static_cast<SpanId>(slot << 2);
+      if (span.kind != kRpcKind) {
+        fn(id, span);
+        continue;
+      }
+      const RpcRecord rpc = std::bit_cast<RpcRecord>(span);
+      for (unsigned part = 0; part < std::size(kRpcParts); ++part)
+        if ((rpc.parts >> part & 1) != 0) fn(id | part, RpcSpan(rpc, part));
+    }
+  }
+  /// The span `id` names, for an id ForEachSpan handed out since the last
+  /// eviction.
+  SpanEvent span(SpanId id) const {
+    const SpanEvent& slot = spans_[id >> 2];
+    return slot.kind == kRpcKind ? RpcSpan(std::bit_cast<RpcRecord>(slot), id & 3) : slot;
   }
 
   /// Allocates a fresh span identity (for spans whose children need a
@@ -244,8 +307,9 @@ class Recorder {
     if (parent && child) links_.push_back(CausalLink{parent.id, child.id});
   }
 
-  std::size_t span_count() const { return spans_.size(); }
-  const SpanLog& spans() const { return spans_; }
+  /// Spans recorded and not evicted: a metadata-RPC record counts once
+  /// per part it holds.
+  std::size_t span_count() const { return span_count_; }
   const std::vector<CausalLink>& links() const { return links_; }
   /// The category and name literals a span was emitted with.
   const char* category(const SpanEvent& span) const { return kinds_[span.kind].category; }
@@ -256,9 +320,10 @@ class Recorder {
   /// hook evicts its last span.
   const std::vector<Track>& lanes() const { return lanes_; }
 
-  /// Caps `spans()` memory; further spans are dropped and counted (or
-  /// handed to the prune hook first, when one is set).
-  void SetSpanLimit(std::size_t limit) { span_limit_ = limit; }
+  /// Caps the recorded spans (span_count(), not slots); further spans are
+  /// dropped and counted (or handed to the prune hook first, when one is
+  /// set). Span ids name at most kMaxSlots slots, so no cap is larger.
+  void SetSpanLimit(std::size_t limit) { span_limit_ = std::min(limit, kMaxSlots); }
   std::size_t span_limit() const { return span_limit_; }
   std::uint64_t spans_dropped() const { return spans_dropped_; }
 
@@ -272,7 +337,8 @@ class Recorder {
   using PruneHook = std::function<std::size_t(Recorder&)>;
   void SetPruneHook(PruneHook hook) { prune_hook_ = std::move(hook); }
   /// Removes every span matching `drop`, keeping the survivors' order;
-  /// returns and counts the evictions.
+  /// returns and counts the evictions. Each part of a metadata-RPC record
+  /// is judged on its own.
   std::size_t EraseSpansIf(const std::function<bool(const SpanEvent&)>& drop);
   /// Spans evicted by the prune hook (distinct from spans_dropped(): a
   /// pruned span was recorded and then deliberately retired).
@@ -323,6 +389,44 @@ class Recorder {
     std::uint16_t id = 0;
   };
 
+  /// A metadata RPC as stored (AddMetadataRpc): one slot of the span log,
+  /// told from a span by its `kind`, which no interned kind reaches.
+  struct RpcRecord {
+    RpcTimes times;
+    std::uint32_t rank_lane;
+    std::uint32_t server_lane;
+    SpanRef parent;
+    std::uint16_t kind;  // kRpcKind
+    std::uint8_t parts;  // the parts still recorded, as kRpc* bits
+  };
+  static_assert(sizeof(RpcRecord) == sizeof(SpanEvent) &&
+                offsetof(RpcRecord, kind) == offsetof(SpanEvent, kind));
+  static constexpr std::uint16_t kRpcKind = UINT16_MAX;
+
+  /// Per part of a metadata RPC, in part order: its name, the instants it
+  /// spans, whether it is on the server's lane, and its category.
+  struct RpcPart {
+    const char* name;
+    Time RpcTimes::*from;
+    Time RpcTimes::*to;
+    bool on_server;
+    Category cat;
+  };
+  static constexpr RpcPart kRpcParts[] = {
+      {"rpc.service", &RpcTimes::serviced, &RpcTimes::end, true, Category::kNone},
+      {"md.roundtrip", &RpcTimes::start, &RpcTimes::queued, false, Category::kNet},
+      {"md.queue", &RpcTimes::queued, &RpcTimes::serviced, false, Category::kQueue},
+      {"md.service", &RpcTimes::serviced, &RpcTimes::end, false, Category::kMeta},
+  };
+
+  /// Part `part` of a stored metadata RPC, as a span.
+  SpanEvent RpcSpan(const RpcRecord& rpc, unsigned part) const {
+    const RpcPart& p = kRpcParts[part];
+    return SpanEvent{rpc.times.*p.from, rpc.times.*p.to, kNoBytes, 0.0,
+                     p.on_server ? rpc.server_lane : rpc.rank_lane, SpanRef{}, rpc.parent,
+                     rpc_kinds_[part], p.cat};
+  }
+
   /// Runs the prune hook (re-entrancy guarded); true when room was freed.
   bool MakeRoom();
 
@@ -346,7 +450,9 @@ class Recorder {
   static inline thread_local Recorder* current_ = nullptr;
 
   SpanLog spans_;
+  std::size_t span_count_ = 0;
   std::vector<Kind> kinds_;
+  std::array<std::uint16_t, std::size(kRpcParts)> rpc_kinds_{};  // interned at construction
   std::array<Kind, 256> kind_cache_{};
   std::vector<Track> lanes_;               // lane id -> track
   std::vector<std::uint32_t> lane_slots_;  // lane id + 1; 0 = empty
@@ -424,6 +530,55 @@ class SpanTimer {
   Bytes bytes_ = kNoBytes;
   SpanTag tag_;
   Time start_ = 0;
+};
+
+/// The record of one metadata RPC (Recorder::AddMetadataRpc), held in the
+/// serving coroutine from the start of service across the co_await that
+/// serves it. Complete() records the whole RPC when service ends; a frame
+/// destroyed before that (Engine::Abandon) records only the server's
+/// `rpc.service` span, up to the moment of destruction, as a SpanTimer
+/// over the service section would.
+class MetadataRpcTimer {
+ public:
+  MetadataRpcTimer(sim::Engine& engine, Track server, SpanRef parent)
+      : recorder_(Recorder::Current()),
+        engine_(&engine),
+        server_(server),
+        serviced_(engine.Now()),
+        parent_(parent) {}
+  MetadataRpcTimer(const MetadataRpcTimer&) = delete;
+  MetadataRpcTimer& operator=(const MetadataRpcTimer&) = delete;
+  ~MetadataRpcTimer() {
+    if (recorder_ != nullptr && recorder_ == Recorder::Current())
+      recorder_->AddMetadataRpc(server_, server_, parent_,
+                                {serviced_, serviced_, serviced_, engine_->Now()},
+                                Recorder::kRpcService);
+  }
+
+  /// When service began.
+  Time serviced() const { return serviced_; }
+
+  /// Service ends now: records the RPC that `rank` issued at `start` and
+  /// that reached the server's queue at `queued`. It has an `md.queue`
+  /// span only if it waited; the server's `rpc.service` goes only to the
+  /// recorder installed when service began, as a SpanTimer's would.
+  void Complete(const Track& rank, Time start, Time queued) {
+    if (Recorder* r = Recorder::Current()) {
+      std::uint8_t parts = Recorder::kRpcRoundtrip | Recorder::kRpcRankService;
+      if (serviced_ > queued) parts |= Recorder::kRpcQueue;
+      if (r == recorder_) parts |= Recorder::kRpcService;
+      r->AddMetadataRpc(rank, server_, parent_, {start, queued, serviced_, engine_->Now()},
+                        parts);
+    }
+    recorder_ = nullptr;
+  }
+
+ private:
+  Recorder* recorder_;
+  sim::Engine* engine_;
+  Track server_;
+  Time serviced_;
+  SpanRef parent_;
 };
 
 }  // namespace uvs::obs

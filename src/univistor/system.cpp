@@ -177,31 +177,19 @@ sim::Task UniviStor::MetadataRpc(int client_node, int server_idx, int ops,
   co_await cluster.network().RoundTrip(client_node, server_node);
   const Time queued = engine.Now();
   auto guard = co_await md_queue_[static_cast<std::size_t>(server_idx)].Lock();
-  const Time serviced = engine.Now();
-  {
-    // Span covers only the serialized service section so spans on one
-    // server's lane never overlap.
-    obs::SpanTimer span(engine, "meta", "rpc.service",
-                        obs::Track::MetaServer(server_node, server_program_, server_idx),
-                        obs::kNoBytes, {.parent = parent});
-    co_await engine.Delay(static_cast<double>(ops) * cluster.params().rpc_service_time);
-  }
+  // One record for the whole RPC: the server's serialized service section
+  // (so spans on one server's lane never overlap), and on the rank's lane
+  // the network round trip, the wait in the server's queue and the service.
+  obs::MetadataRpcTimer rpc(engine, obs::Track::MetaServer(server_node, server_program_,
+                                                           server_idx),
+                            parent);
+  co_await engine.Delay(static_cast<double>(ops) * cluster.params().rpc_service_time);
   // The server's USE counters: busy is its service time, saturation the
   // time its clients spent queued (overlapping waits add up). No named
   // local: every local of a coroutine lives in its heap frame.
-  md_load_[static_cast<std::size_t>(server_idx)].service += engine.Now() - serviced;
-  md_load_[static_cast<std::size_t>(server_idx)].wait += serviced - queued;
-  if (obs::Recorder* r = obs::Recorder::Current()) {
-    // Rank-side decomposition of the RPC: network round-trip, wait for the
-    // server's serialized service queue, then the service time itself.
-    r->AddSpanTagged("meta", "md.roundtrip", rank_track, start, queued, obs::kNoBytes,
-                     {.cat = obs::Category::kNet, .parent = parent});
-    if (serviced > queued)
-      r->AddSpanTagged("meta", "md.queue", rank_track, queued, serviced, obs::kNoBytes,
-                       {.cat = obs::Category::kQueue, .parent = parent});
-    r->AddSpanTagged("meta", "md.service", rank_track, serviced, engine.Now(), obs::kNoBytes,
-                     {.cat = obs::Category::kMeta, .parent = parent});
-  }
+  md_load_[static_cast<std::size_t>(server_idx)].service += engine.Now() - rpc.serviced();
+  md_load_[static_cast<std::size_t>(server_idx)].wait += rpc.serviced() - queued;
+  rpc.Complete(rank_track, start, queued);
   obs::Observe("meta.rpc.latency", engine.Now() - start);
 }
 
@@ -775,15 +763,23 @@ sim::Task UniviStor::FlushTask(storage::FileId fid) {
 
   // Bytes still cached above the PFS. The per-producer snapshot feeds the
   // durability watermarks once the flush lands: everything cached at flush
-  // start is on the PFS when the flush completes.
+  // start is on the PFS when the flush completes, except the DRAM and
+  // node-SSD bytes of a node already dead at flush start, which the crash
+  // destroyed. The flush volume still counts them.
   Bytes dram_total = 0, bb_total = 0;
   std::map<ProducerId, std::array<Bytes, hw::kLayerCount>> snapshot;
   for (const auto& [producer, chain] : info.chains) {
     dram_total += chain->PlacedOn(hw::Layer::kDram) + chain->PlacedOn(hw::Layer::kNodeLocalSsd);
     bb_total += chain->PlacedOn(hw::Layer::kSharedBurstBuffer);
+    const bool dead =
+        NodeFailed(runtime_->Rank(ProducerProgram(producer), ProducerRank(producer)).node);
     auto& snap = snapshot[producer];
-    for (int li = 0; li < hw::kLayerCount; ++li)
-      snap[static_cast<std::size_t>(li)] = chain->PlacedOn(static_cast<hw::Layer>(li));
+    for (int li = 0; li < hw::kLayerCount; ++li) {
+      const auto layer = static_cast<hw::Layer>(li);
+      const bool destroyed =
+          dead && (layer == hw::Layer::kDram || layer == hw::Layer::kNodeLocalSsd);
+      snap[static_cast<std::size_t>(li)] = destroyed ? 0 : chain->PlacedOn(layer);
+    }
   }
   // Only bytes cached since the previous flush need to move (cached data
   // is never evicted, so the watermark is monotonic).
@@ -826,9 +822,9 @@ sim::Task UniviStor::FlushTask(storage::FileId fid) {
   }
   co_await sim::WhenAll(cluster.engine(), std::move(shares));
 
-  // The flush landed: everything cached at flush start is now readable
-  // from the PFS destination, including chains of a node that died while
-  // the flush was in flight.
+  // The flush landed: every byte of the snapshot is now readable from the
+  // PFS destination, including chains of a node that died while the flush
+  // was in flight.
   for (const auto& [producer, snap] : snapshot) {
     ProducerRecovery& rec = info.recovery[producer];
     for (std::size_t li = 0; li < static_cast<std::size_t>(hw::kLayerCount); ++li)

@@ -240,9 +240,11 @@ class UniviStor {
   placement::DhpWriterChain& Chain(FileInfo& info, vmpi::ProgramId program, int rank);
 
   /// Metadata RPC from a client node to metadata server `server_idx`
-  /// (service time is serialized per server). Emits the rank-side
-  /// md.roundtrip / md.queue / md.service decomposition on `rank_track`
-  /// and adds the service and queue time to the server's md_load().
+  /// (service time is serialized per server). Records it once
+  /// (obs::MetadataRpcTimer): the server's rpc.service span and the
+  /// rank-side md.roundtrip / md.queue / md.service decomposition on
+  /// `rank_track`; adds the service and queue time to the server's
+  /// md_load().
   sim::Task MetadataRpc(int client_node, int server_idx, int ops, obs::Track rank_track,
                         obs::SpanRef parent);
 

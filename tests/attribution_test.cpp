@@ -212,11 +212,10 @@ TEST(Attribution, DegradedWindowsSurfaceAsSpansAndCategory) {
 
   // FlushDegradeSpans closed the open window into a span on OST 0.
   int degraded_spans = 0;
-  for (std::size_t i = 0; i < recorder.spans().size(); ++i) {
-    const auto& span = recorder.spans()[i];
+  recorder.ForEachSpan([&](obs::Recorder::SpanId, const obs::Recorder::SpanEvent& span) {
     if (recorder.track(span) == obs::Track::Ost(0) && span.cat == obs::Category::kDegraded)
       ++degraded_spans;
-  }
+  });
   EXPECT_GE(degraded_spans, 1);
 
   // Time spent transferring through the degraded window lands in the
@@ -246,12 +245,11 @@ TEST(Attribution, DeviceRowsDoNotDependOnTheSpanCap) {
       // its rpc.service spans, added in emission order, bit for bit, and an
       // OST's busy time is its pool's.
       std::map<std::int64_t, Time> service;
-      for (std::size_t i = 0; i < recorder.spans().size(); ++i) {
-        const auto& span = recorder.spans()[i];
+      recorder.ForEachSpan([&](obs::Recorder::SpanId, const obs::Recorder::SpanEvent& span) {
         const obs::Track& track = recorder.track(span);
         if (track.kind == obs::Track::Kind::kMetaServer)
           service[track.index] += span.end - span.start;
-      }
+      });
       int md_rows = 0, ost_rows = 0;
       for (const obs::DeviceUse& use : report.devices) {
         if (use.device.rfind("md", 0) == 0) {

@@ -101,6 +101,23 @@ TEST(ClusterSmoke, TestkitPathWithCrashPlan) {
   EXPECT_TRUE(outcome.report.ok()) << outcome.report.ToString();
 }
 
+TEST(ClusterSmoke, FlushAfterACrashLeavesTheDeadNodesBytesLost) {
+  // Node 1 dies at 2 ms, before job 0's first flush begins. The flush still
+  // moves its bytes' share of the volume, but it must not count the dead
+  // node's DRAM bytes as durable on the PFS: job 0's reads found them lost,
+  // and the metadata-derived bound has to agree (uvfuzz shrank the failing
+  // 4-job spec to this one).
+  const auto spec = testkit::ParseScenarioSpec(
+      "seed=0 procs=8 ppn=4 ssd=0 ssd_mb=32 dram_mb=32 bb_nodes=2 bb_mb=64 osts=4 "
+      "system=univistor ia=1 coc=1 adpt=1 la=1 rep=0 promo=0 foc=1 layer=0 chunk_mb=4 "
+      "md_mb=2 workload=micro_read mb=1 steps=1 compute=0 fail=plan fail_node=0 recov=0 "
+      "jobs=2 arrival=0 csched=2 fplan=crash@0.002:node=1");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  const auto outcome = testkit::RunScenario(*spec, {});
+  EXPECT_TRUE(outcome.report.ok()) << outcome.report.ToString();
+  EXPECT_GT(outcome.lost_bytes, 0u) << "node 1's unflushed DRAM bytes are gone";
+}
+
 TEST(ClusterSmoke, SpecRoundTripsClusterKeys) {
   testkit::ScenarioSpec spec = ClusterSpec(1);
   const auto parsed = testkit::ParseScenarioSpec(spec.ToString());

@@ -346,11 +346,10 @@ TEST(ClusterSim, MetadataServerLanesNeverOverlap) {
   ASSERT_EQ(recorder.spans_dropped(), 0u);
 
   std::map<std::uint32_t, std::vector<std::pair<Time, Time>>> lanes;
-  for (std::size_t i = 0; i < recorder.spans().size(); ++i) {
-    const obs::Recorder::SpanEvent& span = recorder.spans()[i];
+  recorder.ForEachSpan([&](obs::Recorder::SpanId, const obs::Recorder::SpanEvent& span) {
     if (recorder.track(span).kind == obs::Track::Kind::kMetaServer)
       lanes[span.lane].emplace_back(span.start, span.end);
-  }
+  });
   std::set<int> programs;
   int overlaps = 0;
   for (auto& [lane, spans] : lanes) {

@@ -198,8 +198,7 @@ TEST(DeviceArray, BothKindsShareOneModelUnderTheirOwnNames) {
     recorder.Uninstall();
 
     int accesses = 0, windows = 0;
-    for (std::size_t i = 0; i < recorder.spans().size(); ++i) {
-      const obs::Recorder::SpanEvent& span = recorder.spans()[i];
+    recorder.ForEachSpan([&](obs::Recorder::SpanId, const obs::Recorder::SpanEvent& span) {
       EXPECT_STREQ(recorder.category(span), "hw");
       EXPECT_EQ(recorder.track(span), kind.track);
       const std::string_view name = recorder.name(span);
@@ -215,7 +214,7 @@ TEST(DeviceArray, BothKindsShareOneModelUnderTheirOwnNames) {
       } else {
         ADD_FAILURE() << "unexpected span " << name;
       }
-    }
+    });
     EXPECT_EQ(accesses, 2);
     EXPECT_EQ(windows, 1);
     obs::MetricsRegistry& metrics = recorder.metrics();

@@ -18,6 +18,7 @@
 #include "src/obs/legs.hpp"
 #include "src/obs/recorder.hpp"
 #include "src/obs/sampler.hpp"
+#include "src/sim/sync.hpp"
 #include "src/univistor/driver.hpp"
 #include "src/univistor/system.hpp"
 #include "src/workload/hdf_micro.hpp"
@@ -216,11 +217,21 @@ void AddNumberedSpan(obs::Recorder& recorder, std::size_t i) {
                          i % 5 == 0 ? obs::kNoBytes : i, tag);
 }
 
+/// Every recorded span, in emission order, as the readers see them.
+std::vector<obs::Recorder::SpanEvent> Spans(const obs::Recorder& recorder) {
+  std::vector<obs::Recorder::SpanEvent> spans;
+  recorder.ForEachSpan(
+      [&](obs::Recorder::SpanId, const obs::Recorder::SpanEvent& span) { spans.push_back(span); });
+  return spans;
+}
+
 void ExpectSameSpans(const obs::Recorder& recorder,
                      const std::vector<obs::Recorder::SpanEvent>& expected) {
   ASSERT_EQ(recorder.span_count(), expected.size());
+  const std::vector<obs::Recorder::SpanEvent> spans = Spans(recorder);
+  ASSERT_EQ(spans.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    const obs::Recorder::SpanEvent& got = recorder.spans()[i];
+    const obs::Recorder::SpanEvent& got = spans[i];
     const obs::Recorder::SpanEvent& want = expected[i];
     ASSERT_EQ(got.start, want.start) << "span " << i;
     ASSERT_EQ(got.end, want.end) << "span " << i;
@@ -240,8 +251,10 @@ TEST(SpanLog, RecordsAcrossBlocksAndInternsKinds) {
   obs::Recorder recorder;
   for (std::size_t i = 0; i < count; ++i) AddNumberedSpan(recorder, i);
   ASSERT_EQ(recorder.span_count(), count);
+  std::vector<obs::Recorder::SpanEvent> spans = Spans(recorder);
+  ASSERT_EQ(spans.size(), count);
   for (std::size_t i : {std::size_t{0}, kBlock - 1, kBlock, 2 * kBlock + 5, count - 1}) {
-    const obs::Recorder::SpanEvent& span = recorder.spans()[i];
+    const obs::Recorder::SpanEvent& span = spans[i];
     EXPECT_EQ(span.start, static_cast<Time>(i));
     EXPECT_EQ(span.self.id, i + 1);
     EXPECT_EQ(span.parent.id, i / 3);
@@ -257,16 +270,17 @@ TEST(SpanLog, RecordsAcrossBlocksAndInternsKinds) {
   const char* kName = "ost.access";
   recorder.AddSpan(kCat, kName, obs::Track::Ost(1), 1.0, 2.0);
   recorder.AddSpan(kCat, kName, obs::Track::Ost(2), 3.0, 4.0);
-  const obs::Recorder::SpanEvent& a = recorder.spans()[count];
-  const obs::Recorder::SpanEvent& b = recorder.spans()[count + 1];
+  spans = Spans(recorder);
+  const obs::Recorder::SpanEvent& a = spans[count];
+  const obs::Recorder::SpanEvent& b = spans[count + 1];
   EXPECT_EQ(recorder.category(a), kCat);
   EXPECT_EQ(recorder.name(a), kName);
   EXPECT_EQ(a.kind, b.kind);
   for (std::size_t i = 2 * kBlock - 3; i < 2 * kBlock + 3; ++i) {
-    EXPECT_EQ(recorder.name(recorder.spans()[i]), kSpanNames[i % 3]);
-    EXPECT_STREQ(recorder.category(recorder.spans()[i]), i % 2 == 0 ? "vmpi" : "meta");
+    EXPECT_EQ(recorder.name(spans[i]), kSpanNames[i % 3]);
+    EXPECT_STREQ(recorder.category(spans[i]), i % 2 == 0 ? "vmpi" : "meta");
   }
-  EXPECT_NE(recorder.spans()[0].kind, recorder.spans()[1].kind);
+  EXPECT_NE(spans[0].kind, spans[1].kind);
 }
 
 TEST(SpanLog, EraseSpansIfMatchesAVectorReference) {
@@ -274,8 +288,8 @@ TEST(SpanLog, EraseSpansIfMatchesAVectorReference) {
   const std::size_t count = 3 * kBlock + 900;
   obs::Recorder recorder;
   for (std::size_t i = 0; i < count; ++i) AddNumberedSpan(recorder, i);
-  std::vector<obs::Recorder::SpanEvent> reference;
-  for (std::size_t i = 0; i < count; ++i) reference.push_back(recorder.spans()[i]);
+  std::vector<obs::Recorder::SpanEvent> reference = Spans(recorder);
+  ASSERT_EQ(reference.size(), count);
 
   // Drops a run straddling the first block boundary, every third span of
   // the second block, and the tail of the last block.
@@ -295,15 +309,296 @@ TEST(SpanLog, EraseSpansIfMatchesAVectorReference) {
   const std::size_t late = recorder.EraseSpansIf(drop_late);
   EXPECT_EQ(late, std::erase_if(reference, drop_late));
   EXPECT_EQ(recorder.spans_pruned(), expected_removed + late);
-  for (std::size_t i = count; i < count + kBlock + 3; ++i) {
-    AddNumberedSpan(recorder, i);
-    reference.push_back(recorder.spans()[recorder.span_count() - 1]);
-  }
+  for (std::size_t i = count; i < count + kBlock + 3; ++i) AddNumberedSpan(recorder, i);
+  const std::vector<obs::Recorder::SpanEvent> all = Spans(recorder);
+  reference.insert(reference.end(), all.end() - static_cast<std::ptrdiff_t>(kBlock + 3),
+                   all.end());
   ExpectSameSpans(recorder, reference);
-  EXPECT_EQ(recorder.spans()[recorder.span_count() - 1].start,
-            static_cast<Time>(count + kBlock + 2));
+  EXPECT_EQ(Spans(recorder).back().start, static_cast<Time>(count + kBlock + 2));
   EXPECT_EQ(recorder.EraseSpansIf([](const obs::Recorder::SpanEvent&) { return false; }), 0u);
   ExpectSameSpans(recorder, reference);
+}
+
+// --- Metadata-RPC records: one slot, read back as the four spans. ---
+
+using RpcTimes = obs::Recorder::RpcTimes;
+
+/// Adds one metadata RPC either as one record or as the spans it stands
+/// for, one AddSpanTagged call each, in the order UniviStor emitted them
+/// before records existed. Its md.queue span exists only if it waited.
+void AddRpc(obs::Recorder& rec, bool as_record, const obs::Track& rank,
+            const obs::Track& server, obs::SpanRef parent, RpcTimes t) {
+  const bool waited = t.serviced > t.queued;
+  if (as_record) {
+    rec.AddMetadataRpc(rank, server, parent, t,
+                       obs::Recorder::kRpcService | obs::Recorder::kRpcRoundtrip |
+                           (waited ? obs::Recorder::kRpcQueue : 0) |
+                           obs::Recorder::kRpcRankService);
+    return;
+  }
+  rec.AddSpanTagged("meta", "rpc.service", server, t.serviced, t.end, obs::kNoBytes,
+                    {.parent = parent});
+  rec.AddSpanTagged("meta", "md.roundtrip", rank, t.start, t.queued, obs::kNoBytes,
+                    {.cat = obs::Category::kNet, .parent = parent});
+  if (waited)
+    rec.AddSpanTagged("meta", "md.queue", rank, t.queued, t.serviced, obs::kNoBytes,
+                      {.cat = obs::Category::kQueue, .parent = parent});
+  rec.AddSpanTagged("meta", "md.service", rank, t.serviced, t.end, obs::kNoBytes,
+                    {.cat = obs::Category::kMeta, .parent = parent});
+}
+
+/// Three ranks, four writes each: every write issues one metadata RPC to
+/// one of two servers (ranks 1 and 2 wait in the queue, rank 0 does not),
+/// then an OST access, and closes an umbrella span the others name as
+/// their causal parent. 68 spans, 44 of them RPC parts.
+void RecordRpcScript(obs::Recorder& rec, bool as_records) {
+  for (int op = 0; op < 4; ++op) {
+    for (int r = 0; r < 3; ++r) {
+      const Time t = 2.0 * op + 0.1 * r;
+      const obs::Track rank = obs::Track::Rank(r, 0, r);
+      const obs::SpanRef write = rec.NewSpanRef();
+      const Time queued = t + 0.1, serviced = queued + 0.05 * r, end = serviced + 0.3;
+      AddRpc(rec, as_records, rank, obs::Track::MetaServer(r % 2, 1, r % 2), write,
+             {t, queued, serviced, end});
+      rec.AddSpanTagged("hw", "ost.access", obs::Track::Ost(r), end, end + 0.5, 1_MiB,
+                        {.cat = obs::Category::kPfs, .parent = write, .ideal = 0.25});
+      rec.AddSpanTagged("vmpi", "write", rank, t, end + 0.5, 1_MiB, {.self = write});
+    }
+  }
+}
+constexpr std::size_t kRpcScriptSpans = 68;
+
+/// Everything a reader can see of a recorder: the trace, the analysis as
+/// text and JSON, the span counters, and the flight recorder's ring.
+struct Observed {
+  std::string trace, text, json, ring;
+  std::size_t spans = 0;
+  std::uint64_t dropped = 0, pruned = 0;
+};
+
+Observed Observe(const obs::Recorder& rec, const obs::FlightRecorder& ring) {
+  const std::vector<obs::JobSpec> jobs{{0, "app", false, 3}, {1, "md", true, 2}};
+  const obs::Report report = obs::Analyze(rec, jobs, 10.0);
+  return {rec.ChromeTraceJson(), obs::ToText(report), obs::AttributionJson(report),
+          ring.ToJson("test"), rec.span_count(), rec.spans_dropped(), rec.spans_pruned()};
+}
+
+void ExpectSameObserved(const Observed& record, const Observed& spans) {
+  EXPECT_EQ(record.trace, spans.trace);
+  EXPECT_EQ(record.text, spans.text);
+  EXPECT_EQ(record.json, spans.json);
+  EXPECT_EQ(record.ring, spans.ring);
+  EXPECT_EQ(record.spans, spans.spans);
+  EXPECT_EQ(record.dropped, spans.dropped);
+  EXPECT_EQ(record.pruned, spans.pruned);
+}
+
+/// Evicts every span on a metadata-server lane and every queue span: for a
+/// record, some of its parts and not others.
+std::size_t PruneServerAndQueueSpans(obs::Recorder& rec) {
+  return rec.EraseSpansIf([&](const obs::Recorder::SpanEvent& s) {
+    return rec.track(s).kind == obs::Track::Kind::kMetaServer || s.cat == obs::Category::kQueue;
+  });
+}
+
+Observed RunRpcScript(bool as_records, std::size_t limit, bool prune) {
+  obs::FlightRecorder ring(1024);
+  obs::FlightRecorder::ScopedBind bind(ring);
+  obs::Recorder rec;
+  rec.SetSpanLimit(limit);
+  if (prune) rec.SetPruneHook(PruneServerAndQueueSpans);
+  RecordRpcScript(rec, as_records);
+  return Observe(rec, ring);
+}
+
+TEST(MetadataRpcRecord, ReadsAsTheSpansItReplaces) {
+  const Observed record = RunRpcScript(true, obs::Recorder::kDefaultSpanLimit, false);
+  ExpectSameObserved(record, RunRpcScript(false, obs::Recorder::kDefaultSpanLimit, false));
+  EXPECT_EQ(record.spans, kRpcScriptSpans);
+  EXPECT_EQ(record.dropped, 0u);
+  for (const char* name : {"\"name\":\"rpc.service\"", "\"name\":\"md.roundtrip\"",
+                           "\"name\":\"md.queue\"", "\"name\":\"md.service\""})
+    EXPECT_NE(record.trace.find(name), std::string::npos) << name;
+
+  // Read back through the accessor, a record is its parts, in part order,
+  // each with its own id, and span(id) returns the same span.
+  obs::Recorder rec;
+  const obs::Track rank = obs::Track::Rank(2, 0, 5), server = obs::Track::MetaServer(1, 1, 3);
+  AddRpc(rec, true, rank, server, obs::SpanRef{9}, {1.0, 1.5, 2.5, 3.0});
+  AddRpc(rec, true, rank, server, obs::SpanRef{9}, {4.0, 4.5, 4.5, 5.0});
+  struct Want {
+    const char* name;
+    obs::Track track;
+    Time start, end;
+    obs::Category cat;
+  };
+  const Want wants[] = {
+      {"rpc.service", server, 2.5, 3.0, obs::Category::kNone},
+      {"md.roundtrip", rank, 1.0, 1.5, obs::Category::kNet},
+      {"md.queue", rank, 1.5, 2.5, obs::Category::kQueue},
+      {"md.service", rank, 2.5, 3.0, obs::Category::kMeta},
+      {"rpc.service", server, 4.5, 5.0, obs::Category::kNone},
+      {"md.roundtrip", rank, 4.0, 4.5, obs::Category::kNet},
+      {"md.service", rank, 4.5, 5.0, obs::Category::kMeta},
+  };
+  ASSERT_EQ(rec.span_count(), std::size(wants));
+  std::size_t i = 0;
+  std::set<obs::Recorder::SpanId> ids;
+  rec.ForEachSpan([&](obs::Recorder::SpanId id, const obs::Recorder::SpanEvent& span) {
+    ASSERT_LT(i, std::size(wants));
+    const Want& want = wants[i++];
+    SCOPED_TRACE(want.name);
+    EXPECT_EQ(std::string_view(rec.name(span)), want.name);
+    EXPECT_STREQ(rec.category(span), "meta");
+    EXPECT_EQ(rec.track(span), want.track);
+    EXPECT_EQ(span.start, want.start);
+    EXPECT_EQ(span.end, want.end);
+    EXPECT_EQ(span.cat, want.cat);
+    EXPECT_EQ(span.parent, obs::SpanRef{9});
+    EXPECT_FALSE(span.self);
+    EXPECT_EQ(span.bytes, obs::kNoBytes);
+    EXPECT_EQ(span.ideal, 0.0);
+    EXPECT_TRUE(ids.empty() || id > *ids.rbegin()) << "ids ascend in emission order";
+    ids.insert(id);
+    const obs::Recorder::SpanEvent again = rec.span(id);
+    EXPECT_EQ(again.start, span.start);
+    EXPECT_EQ(again.end, span.end);
+    EXPECT_EQ(again.lane, span.lane);
+    EXPECT_EQ(again.kind, span.kind);
+    EXPECT_EQ(again.cat, span.cat);
+  });
+  EXPECT_EQ(i, std::size(wants));
+}
+
+TEST(MetadataRpcRecord, EveryCapWithAndWithoutAPruneHookCountsAndKeepsTheSameSpans) {
+  // The cap, and the prune it triggers, fall before, between and after the
+  // parts of every RPC in turn.
+  for (const bool prune : {false, true}) {
+    for (std::size_t limit = 0; limit <= kRpcScriptSpans + 1; ++limit) {
+      SCOPED_TRACE(testing::Message() << "limit " << limit << (prune ? " with" : " without")
+                                      << " prune hook");
+      const Observed record = RunRpcScript(true, limit, prune);
+      ExpectSameObserved(record, RunRpcScript(false, limit, prune));
+      EXPECT_LE(record.spans, limit);
+      EXPECT_EQ(record.spans + record.dropped + record.pruned, kRpcScriptSpans);
+      if (prune && limit > 0 && limit < kRpcScriptSpans) {
+        EXPECT_GT(record.pruned, 0u);
+      }
+    }
+  }
+}
+
+TEST(MetadataRpcRecord, ErasingOnlyTheServerPartKeepsTheRankParts) {
+  const auto erase = [](obs::Recorder& rec, auto drop) {
+    const std::uint64_t pruned = rec.spans_pruned();
+    const std::size_t removed = rec.EraseSpansIf(drop);
+    EXPECT_EQ(rec.spans_pruned(), pruned + removed);
+    return removed;
+  };
+  const auto server_part = [](const obs::Recorder& rec) {
+    return [&rec](const obs::Recorder::SpanEvent& s) {
+      return rec.track(s).kind == obs::Track::Kind::kMetaServer;
+    };
+  };
+  Observed observed[2];
+  for (const bool as_records : {true, false}) {
+    obs::FlightRecorder ring(1024);
+    obs::FlightRecorder::ScopedBind bind(ring);
+    obs::Recorder rec;
+    RecordRpcScript(rec, as_records);
+    EXPECT_EQ(erase(rec, server_part(rec)), 12u) << "one rpc.service per RPC";
+    EXPECT_EQ(rec.span_count(), kRpcScriptSpans - 12);
+    EXPECT_EQ(rec.ChromeTraceJson().find("rpc.service"), std::string::npos);
+    EXPECT_NE(rec.ChromeTraceJson().find("md.service"), std::string::npos);
+    // Then the queue parts: the records left hold round trip and service.
+    EXPECT_EQ(erase(rec, [](const obs::Recorder::SpanEvent& s) {
+                return s.cat == obs::Category::kQueue;
+              }),
+              8u);
+    // Spans recorded after an eviction follow the survivors.
+    AddRpc(rec, as_records, obs::Track::Rank(0, 0, 0), obs::Track::MetaServer(0, 1, 0),
+           obs::SpanRef{}, {9.0, 9.5, 9.75, 10.0});
+    observed[as_records ? 0 : 1] = Observe(rec, ring);
+  }
+  ExpectSameObserved(observed[0], observed[1]);
+  EXPECT_EQ(observed[0].spans, kRpcScriptSpans - 12 - 8 + 4);
+}
+
+/// One metadata RPC from rank `r` to a server whose service queue is
+/// `queue`: a 0.25 s round trip, the wait for the queue, then 1 s of
+/// service, recorded by a MetadataRpcTimer or, for comparison, by the
+/// SpanTimer and three spans UniviStor used before records existed.
+sim::Task ServeRpc(sim::Engine& eng, sim::Mutex& queue, bool as_record, int r) {
+  const obs::Track rank = obs::Track::Rank(0, 0, r);
+  const obs::Track server = obs::Track::MetaServer(0, 1, 0);
+  const obs::SpanRef parent{static_cast<std::uint32_t>(r + 1)};
+  const Time start = eng.Now();
+  co_await eng.Delay(0.25);
+  const Time queued = eng.Now();
+  auto guard = co_await queue.Lock();
+  if (as_record) {
+    obs::MetadataRpcTimer rpc(eng, server, parent);
+    co_await eng.Delay(1.0);
+    rpc.Complete(rank, start, queued);
+    co_return;
+  }
+  const Time serviced = eng.Now();
+  {
+    obs::SpanTimer span(eng, "meta", "rpc.service", server, obs::kNoBytes, {.parent = parent});
+    co_await eng.Delay(1.0);
+  }
+  if (obs::Recorder* rec = obs::Recorder::Current()) {
+    rec->AddSpanTagged("meta", "md.roundtrip", rank, start, queued, obs::kNoBytes,
+                       {.cat = obs::Category::kNet, .parent = parent});
+    if (serviced > queued)
+      rec->AddSpanTagged("meta", "md.queue", rank, queued, serviced, obs::kNoBytes,
+                         {.cat = obs::Category::kQueue, .parent = parent});
+    rec->AddSpanTagged("meta", "md.service", rank, serviced, eng.Now(), obs::kNoBytes,
+                       {.cat = obs::Category::kMeta, .parent = parent});
+  }
+}
+
+/// Three RPCs to one server, the first served at once, the others queued;
+/// the engine runs to `until` and abandons what is left.
+Observed RunServedRpcs(bool as_records, Time until) {
+  obs::FlightRecorder ring(1024);
+  obs::FlightRecorder::ScopedBind bind(ring);
+  obs::Recorder rec;
+  rec.Install();
+  {
+    sim::Engine engine;
+    sim::Mutex queue(engine);
+    for (int r = 0; r < 3; ++r) engine.Spawn(ServeRpc(engine, queue, as_records, r));
+    engine.RunUntil(until);
+    engine.Abandon();
+  }
+  rec.Uninstall();
+  return Observe(rec, ring);
+}
+
+TEST(MetadataRpcRecord, TimerRecordsServedAndAbandonedRpcsAsTheSpansDid) {
+  // Served to the end: rank 0 never waits (three spans), ranks 1 and 2 do.
+  const Observed served = RunServedRpcs(true, 10.0);
+  ExpectSameObserved(served, RunServedRpcs(false, 10.0));
+  EXPECT_EQ(served.spans, 3u + 4u + 4u);
+
+  // Abandoned at 1.75 s: rank 0 is done, rank 1 is in service since 1.25 s
+  // and rank 2 is still queued.
+  const Observed abandoned = RunServedRpcs(true, 1.75);
+  ExpectSameObserved(abandoned, RunServedRpcs(false, 1.75));
+  EXPECT_EQ(abandoned.spans, 3u + 1u);
+  const auto trace = json::Parse(abandoned.trace);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  int rank1_spans = 0;
+  for (const json::Value& event : trace->Find("traceEvents")->AsArray()) {
+    if (event.StringOr("ph", "") != "X" || event.Find("args")->NumberOr("parent", 0) != 2)
+      continue;
+    ++rank1_spans;
+    EXPECT_EQ(event.StringOr("name", ""), "rpc.service");
+    EXPECT_EQ(event.NumberOr("ts", -1), 1.25e6);
+    EXPECT_EQ(event.NumberOr("dur", -1), 0.5e6);
+  }
+  EXPECT_EQ(rank1_spans, 1) << "an RPC abandoned in service leaves only rpc.service";
 }
 
 // --- Track naming. ---
@@ -339,8 +634,10 @@ TEST(Lanes, EveryTrackGetsItsOwnNamedLane) {
 
   ASSERT_EQ(recorder.lanes().size(), std::size(tracks));
   std::set<std::uint32_t> lanes;
+  const std::vector<obs::Recorder::SpanEvent> spans = Spans(recorder);
+  ASSERT_EQ(spans.size(), std::size(tracks));
   for (std::size_t i = 0; i < std::size(tracks); ++i) {
-    const obs::Recorder::SpanEvent& span = recorder.spans()[i];
+    const obs::Recorder::SpanEvent& span = spans[i];
     EXPECT_EQ(recorder.track(span), tracks[i]) << labels[i];
     lanes.insert(span.lane);
   }
@@ -517,8 +814,7 @@ TEST(Legs, EachLegEmitsOneSpanWithItsTag) {
   for (const Want& want : wants) {
     SCOPED_TRACE(want.name);
     int found = 0;
-    for (std::size_t i = 0; i < recorder.spans().size(); ++i) {
-      const obs::Recorder::SpanEvent& span = recorder.spans()[i];
+    for (const obs::Recorder::SpanEvent& span : Spans(recorder)) {
       if (std::string_view(recorder.name(span)) != want.name) continue;
       ++found;
       EXPECT_STREQ(recorder.category(span), "test");

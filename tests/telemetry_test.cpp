@@ -431,11 +431,11 @@ TEST(ClusterTelemetry, TailRetentionPrunesBoringJobsUnderACap) {
   // A job whose client rank spans were all evicted keeps none of its
   // storage servers' spans either, on their rank or metadata-server lanes.
   std::map<int, std::size_t> spans_of;  // program -> spans left on its lanes
-  for (std::size_t i = 0; i < recorder.spans().size(); ++i) {
-    const obs::Track& track = recorder.track(recorder.spans()[i]);
+  recorder.ForEachSpan([&](obs::Recorder::SpanId, const obs::Recorder::SpanEvent& span) {
+    const obs::Track& track = recorder.track(span);
     if (track.kind == obs::Track::Kind::kRank || track.kind == obs::Track::Kind::kMetaServer)
       ++spans_of[track.program];
-  }
+  });
   const vmpi::Runtime& runtime = scenario.runtime();
   int evicted = 0;
   for (int j = 0; j < sim.job_count(); ++j) {

@@ -8,8 +8,9 @@ scenario spec, and once per first cache layer with each observer (metrics,
 trace, attribution) installed. Every run must exit 0 (the input is valid and the run
 completed) or 2 (it was rejected with a message on stderr naming the flag,
 argument, variable or key): never a signal, never the exit code 1 of a
-failed run, and never a hang. The malformed grammar inputs, and the
-bench_trajectory values, must exit 2. A valid uvsim run, single or
+failed run, and never a hang. The malformed grammar inputs, the flags that
+would select nothing in their mode, and the bench_trajectory values, must
+exit 2. A valid uvsim run, single or
 --cluster, must exit 0 and state its host cost in exactly one stderr line.
 
     python3 tests/uvsim_cli_test.py build/tools/uvsim [build/tools/uvfuzz ...]
@@ -98,6 +99,11 @@ def cases(tools, scratch):
             yield "uvsim", ["--cluster", "--procs=16", f"--job-file={path}"], {}, key, REJECT
         for spec, key in SLOS:
             yield "uvsim", CLUSTER + [f"--slo={spec}"], {}, key, REJECT
+        # Single-run flags select nothing in a cluster run: each job takes its
+        # shape from the mix or the job file, and a scrub needs erasure coding.
+        for flag in ("--layer=bb", "--read", "--steps=2", "--mb=8", "--no-ia", "--no-coc",
+                     "--no-adpt", "--no-la", "--scrub"):
+            yield "uvsim", CLUSTER + [flag], {}, flag.split("=")[0], REJECT
     if "uvfuzz" in tools:
         for flag, base in (("seeds", []), ("base-seed", ["--seeds=2"]), ("seed", []),
                            ("jobs", ["--seeds=2"]), ("time-budget", ["--seeds=2"])):

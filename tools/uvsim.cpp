@@ -15,14 +15,17 @@
 // on stderr states what the run cost the host (see docs/PERFORMANCE.md).
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "src/cluster/arrival.hpp"
 #include "src/cluster/simulation.hpp"
@@ -47,6 +50,11 @@ using namespace uvs;
 namespace {
 
 constexpr const char* kTool = "uvsim";
+
+/// Flags only a single run reads: in --cluster mode each job takes its
+/// shape from the sampled mix or the job file.
+constexpr std::string_view kSingleRunFlags[] = {"--layer", "--read",   "--steps",   "--mb",
+                                                "--no-ia", "--no-coc", "--no-adpt", "--no-la"};
 
 struct Args {
   std::string system = "univistor";
@@ -91,6 +99,8 @@ struct Args {
   int solo_jobs = 1;             // solo-baseline warmup worker threads (0 = hw)
   std::string job_file;          // input job trace (at=.. procs=.. lines)
   std::string job_trace;         // output JSON job trace path
+
+  std::string_view single_run_flag;  // the first of kSingleRunFlags given
 };
 
 void PrintUsage(std::FILE* out) {
@@ -196,6 +206,9 @@ Args Parse(int argc, char** argv) {
   std::string value;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    const std::string_view name = std::string_view(arg).substr(0, std::strcspn(arg, "="));
+    if (args.single_run_flag.empty() && std::ranges::count(kSingleRunFlags, name) > 0)
+      args.single_run_flag = name;
     if (ParseFlag(arg, "--system", &value)) args.system = value;
     else if (ParseFlag(arg, "--layer", &value)) args.layer = value;
     else if (ParseFlag(arg, "--workload", &value)) args.workload = value;
@@ -284,8 +297,14 @@ Args Parse(int argc, char** argv) {
   else if (args.layer != "dram") BadFlag(kTool, "--layer", "unknown layer '" + args.layer + "'");
   if (args.workload != "micro" && args.workload != "vpic" && args.workload != "workflow")
     BadFlag(kTool, "--workload", "unknown workload '" + args.workload + "'");
-  if (args.cluster) return args;
-  // A single run rejects flags that would select nothing.
+  // Either mode rejects flags that would select nothing.
+  if (args.cluster) {
+    if (!args.single_run_flag.empty())
+      BadFlag(kTool, std::string(args.single_run_flag), "has no effect with --cluster");
+    if (args.scrub && args.ec_k == 0 && args.ec_frac == 0)
+      BadFlag(kTool, "--scrub", "needs --ec=K+M or --ec-frac with --cluster");
+    return args;
+  }
   if (args.workload == "workflow" && args.procs < 2)
     BadFlag(kTool, "--procs", "workflow needs >= 2 ranks (writers and readers)");
   if (args.ec_k > 0 && args.kind != workload::SystemKind::kUniviStor)
@@ -295,9 +314,17 @@ Args Parse(int argc, char** argv) {
   return args;
 }
 
-/// --check verdict: prints it, and on violations notes each in the flight
-/// recorder and dumps it. Returns false when an invariant failed.
-bool ReportCheck(const testkit::InvariantReport& report, Time now) {
+/// Runs the --check battery `check` with the recorder detached, so the
+/// checks' own metadata queries never reach the run's metrics, and prints
+/// the verdict; on violations notes each in the flight recorder and dumps
+/// it. Returns false when an invariant failed.
+bool RunCheck(obs::Recorder& recorder, Time now,
+              const std::function<void(testkit::InvariantReport&)>& check) {
+  const bool observed = recorder.installed();
+  recorder.Uninstall();
+  testkit::InvariantReport report;
+  check(report);
+  if (observed) recorder.Install();
   if (!report.ok()) {
     std::fprintf(stderr, "uvsim: invariant violations:\n%s", report.ToString().c_str());
     for (const auto& v : report.violations)
@@ -504,11 +531,12 @@ int RunCluster(const Args& args, std::uint64_t& events) {
   std::printf("simulated %s in %llu events\n", HumanTime(scenario.engine().Now()).c_str(),
               static_cast<unsigned long long>(events));
 
-  if (args.check) {
-    testkit::InvariantReport check_report;
-    testkit::CheckClusterRun(scenario, sim, injector != nullptr, check_report);
-    if (!ReportCheck(check_report, scenario.engine().Now())) return 1;
-  }
+  if (args.check && !RunCheck(recorder, scenario.engine().Now(),
+                              [&](testkit::InvariantReport& report) {
+                                testkit::CheckClusterRun(scenario, sim, injector != nullptr,
+                                                         report);
+                              }))
+    return 1;
 
   if (!args.job_trace.empty()) {
     std::ofstream out(args.job_trace);
@@ -663,11 +691,12 @@ int Run(const Args& args, std::uint64_t& events) {
     obs::Count("sim.frames_reclaimed", engine.frames_reclaimed());
     obs::SetGauge("sim.live_processes", static_cast<double>(engine.live_processes()));
   }
-  if (args.check) {
-    testkit::InvariantReport check_report;
-    testkit::CheckSingleRun(scenario, uvs_system, injector != nullptr, 0, check_report);
-    if (!ReportCheck(check_report, scenario.engine().Now())) return 1;
-  }
+  if (args.check && !RunCheck(recorder, scenario.engine().Now(),
+                              [&](testkit::InvariantReport& report) {
+                                testkit::CheckSingleRun(scenario, uvs_system,
+                                                        injector != nullptr, 0, report);
+                              }))
+    return 1;
   if (args.report)
     std::printf("%s", hw::CollectUtilization(scenario.cluster()).ToString().c_str());
 
