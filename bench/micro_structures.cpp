@@ -185,24 +185,25 @@ void BM_AdaptiveStripingPlan(benchmark::State& state) {
 BENCHMARK(BM_AdaptiveStripingPlan)->Arg(16)->Arg(512)->Arg(4096);
 
 // Span traffic shaped like a metadata-heavy VPIC run: each rank op is an
-// umbrella span with a pre-allocated identity whose tagged children sit on
-// the rank lane, a metadata server lane and an OST; every 16th op also
-// closes a file whose flush it links to.
+// umbrella span with a pre-allocated identity whose children are one
+// metadata RPC, recorded as UniviStor records it (one span-log slot that
+// readers expand into its four spans on the rank and metadata-server
+// lanes), and an OST access; every 16th op also closes a file whose flush
+// it links to.
 void RecordSyntheticRun(obs::Recorder& rec, int ranks, int ops) {
   using obs::Category;
+  constexpr std::uint8_t kAllRpcParts = obs::Recorder::kRpcService |
+                                        obs::Recorder::kRpcRoundtrip |
+                                        obs::Recorder::kRpcQueue |
+                                        obs::Recorder::kRpcRankService;
   for (int op = 0; op < ops; ++op) {
     for (int r = 0; r < ranks; ++r) {
       const Time t = op + 1e-3 * r;
       const obs::Track rank = obs::Track::Rank(r / 32, 0, r);
       const int server = r % 4;
       const obs::SpanRef umbrella = rec.NewSpanRef();
-      rec.AddSpanTagged("meta", "md.queue", rank, t, t + 0.1, obs::kNoBytes,
-                        {.cat = Category::kQueue, .parent = umbrella});
-      rec.AddSpanTagged("meta", "rpc.service", obs::Track::MetaServer(server / 2, 1, server),
-                        t + 0.1, t + 0.2, obs::kNoBytes,
-                        {.cat = Category::kMeta, .parent = umbrella});
-      rec.AddSpanTagged("meta", "md.roundtrip", rank, t + 0.1, t + 0.25, obs::kNoBytes,
-                        {.cat = Category::kNet, .parent = umbrella});
+      rec.AddMetadataRpc(rank, obs::Track::MetaServer(server / 2, 1, server), umbrella,
+                         {t, t + 0.05, t + 0.1, t + 0.25}, kAllRpcParts);
       rec.AddSpanTagged("hw", "ost.access", obs::Track::Ost(r % 8), t + 0.3, t + 0.6, 1_MiB,
                         {.cat = Category::kPfs, .parent = umbrella, .ideal = 0.2});
       rec.AddSpanTagged("vmpi", "write", rank, t, t + 0.7, 1_MiB, {.self = umbrella});
@@ -217,7 +218,7 @@ void RecordSyntheticRun(obs::Recorder& rec, int ranks, int ops) {
 }
 
 void BM_RecorderAddSpan(benchmark::State& state) {
-  constexpr int kRanks = 64, kOps = 256;  // 82 k spans: two and a half blocks
+  constexpr int kRanks = 64, kOps = 256;  // 98 k spans in 49 k slots: one and a half blocks
   std::size_t spans = 0;
   for (auto _ : state) {
     obs::Recorder rec;

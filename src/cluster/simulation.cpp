@@ -6,7 +6,7 @@
 
 #include "src/fault/injector.hpp"
 #include "src/obs/recorder.hpp"
-#include "src/sim/worker_pool.hpp"
+#include "src/sim/parallel_for.hpp"
 
 namespace uvs::cluster {
 
@@ -122,14 +122,14 @@ void ClusterSim::PrecomputeSolo() {
   if (solo_warmed_) return;
   solo_warmed_ = true;
   // Solo baselines run in private engines; keep their spans and metrics
-  // out of the main run's recorder. (The binding is thread-local, so pool
-  // workers below start with no recorder either way — uninstalling here
-  // keeps the serial in-thread path identical.)
+  // out of the main run's recorder. (The binding is thread-local, so worker
+  // threads below start with no recorder either way — uninstalling here
+  // makes one worker, which is this thread, see the same.)
   obs::Recorder* recorder = obs::Recorder::Current();
   if (recorder != nullptr) recorder->Uninstall();
 
   // Distinct job shapes in first-appearance order. Each is one independent
-  // contention-free run on a private engine — the worker-pool task unit.
+  // contention-free run on a private engine — the unit of the fan-out.
   std::vector<SoloShape> shapes;
   std::vector<const JobSpec*> specs;
   for (const JobState& job : jobs_) {
@@ -142,24 +142,15 @@ void ClusterSim::PrecomputeSolo() {
     shapes.push_back(std::move(shape));
   }
 
-  const int requested =
-      options_.solo_workers == 0 ? sim::WorkerPool::HardwareThreads() : options_.solo_workers;
-  const int workers = std::min<int>(requested, static_cast<int>(shapes.size()));
-  if (workers > 1) {
-    sim::WorkerPool pool(workers);
-    const std::vector<SoloStats> stats = sim::ParallelMap<SoloStats>(
-        pool, shapes.size(), [this, &shapes, &specs](std::size_t i) {
-          return SoloRunUncached(*specs[i], shapes[i]);
-        });
-    // Merge in first-appearance order: each entry is a pure function of its
-    // key, so the memo — and everything scheduled off it — is bit-identical
-    // to the serial path.
-    for (std::size_t i = 0; i < shapes.size(); ++i)
-      solo_memo_.emplace(shapes[i].key, stats[i]);
-  } else {
-    for (std::size_t i = 0; i < shapes.size(); ++i)
-      solo_memo_.emplace(shapes[i].key, SoloRunUncached(*specs[i], shapes[i]));
-  }
+  std::vector<SoloStats> baselines(shapes.size());
+  sim::ParallelFor(shapes.size(), options_.solo_workers, [&](std::size_t i) {
+    baselines[i] = SoloRunUncached(*specs[i], shapes[i]);
+  });
+  // Merge in first-appearance order: each entry is a pure function of its
+  // key, so the memo — and everything scheduled off it — is the same at
+  // any worker count.
+  for (std::size_t i = 0; i < shapes.size(); ++i)
+    solo_memo_.emplace(shapes[i].key, baselines[i]);
 
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     const SoloStats& stats = solo_memo_.at(ShapeOf(jobs_[i].spec).key);

@@ -63,8 +63,10 @@ struct ClusterOptions {
   /// Worker threads for the solo-baseline warmup (each distinct job shape
   /// is one full run on a private engine — embarrassingly parallel).
   /// Results merge in deterministic first-appearance order, so cluster
-  /// traces, QoS tables and golden digests are bit-identical to the serial
-  /// (=1) path at any worker count; 0 means hardware concurrency.
+  /// traces, QoS tables and golden digests are bit-identical at any worker
+  /// count. Resolved by sim::ResolveWorkers: 0 means one per hardware
+  /// thread, no count exceeds the hardware threads, and one worker runs
+  /// the warmup on the calling thread.
   int solo_workers = 1;
   TelemetryOptions telemetry;
 };
@@ -171,7 +173,7 @@ class ClusterSim {
   void PrecomputeSolo();
   /// Runs `spec` alone on a private engine with the same cluster params.
   /// Pure (reads only immutable cluster/option state, writes nothing
-  /// shared), so distinct shapes run concurrently on pool workers; the
+  /// shared), so distinct shapes run concurrently on worker threads; the
   /// result is a function of the shape alone, never of the thread that
   /// computed it.
   SoloStats SoloRunUncached(const JobSpec& spec, const SoloShape& shape);

@@ -6,7 +6,7 @@
 // FlightNote() at interesting moments — fault injections, cluster job
 // transitions, SLO violations — and the installed obs::Recorder mirrors
 // every span it records into the ring. The binding is per thread: each
-// concurrent engine run (sim::WorkerPool) gets its own recorder handle —
+// concurrent engine run (sim::ParallelFor) gets its own recorder handle —
 // bind one with ScopedBind on the worker — so notes from parallel runs
 // can never interleave in one ring. The ring costs a few KB regardless of
 // run length; nothing is written until Dump(reason) fires, which happens

@@ -154,9 +154,9 @@ class Recorder {
 
   /// The recorder instrumentation on *this thread* publishes into;
   /// nullptr (the default) disables all recording. The binding is
-  /// thread-local: a sim::WorkerPool worker running a private engine
-  /// observes nothing unless it installs its own recorder, so concurrent
-  /// runs can never interleave spans or metrics.
+  /// thread-local: a sim::ParallelFor worker thread running a private
+  /// engine observes nothing unless it installs its own recorder, so
+  /// concurrent runs can never interleave spans or metrics.
   static Recorder* Current() { return current_; }
 
   /// Binds this recorder to the calling thread. At most one per thread.

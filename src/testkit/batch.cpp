@@ -1,10 +1,9 @@
 #include "src/testkit/batch.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 
-#include "src/sim/worker_pool.hpp"
+#include "src/sim/parallel_for.hpp"
 
 namespace uvs::testkit {
 
@@ -33,32 +32,13 @@ BatchResult RunSeedBatch(std::uint64_t base_seed, std::uint64_t n, const BatchOp
                                    std::chrono::duration<double>(options.time_budget))
               : Clock::time_point::max();
 
-  const int requested =
-      options.workers == 0 ? sim::WorkerPool::HardwareThreads() : options.workers;
-  if (requested <= 1 || n <= 1) {
-    // Classic serial sweep: nothing beyond a failure or the deadline is
-    // ever sampled.
-    for (std::uint64_t i = 0; i < n; ++i) {
-      if (bounded && Clock::now() >= deadline) {
-        result.deadline_hit = true;
-        break;
-      }
-      SeedRun& run = result.runs[i];
-      run.spec = SampleScenario(run.seed);
-      Fill(run, RunScenario(run.spec, options.run));
-      if (!run.ok) break;
-    }
-    return result;
-  }
-
-  // Lowest failing seed seen so far; seeds above it are not worth starting
-  // (their results would never be reported) but seeds below it must all
-  // run, which dispatch order guarantees: a worker claiming seed i has
-  // seen every seed < i dispatched already.
+  // Lowest failing seed seen so far: seeds above it are not worth starting,
+  // since only the prefix up to the first failure is reported. Seeds are
+  // claimed in ascending order, so the seeds the deadline leaves unrun are
+  // the highest ones, and the seeds that ran are the reported prefix.
   std::atomic<std::uint64_t> first_fail{n};
   std::atomic<bool> deadline_hit{false};
-  sim::WorkerPool pool(std::min<std::uint64_t>(static_cast<std::uint64_t>(requested), n));
-  sim::ParallelFor(pool, static_cast<std::size_t>(n), [&](std::size_t i) {
+  sim::ParallelFor(static_cast<std::size_t>(n), options.workers, [&](std::size_t i) {
     if (i > first_fail.load(std::memory_order_acquire)) return;
     if (bounded && Clock::now() >= deadline) {
       deadline_hit.store(true, std::memory_order_relaxed);

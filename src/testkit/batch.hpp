@@ -1,16 +1,17 @@
-// Parallel seed sweeps: fan sequential-seed scenario runs across a
-// sim::WorkerPool with deterministic result identity.
+// Parallel seed sweeps: fan sequential-seed scenario runs across threads
+// with sim::ParallelFor, with deterministic result identity.
 //
 // Every RunScenario call is a self-contained simulation (its own engine,
 // cluster, RNG stream), so a sweep over seeds is embarrassingly parallel;
-// the obs:: recorders are thread-locally bound, so worker runs observe
-// nothing and perturb nothing. Determinism contract: results come back in
-// seed order, and the *reported prefix* — every seed up to and including
-// the first (lowest) failing one — is always fully evaluated, so `-j N`
-// produces byte-identical uvfuzz output to the serial sweep for any N.
-// Seeds beyond the first failure may or may not have run (workers already
-// past them finish their task); consumers must not read past
-// first_failure().
+// the obs:: recorders are thread-locally bound, so runs on worker threads
+// observe nothing and perturb nothing. Determinism contract: results come
+// back in seed order, and the *reported prefix* — every seed up to and
+// including the first (lowest) failing one — is always fully evaluated, so
+// `-j N` produces byte-identical uvfuzz output to `-j 1` for any N. Seeds
+// are claimed in ascending order, so at one worker nothing beyond the
+// first failure is sampled; at more, seeds beyond it may or may not have
+// run (workers already past them finish their seed), and consumers must
+// not read past first_failure().
 //
 // The wall-clock budget is one shared deadline for the whole sweep: every
 // worker checks it before starting a seed, so `-j 8` gets the same wall
@@ -30,11 +31,10 @@ namespace uvs::testkit {
 
 struct BatchOptions {
   RunOptions run;
-  /// Worker threads; 0 means the hardware thread count. When that count is
-  /// at most 1, or the batch has one seed, the sweep runs inline on the
-  /// calling thread with exact classic serial semantics (nothing beyond the
-  /// first failure is ever sampled). A parallel sweep stops dispatching
-  /// seeds beyond the lowest failing one it has seen.
+  /// Worker threads, resolved by sim::ResolveWorkers: 0 means one per
+  /// hardware thread, and no count exceeds the hardware threads or the
+  /// seeds. One worker runs the sweep on the calling thread. Workers stop
+  /// starting seeds beyond the lowest failing one they have seen.
   int workers = 1;
   /// Shared wall-clock budget in seconds for the whole sweep (0 =
   /// unlimited). Honored across workers as one deadline.
@@ -84,7 +84,7 @@ struct BatchResult {
 
 /// Runs seeds [base_seed, base_seed + n) under `options.workers` threads.
 /// Never throws scenario errors (RunScenario converts them to "exception"
-/// violations); pool-infrastructure errors do propagate.
+/// violations); a failure to start a thread does propagate.
 BatchResult RunSeedBatch(std::uint64_t base_seed, std::uint64_t n, const BatchOptions& options);
 
 }  // namespace uvs::testkit

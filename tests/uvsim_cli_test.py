@@ -84,6 +84,12 @@ def cases(tools, scratch):
                            ("--read", "--read")):
             yield "uvsim", SINGLE + [flag], {}, name, REJECT
         yield "uvsim", SINGLE + ["--faults=crash@0.002:node=1,node=0"], {}, "node", REJECT
+        # Cluster-only flags select nothing in a single run: each needs --cluster.
+        for flag in ("--jobs=2", "--csched=fcfs", "--interarrival=0.5", "--seed=7", "--bb-bound",
+                     "--lustre-frac=0.5", "--ec-frac=0.5", "--bb-mb=8", "--osts=2", "--ppn=2",
+                     "--solo-jobs=2", "--job-file=/nonexistent", "--job-trace=jt.json", "--slo",
+                     "--live"):
+            yield "uvsim", SINGLE + [flag], {}, flag.split("=")[0], REJECT
         # Observed runs take the traced leg paths of every layer.
         for layer in ("dram", "bb", "disk"):
             for observer in ("--metrics=m.json", "--trace=t.json", "--attribution"):

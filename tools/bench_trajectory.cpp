@@ -12,14 +12,15 @@
 //   --label   entry label (default "run")
 //   --out     output JSON path (default BENCH_sim.json in the CWD)
 //   -j N      workers for the parallel-runner metrics, N >= 0 (0 = all
-//             hardware threads; default 0)
+//             hardware threads; default 0); never more than the hardware
+//             threads, and the entry records the count used
 //
 // Besides the kernel microbenchmarks and figure smokes, the entry carries
 // parallel-runner metrics: the same fuzz seed sweep and cluster
-// solo-baseline warmup timed serially and again fanned across a
-// sim::WorkerPool, plus the speedup ratios. Both parallel paths are
-// bit-identical to their serial twins by construction (see
-// docs/PERFORMANCE.md), so the ratio is pure scheduling gain.
+// solo-baseline warmup timed at one worker and again fanned across
+// sim::ParallelFor threads, plus the speedup ratios. Both are bit-identical
+// at any worker count by construction (see docs/PERFORMANCE.md), so the
+// ratio is pure scheduling gain.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -36,7 +37,7 @@
 #include "src/sim/engine.hpp"
 #include "src/sim/fair_share.hpp"
 #include "src/sim/task.hpp"
-#include "src/sim/worker_pool.hpp"
+#include "src/sim/parallel_for.hpp"
 #include "src/testkit/batch.hpp"
 #include "src/workload/hdf_micro.hpp"
 #include "src/workload/scenario.hpp"
@@ -118,7 +119,7 @@ double Fig5aSmokeWallSec(int procs, Bytes bytes_per_proc) {
   return Seconds(t0, t1);
 }
 
-// --- parallel-runner metrics (serial vs WorkerPool wall clock) ----------
+// --- parallel-runner metrics (one worker vs N, wall clock) -------------
 
 double FuzzSweepWallSec(int workers, std::uint64_t seeds) {
   testkit::BatchOptions batch;
@@ -252,12 +253,14 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "-j", 2) == 0 && argv[i][2] != '\0') {
       jobs = FlagNumber("bench_trajectory", "-j", argv[i] + 2, 0);
     } else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--label NAME] [--out PATH] [-j N]\n",
+      std::fprintf(stderr,
+                   "usage: %s [--smoke] [--label NAME] [--out PATH] [-j N]\n"
+                   "  -j N  parallel-runner workers, N >= 0 (0 = all hardware threads,\n"
+                   "        the default); capped at the hardware threads\n",
                    argv[0]);
       return 2;
     }
   }
-  const int workers = jobs > 0 ? jobs : sim::WorkerPool::HardwareThreads();
 
   const int sj_rounds = smoke ? 5 : 30;
   const int when_all_fanouts = smoke ? 20000 : 200000;
@@ -282,12 +285,13 @@ int main(int argc, char** argv) {
   // cost is event-scheduling volume rather than simulated bytes.
   add("fig5a_ia_smoke_wall_sec_p8192", Fig5aSmokeWallSec(8192, smoke ? 1_MiB : 4_MiB));
 
-  // Parallel-runner metrics: identical work timed serially and fanned
-  // across the WorkerPool. Speedup ~1.0 on a single-core host.
+  // Parallel-runner metrics: identical work timed at one worker and fanned
+  // across threads. Speedup ~1.0 on a single-core host.
   const std::uint64_t sweep_seeds = smoke ? 32 : 256;
   const int warmup_mix = smoke ? 12 : 24;
+  const int workers = sim::ResolveWorkers(sweep_seeds, jobs);  // the threads the sweep runs on
   add("parallel_workers", workers);
-  add("hw_threads", sim::WorkerPool::HardwareThreads());
+  add("hw_threads", sim::HardwareThreads());
   const double fuzz_serial = FuzzSweepWallSec(1, sweep_seeds);
   const double fuzz_parallel = FuzzSweepWallSec(workers, sweep_seeds);
   add("parallel_fuzz_sweep_serial_wall_sec", fuzz_serial);

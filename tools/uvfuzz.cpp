@@ -15,14 +15,16 @@
 //   uvfuzz --seed=17              # run exactly seed 17
 //   uvfuzz --spec='procs=4 ...'   # replay a (shrunk) spec verbatim
 //
-// `-j N` drains the seed sweep across N pool workers
-// (testkit::RunSeedBatch) with byte-identical output to the serial sweep:
-// results print in seed order, the first (lowest) failing seed is the one
-// reported and shrunk, and --time-budget is one shared deadline for the
-// whole sweep rather than per-worker. Each worker runs its scenarios with
-// no recorder bound (thread-local obs:: isolation); the failing seed is
-// replayed on the main thread, where the flight recorder is bound, to
-// regenerate the ring before dumping it.
+// `-j N` drains the seed sweep across N threads, at most one per hardware
+// thread (testkit::RunSeedBatch over sim::ParallelFor), with output
+// byte-identical to `-j 1`: seeds are claimed in ascending order, results
+// print in seed order, the first (lowest) failing seed is the one reported
+// and shrunk, and --time-budget is one shared deadline for the whole sweep
+// rather than per-worker. At `-j 1` the main thread runs every seed; at
+// more, each worker thread runs its scenarios with no recorder bound
+// (thread-local obs:: isolation). Either way the failing seed is replayed
+// on the main thread, where the flight recorder is bound, to regenerate
+// the ring before dumping it.
 //
 // Exit codes: 0 all runs clean, 1 invariant violation or escaped
 // exception, 2 usage error.
@@ -55,7 +57,7 @@ struct Args {
   std::uint64_t seed = 0;
   std::string spec;          // explicit spec replay; overrides seeds
   double time_budget = 0.0;  // wall seconds; 0 = unlimited (shared across workers)
-  int jobs = 1;              // worker threads for the seed sweep; 0 = hw
+  int jobs = 1;              // worker threads for the seed sweep; 0 = hw, capped at hw
   bool shrink = true;
   bool differential = true;
   bool quiet = false;
@@ -73,9 +75,10 @@ void PrintUsage(std::FILE* out) {
                "  --time-budget=S    stop fuzzing after S wall-clock seconds, 0 to\n"
                "                     1e6 (0 = no budget; one shared deadline — -j\n"
                "                     does not multiply it)\n"
-               "  -j N, --jobs=N     fan the sweep across N >= 0 worker threads\n"
-               "                     with output identical to the serial sweep (0 =\n"
-               "                     all hardware threads; default 1)\n"
+               "  -j N, --jobs=N     fan the sweep across N >= 0 worker threads,\n"
+               "                     at most one per hardware thread, with output\n"
+               "                     identical at any N (0 = all hardware threads;\n"
+               "                     default 1)\n"
                "  --no-shrink        do not shrink a failing scenario\n"
                "  --no-differential  skip the Lustre differential read-back\n"
                "  --flight-recorder[=FILE]\n"

@@ -55,6 +55,12 @@ constexpr const char* kTool = "uvsim";
 /// shape from the sampled mix or the job file.
 constexpr std::string_view kSingleRunFlags[] = {"--layer", "--read",   "--steps",   "--mb",
                                                 "--no-ia", "--no-coc", "--no-adpt", "--no-la"};
+/// Flags only a --cluster run reads: they shape the job mix, the shared
+/// machine, the solo warmup and the tenant telemetry.
+constexpr std::string_view kClusterOnlyFlags[] = {
+    "--jobs",        "--csched",   "--interarrival", "--seed", "--bb-bound",
+    "--lustre-frac", "--ec-frac",  "--bb-mb",        "--osts", "--ppn",
+    "--solo-jobs",   "--job-file", "--job-trace",    "--slo",  "--live"};
 
 struct Args {
   std::string system = "univistor";
@@ -96,11 +102,12 @@ struct Args {
   int bb_mb = 64;                // BB capacity per BB node (MiB)
   int osts = 4;                  // PFS OSTs (few, so spilling hurts)
   int ppn = 4;                   // client ranks per allocated node
-  int solo_jobs = 1;             // solo-baseline warmup worker threads (0 = hw)
+  int solo_jobs = 1;             // solo-baseline warmup worker threads (0 = hw, capped at hw)
   std::string job_file;          // input job trace (at=.. procs=.. lines)
   std::string job_trace;         // output JSON job trace path
 
-  std::string_view single_run_flag;  // the first of kSingleRunFlags given
+  std::string_view single_run_flag;   // the first of kSingleRunFlags given
+  std::string_view cluster_only_flag;  // the first of kClusterOnlyFlags given
 };
 
 void PrintUsage(std::FILE* out) {
@@ -173,7 +180,8 @@ void PrintUsage(std::FILE* out) {
                "                                  spilling past the BB hurts)\n"
                "  --ppn=N                         cluster: client ranks per node (default 4)\n"
                "  --solo-jobs=N                   cluster: worker threads for the solo-\n"
-               "                                  baseline warmup (0 = all hardware\n"
+               "                                  baseline warmup, at most one per\n"
+               "                                  hardware thread (0 = all hardware\n"
                "                                  threads; default 1). Output is identical\n"
                "                                  at any worker count\n"
                "  --job-file=FILE                 cluster: read the mix from a job trace\n"
@@ -209,6 +217,8 @@ Args Parse(int argc, char** argv) {
     const std::string_view name = std::string_view(arg).substr(0, std::strcspn(arg, "="));
     if (args.single_run_flag.empty() && std::ranges::count(kSingleRunFlags, name) > 0)
       args.single_run_flag = name;
+    if (args.cluster_only_flag.empty() && std::ranges::count(kClusterOnlyFlags, name) > 0)
+      args.cluster_only_flag = name;
     if (ParseFlag(arg, "--system", &value)) args.system = value;
     else if (ParseFlag(arg, "--layer", &value)) args.layer = value;
     else if (ParseFlag(arg, "--workload", &value)) args.workload = value;
@@ -305,6 +315,8 @@ Args Parse(int argc, char** argv) {
       BadFlag(kTool, "--scrub", "needs --ec=K+M or --ec-frac with --cluster");
     return args;
   }
+  if (!args.cluster_only_flag.empty())
+    BadFlag(kTool, std::string(args.cluster_only_flag), "needs --cluster");
   if (args.workload == "workflow" && args.procs < 2)
     BadFlag(kTool, "--procs", "workflow needs >= 2 ranks (writers and readers)");
   if (args.ec_k > 0 && args.kind != workload::SystemKind::kUniviStor)
