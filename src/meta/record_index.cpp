@@ -6,7 +6,9 @@ namespace uvs::meta {
 
 namespace {
 
-bool OffsetBefore(const MetadataRecord& rec, Bytes offset) { return rec.offset < offset; }
+static_assert(sizeof(RecordIndex::Entry) == 32, "an index entry is four 8-byte fields");
+
+bool OffsetBefore(const RecordIndex::Entry& entry, Bytes offset) { return entry.offset < offset; }
 
 // First file in the fid-sorted `files` whose fid is not below `fid`.
 template <typename Files>
@@ -21,57 +23,61 @@ void RecordIndex::Insert(const MetadataRecord& record) {
   auto file = LowerFile(files_, record.fid);
   if (file == files_.end() || file->fid != record.fid)
     file = files_.insert(file, File{record.fid, {}});
-  std::vector<MetadataRecord>& recs = file->records;
-  auto it = recs.empty() || recs.back().offset < record.offset
-                ? recs.end()
-                : std::lower_bound(recs.begin(), recs.end(), record.offset, OffsetBefore);
-  if (it != recs.end() && it->offset == record.offset) {
-    *it = record;
+  std::vector<Entry>& entries = file->entries;
+  const Entry entry{record.offset, record.len, record.producer, record.va};
+  auto it = entries.empty() || entries.back().offset < record.offset
+                ? entries.end()
+                : std::lower_bound(entries.begin(), entries.end(), record.offset, OffsetBefore);
+  if (it != entries.end() && it->offset == record.offset) {
+    *it = entry;
     return;
   }
-  recs.insert(it, record);
+  entries.insert(it, entry);
   ++size_;
+}
+
+std::span<const RecordIndex::Entry> RecordIndex::Overlapping(storage::FileId fid, Bytes offset,
+                                                             Bytes len) const {
+  const auto file = LowerFile(files_, fid);
+  if (len == 0 || file == files_.end() || file->fid != fid) return {};
+  const std::vector<Entry>& entries = file->entries;
+  auto first = std::lower_bound(entries.begin(), entries.end(), offset, OffsetBefore);
+  const auto last = std::lower_bound(first, entries.end(), offset + len, OffsetBefore);
+  // The entry starting closest before `offset` can still overlap it.
+  if (first != entries.begin() && (first == entries.end() || first->offset != offset) &&
+      std::prev(first)->end() > offset)
+    --first;
+  return {first, last};
+}
+
+MetadataRecord RecordIndex::Clip(storage::FileId fid, const Entry& entry, Bytes lo, Bytes hi) {
+  const Bytes offset = std::max(entry.offset, lo);
+  return MetadataRecord{fid, offset, std::min(entry.end(), hi) - offset, entry.producer,
+                        entry.va + (offset - entry.offset)};
 }
 
 std::vector<MetadataRecord> RecordIndex::Query(storage::FileId fid, Bytes offset,
                                                Bytes len) const {
+  const std::span<const Entry> hits = Overlapping(fid, offset, len);
   std::vector<MetadataRecord> out;
-  const auto file = LowerFile(files_, fid);
-  if (len == 0 || file == files_.end() || file->fid != fid) return out;
-  const std::vector<MetadataRecord>& recs = file->records;
-  const Bytes end = offset + len;
-
-  auto it = std::lower_bound(recs.begin(), recs.end(), offset, OffsetBefore);
-  // The record starting closest before `offset` can still overlap it.
-  if (it != recs.begin() && (it == recs.end() || it->offset != offset)) {
-    const MetadataRecord& rec = *std::prev(it);
-    if (rec.end() > offset) {
-      MetadataRecord clipped = rec;
-      const Bytes skip = offset - rec.offset;
-      clipped.offset = offset;
-      clipped.va += skip;
-      clipped.len = std::min(rec.len - skip, len);
-      out.push_back(clipped);
-    }
-  }
-  for (; it != recs.end() && it->offset < end; ++it) {
-    MetadataRecord clipped = *it;
-    if (clipped.end() > end) clipped.len = end - clipped.offset;
-    out.push_back(clipped);
-  }
+  out.reserve(hits.size());
+  for (const Entry& entry : hits) out.push_back(Clip(fid, entry, offset, offset + len));
   return out;
 }
 
 Bytes RecordIndex::CoveredBytes(storage::FileId fid, Bytes offset, Bytes len) const {
   Bytes covered = 0;
-  for (const auto& rec : Query(fid, offset, len)) covered += rec.len;
+  for (const Entry& entry : Overlapping(fid, offset, len))
+    covered += Clip(fid, entry, offset, offset + len).len;
   return covered;
 }
 
 std::vector<MetadataRecord> RecordIndex::All() const {
   std::vector<MetadataRecord> out;
   out.reserve(size_);
-  for (const File& file : files_) out.insert(out.end(), file.records.begin(), file.records.end());
+  for (const File& file : files_)
+    for (const Entry& entry : file.entries)
+      out.push_back(MetadataRecord{file.fid, entry.offset, entry.len, entry.producer, entry.va});
   return out;
 }
 

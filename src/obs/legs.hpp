@@ -16,6 +16,7 @@
 // adds is the order of any RNG draws and capacity reads they make.
 #pragma once
 
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -42,6 +43,7 @@ class Legs {
   void Pool(const char* name, Category cat, sim::FairSharePool& pool, Bytes bytes);
   /// Any other leg, with its ideal time (0 where none is modelled).
   void Add(const char* name, Category cat, Time ideal, Bytes bytes, sim::Task task) {
+    if (legs_.empty()) legs_.reserve(kReservedLegs);
     legs_.push_back(Tag(name, cat, ideal, bytes, std::move(task)));
   }
 
@@ -54,6 +56,10 @@ class Legs {
   sim::Task Join();
 
  private:
+  /// Room the first Add makes: the most legs one UniviStor transfer adds
+  /// (a server's flush share), so a list allocates once.
+  static constexpr std::size_t kReservedLegs = 5;
+
   sim::Engine* engine_;
   const char* category_;
   Track track_;

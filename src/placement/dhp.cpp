@@ -24,13 +24,12 @@ Bytes DefaultLogCapacity(Bytes layer_capacity, int sharers) {
 }
 
 namespace {
-std::vector<Bytes> BuildCapacities(const std::vector<storage::LayerStore*>& stores,
-                                   std::vector<storage::LogFile*>& logs,
-                                   const storage::LogKey& key,
-                                   const std::vector<Bytes>& requested) {
+std::array<Bytes, hw::kLayerCount> OpenLogs(
+    const std::vector<storage::LayerStore*>& stores,
+    std::array<storage::LogFile*, hw::kLayerCount>& logs, const storage::LogKey& key,
+    const std::vector<Bytes>& requested) {
   assert(stores.size() == requested.size());
-  std::vector<Bytes> caps(static_cast<std::size_t>(hw::kLayerCount), 0);
-  logs.assign(static_cast<std::size_t>(hw::kLayerCount), nullptr);
+  std::array<Bytes, hw::kLayerCount> caps{};
   for (std::size_t i = 0; i < stores.size(); ++i) {
     storage::LayerStore* store = stores[i];
     assert(store != nullptr);
@@ -48,12 +47,11 @@ std::vector<Bytes> BuildCapacities(const std::vector<storage::LayerStore*>& stor
 DhpWriterChain::DhpWriterChain(storage::LogKey key, std::vector<storage::LayerStore*> stores,
                                const std::vector<Bytes>& requested_capacities)
     : key_(key),
-      stores_(std::move(stores)),
-      codec_(BuildCapacities(stores_, logs_, key_, requested_capacities)),
-      placed_(static_cast<std::size_t>(hw::kLayerCount), 0) {}
+      first_layer_(stores.empty() ? hw::Layer::kPfs : stores.front()->layer()),
+      codec_(OpenLogs(stores, logs_, key_, requested_capacities)) {}
 
 Bytes DhpWriterChain::PlacedOn(hw::Layer layer) const {
-  return placed_.at(static_cast<std::size_t>(layer));
+  return placed_[static_cast<std::size_t>(layer)];
 }
 
 std::vector<Placement> DhpWriterChain::Append(Bytes len) {
@@ -87,8 +85,7 @@ std::vector<Placement> DhpWriterChain::Append(Bytes len) {
     // A chain hop = the append could not be satisfied by the first layer
     // alone (DHP spilled down the hierarchy, §II-B1). A chain with no cache
     // layer starts at the PFS, so landing there is not a spill.
-    const hw::Layer first = stores_.empty() ? hw::Layer::kPfs : stores_.front()->layer();
-    if (out.size() > 1 || (!out.empty() && out.front().layer != first))
+    if (out.size() > 1 || (!out.empty() && out.front().layer != first_layer_))
       obs::Count("placement.spills");
   }
   return out;

@@ -7,6 +7,7 @@
 // (producer, VA) uniquely identifies its bytes across the hierarchy.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "src/common/units.hpp"
@@ -32,12 +33,13 @@ struct Placement {
 };
 
 /// The spill chain for one (file, producer). Layer stores are borrowed and
-/// must outlive the chain.
+/// must outlive the chain. Its state is a few fixed per-layer arrays, so a
+/// chain is one flat object that its owner can hold by value.
 class DhpWriterChain {
  public:
-  /// `stores` are the cache layers fastest-first (DRAM [, node SSD] [, BB]);
-  /// logs are opened in each with capacity min(requested_i, space left).
-  /// The PFS always terminates the chain.
+  /// `stores` are the cache layers fastest-first (DRAM [, node SSD] [, BB]),
+  /// at most one per layer; logs are opened in each with capacity
+  /// min(requested_i, space left). The PFS always terminates the chain.
   DhpWriterChain(storage::LogKey key, std::vector<storage::LayerStore*> stores,
                  const std::vector<Bytes>& requested_capacities);
 
@@ -57,11 +59,11 @@ class DhpWriterChain {
 
  private:
   storage::LogKey key_;
-  std::vector<storage::LayerStore*> stores_;      // parallel to layers 0..n-1
-  std::vector<storage::LogFile*> logs_;           // nullptr if layer got no space
+  hw::Layer first_layer_;  // the fastest store's layer; the PFS with none
+  std::array<storage::LogFile*, hw::kLayerCount> logs_{};  // nullptr if layer got no space
   VirtualAddressCodec codec_;
   Bytes pfs_cursor_ = 0;
-  std::vector<Bytes> placed_;  // per hw::Layer
+  std::array<Bytes, hw::kLayerCount> placed_{};  // per hw::Layer
 };
 
 }  // namespace uvs::placement

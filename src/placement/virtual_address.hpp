@@ -12,8 +12,10 @@
 // address within that layer's log.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <vector>
+#include <initializer_list>
+#include <span>
 
 #include "src/common/status.hpp"
 #include "src/common/units.hpp"
@@ -32,13 +34,16 @@ struct LayerAddress {
 class VirtualAddressCodec {
  public:
   /// `log_capacities[i]` is the producer's log capacity on layer i (0 for
-  /// layers the producer has no log on). The last layer (PFS) is treated
-  /// as unbounded.
-  explicit VirtualAddressCodec(std::vector<Bytes> log_capacities);
+  /// layers the producer has no log on): between 1 and hw::kLayerCount
+  /// layers, or std::invalid_argument. The last layer (PFS) is treated as
+  /// unbounded.
+  explicit VirtualAddressCodec(std::span<const Bytes> log_capacities);
+  VirtualAddressCodec(std::initializer_list<Bytes> log_capacities)
+      : VirtualAddressCodec(
+            std::span<const Bytes>(log_capacities.begin(), log_capacities.size())) {}
 
-  Bytes capacity(hw::Layer layer) const {
-    return capacities_.at(static_cast<std::size_t>(layer));
-  }
+  /// The layer's log capacity; 0 for a layer beyond the codec's layers.
+  Bytes capacity(hw::Layer layer) const { return capacities_[static_cast<std::size_t>(layer)]; }
 
   /// Eq. 1. `physical` must be within the layer's log (last layer exempt).
   Result<Bytes> Encode(hw::Layer layer, Bytes physical) const;
@@ -47,8 +52,9 @@ class VirtualAddressCodec {
   Result<LayerAddress> Decode(Bytes va) const;
 
  private:
-  std::vector<Bytes> capacities_;
-  std::vector<Bytes> prefix_;  // prefix_[i] = sum of capacities_[0..i-1]
+  std::array<Bytes, hw::kLayerCount> capacities_{};  // zero past layers_
+  std::array<Bytes, hw::kLayerCount> prefix_{};      // prefix_[i] = sum of capacities_[0..i-1]
+  std::size_t layers_ = 0;
 };
 
 }  // namespace uvs::placement

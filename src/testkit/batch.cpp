@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
+#include <mutex>
 
 #include "src/sim/parallel_for.hpp"
 
@@ -23,9 +25,6 @@ void Fill(SeedRun& run, RunOutcome outcome) {
 }  // namespace
 
 BatchResult RunSeedBatch(std::uint64_t base_seed, std::uint64_t n, const BatchOptions& options) {
-  BatchResult result;
-  result.runs.resize(n);
-  for (std::uint64_t i = 0; i < n; ++i) result.runs[i].seed = base_seed + i;
   const bool bounded = options.time_budget > 0;
   const Clock::time_point deadline =
       bounded ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -38,13 +37,26 @@ BatchResult RunSeedBatch(std::uint64_t base_seed, std::uint64_t n, const BatchOp
   // the highest ones, and the seeds that ran are the reported prefix.
   std::atomic<std::uint64_t> first_fail{n};
   std::atomic<bool> deadline_hit{false};
+  // One slot per seed up to the highest one started, made as seeds start:
+  // a deque never moves a slot another worker is filling.
+  std::mutex slots_mutex;
+  std::deque<SeedRun> slots;
   sim::ParallelFor(static_cast<std::size_t>(n), options.workers, [&](std::size_t i) {
     if (i > first_fail.load(std::memory_order_acquire)) return;
     if (bounded && Clock::now() >= deadline) {
       deadline_hit.store(true, std::memory_order_relaxed);
       return;
     }
-    SeedRun& run = result.runs[i];
+    SeedRun* slot = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(slots_mutex);
+      while (slots.size() <= i) {
+        const std::uint64_t seed = base_seed + slots.size();
+        slots.emplace_back().seed = seed;
+      }
+      slot = &slots[i];
+    }
+    SeedRun& run = *slot;
     run.spec = SampleScenario(run.seed);
     Fill(run, RunScenario(run.spec, options.run));
     if (!run.ok) {
@@ -55,6 +67,9 @@ BatchResult RunSeedBatch(std::uint64_t base_seed, std::uint64_t n, const BatchOp
       }
     }
   });
+  BatchResult result;
+  result.runs.reserve(slots.size());
+  for (SeedRun& run : slots) result.runs.push_back(std::move(run));
   result.deadline_hit = deadline_hit.load(std::memory_order_relaxed);
   return result;
 }

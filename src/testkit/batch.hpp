@@ -62,7 +62,9 @@ struct SeedRun {
 };
 
 struct BatchResult {
-  /// One entry per requested seed, in seed order.
+  /// One entry per seed up to the highest one that started, in seed order:
+  /// a sweep the deadline or a failure cut short holds no slot for the
+  /// seeds it never reached.
   std::vector<SeedRun> runs;
   /// True when the shared deadline stopped at least one seed from running.
   bool deadline_hit = false;

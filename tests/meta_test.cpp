@@ -1,8 +1,10 @@
 // Tests for the distributed metadata service (§II-B3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "src/common/rng.hpp"
 #include "src/meta/record_index.hpp"
@@ -285,6 +287,87 @@ TEST_P(IndexDifferential, ServiceQueriesSurviveRetirement) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexDifferential, ::testing::Values(1, 2, 3, 11, 77, 4096));
+
+class RecordIndexProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Records fill disjoint 128-byte slots of several files in random order,
+// so most inserts land mid-vector, and a slot drawn twice overwrites its
+// record at the exact offset. Every answer is sized exactly.
+TEST_P(RecordIndexProperty, OutOfOrderInsertsAndOverwritesMatchAnOrderedMap) {
+  Rng rng(GetParam());
+  const storage::FileId fids[] = {9, 4, 6};
+  RecordIndex index;
+  MapIndex ref;
+  for (int i = 0; i < 400; ++i) {
+    const MetadataRecord rec{fids[rng.NextBelow(3)], 128 * rng.NextBelow(64),
+                             1 + rng.NextBelow(128), static_cast<std::int64_t>(rng.NextBelow(16)),
+                             rng.NextBelow(1_GiB)};
+    index.Insert(rec);
+    ref.Insert(rec);
+    ASSERT_EQ(index.size(), ref.size()) << "insert " << i;
+    if (i % 40 != 39) continue;
+    const std::vector<MetadataRecord> all = index.All();
+    ASSERT_EQ(all, ref.All()) << "insert " << i;
+    EXPECT_EQ(all.capacity(), all.size());
+    for (int q = 0; q < 30; ++q) {
+      // Every fifth window asks a file that was never written.
+      const storage::FileId fid = q % 5 == 0 ? 5 : fids[rng.NextBelow(3)];
+      const Bytes offset = rng.NextBelow(8500);
+      const Bytes len = rng.NextBelow(1500);
+      const std::vector<MetadataRecord> got = index.Query(fid, offset, len);
+      ASSERT_EQ(got, ref.Query(fid, offset, len))
+          << "insert " << i << " fid " << fid << " [" << offset << ", +" << len << ")";
+      EXPECT_EQ(got.capacity(), got.size()) << "the answer is allocated at its final size";
+      EXPECT_EQ(index.CoveredBytes(fid, offset, len), Covered(got));
+    }
+  }
+}
+
+// The service's merged answer is what concatenating every partition's
+// answer and sorting by offset gives, before and after servers retire.
+TEST_P(RecordIndexProperty, ServiceQueryIsThePartitionsSortedByOffset) {
+  Rng rng(GetParam());
+  const int servers = 1 + static_cast<int>(rng.NextBelow(7));
+  const Bytes range = Bytes{32} << rng.NextBelow(4);
+  DistributedMetadataService service(servers, range);
+  auto concatenate_and_sort = [&](storage::FileId fid, Bytes offset, Bytes len) {
+    std::vector<MetadataRecord> out;
+    for (int s = 0; s < servers; ++s) {
+      const std::vector<MetadataRecord> part = service.QueryPartition(s, fid, offset, len);
+      out.insert(out.end(), part.begin(), part.end());
+    }
+    std::sort(out.begin(), out.end(),
+              [](const MetadataRecord& a, const MetadataRecord& b) { return a.offset < b.offset; });
+    return out;
+  };
+  auto check_queries = [&](const char* when) {
+    for (int q = 0; q < 40; ++q) {
+      const storage::FileId fid = 1 + rng.NextBelow(3);
+      // Every eighth window is the whole file.
+      const Bytes offset = q % 8 == 0 ? 0 : rng.NextBelow(13000);
+      const Bytes len = q % 8 == 0 ? 13000 : rng.NextBelow(3000);
+      const std::vector<MetadataRecord> got = service.Query(fid, offset, len);
+      ASSERT_EQ(got, concatenate_and_sort(fid, offset, len))
+          << when << ": " << servers << " servers, range " << range << ", fid " << fid << " ["
+          << offset << ", +" << len << ")";
+      EXPECT_EQ(got.capacity(), got.size()) << "the answer is allocated at its final size";
+    }
+  };
+  // Records fill disjoint 200-byte slots in shuffled order; each spans up
+  // to several ranges.
+  for (int i = 0; i < 250; ++i) {
+    (void)service.Insert({1 + rng.NextBelow(3), 200 * rng.NextBelow(64), 1 + rng.NextBelow(200),
+                          static_cast<std::int64_t>(rng.NextBelow(32)), rng.NextBelow(1_GiB)});
+  }
+  check_queries("before retirement");
+  for (int retire = 0; retire < 2; ++retire) {
+    const int victim = static_cast<int>(rng.NextBelow(static_cast<std::uint64_t>(servers)));
+    (void)service.RetireServer(victim);
+    check_queries("after a retirement");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RecordIndexProperty, ::testing::Values(1, 5, 42, 977, 31337));
 
 }  // namespace
 }  // namespace uvs::meta

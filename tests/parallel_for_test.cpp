@@ -157,5 +157,21 @@ TEST(ParallelForProperty, SeedBatchIsIdenticalAtAnyWorkerCount) {
   }
 }
 
+// A budget that runs out before the sweep reaches most seeds leaves no
+// slot for them: the result holds only the seeds up to the last started.
+TEST(ParallelForProperty, BudgetedSeedBatchHoldsOnlyTheSeedsItReached) {
+  constexpr std::uint64_t kSeeds = 1'000'000;
+  for (int workers : {1, 2}) {
+    testkit::BatchOptions options;
+    options.workers = workers;
+    options.time_budget = 1e-6;
+    const testkit::BatchResult sweep = testkit::RunSeedBatch(40, kSeeds, options);
+    EXPECT_TRUE(sweep.deadline_hit) << "workers=" << workers;
+    EXPECT_LT(sweep.runs.size(), 1000u) << "workers=" << workers;
+    for (std::size_t i = 0; i < sweep.runs.size(); ++i)
+      EXPECT_EQ(sweep.runs[i].seed, 40 + i) << "workers=" << workers;
+  }
+}
+
 }  // namespace
 }  // namespace uvs
